@@ -1009,7 +1009,7 @@ let blocking_design ~pool_size ~registry ~n_clients ~seconds ~batch =
   Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   Unix.listen listen (2 * n_clients);  (* every client must get through *)
   let addr = Unix.getsockname listen in
-  let pool = Service.Pool.create ~size:pool_size () in
+  let pool = Runtime.Pool.create ~size:pool_size () in
   let stop = Atomic.make false in
   let handle_conn fd =
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -1047,7 +1047,7 @@ let blocking_design ~pool_size ~registry ~n_clients ~seconds ~batch =
           | [], _, _ -> ()
           | _ :: _, _, _ ->
             (match Unix.accept listen with
-             | fd, _ -> Service.Pool.post pool (fun () -> handle_conn fd)
+             | fd, _ -> Runtime.Pool.post pool (fun () -> handle_conn fd)
              | exception Unix.Unix_error _ -> ())
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         done)
@@ -1058,7 +1058,7 @@ let blocking_design ~pool_size ~registry ~n_clients ~seconds ~batch =
   Atomic.set stop true;
   Domain.join acceptor;
   (try Unix.close listen with _ -> ());
-  Service.Pool.shutdown pool;
+  Runtime.Pool.shutdown pool;
   Service.Server.shutdown server;
   { design = "blocking"; pool = pool_size; ok; shed; errors;
     elapsed_s = elapsed; p50_ms = p50; p99_ms = p99 }
@@ -1428,7 +1428,7 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
       let frame = make_frame n in
       let compiled = Validator.compile prog in
       (* correctness first: the bitmap path must equal the reference *)
-      let flags_rows = Validator.detect_rows compiled frame in
+      let flags_rows = Oracle.Validator.detect compiled frame in
       let flags_vm = Validator.detect compiled frame in
       if flags_rows <> flags_vm then begin
         Printf.eprintf "VM/row-interpreter divergence at %d rows\n" n;
@@ -1437,7 +1437,7 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
       let n_viol =
         Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags_rows
       in
-      let rows_s = time reps (fun () -> Validator.detect_rows compiled frame) in
+      let rows_s = time reps (fun () -> Oracle.Validator.detect compiled frame) in
       let cold_s =
         time reps (fun () ->
             (* a fresh compilation lowers the bytecode from scratch *)
@@ -1450,7 +1450,7 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
         if n > 100_000 then (Float.nan, Float.nan)
         else
           ( time reps (fun () ->
-                Validator.handle_rows ~strategy:Validator.Rectify compiled frame),
+                Oracle.Validator.handle ~strategy:Validator.Rectify compiled frame),
             time reps (fun () ->
                 Validator.handle ~strategy:Validator.Rectify compiled frame) )
       in
@@ -1561,7 +1561,7 @@ let numeric_bench () =
       [ Guardrail.Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ]
   in
   let compiled = Validator.compile prog in
-  let flags_rows = Validator.detect_rows compiled frame in
+  let flags_rows = Oracle.Validator.detect compiled frame in
   let flags_vm = Validator.detect compiled frame in
   if flags_rows <> flags_vm then begin
     Printf.eprintf "range VM/row-interpreter divergence at %d rows\n" n_validate;
@@ -1576,7 +1576,7 @@ let numeric_bench () =
     exit 1
   end;
   let time reps f = (Perf.Measure.run ~warmup:1 ~reps f).Perf.Measure.min_s in
-  let rows_s = time 5 (fun () -> Validator.detect_rows compiled frame) in
+  let rows_s = time 5 (fun () -> Oracle.Validator.detect compiled frame) in
   let vm_s = time 5 (fun () -> Validator.detect compiled frame) in
   let speedup = if vm_s > 0.0 then rows_s /. vm_s else Float.infinity in
   Printf.printf "  %-9s %9s %11s %11s %8s\n" "rows" "viol" "rows(ms)"

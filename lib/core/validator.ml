@@ -22,9 +22,9 @@
    value-level probe: one key-array allocation per statement, no per-row
    list rebuilding.
 
-   The old row-at-a-time implementations survive as {!violations_rows} /
-   {!detect_rows} / {!handle_rows} — the reference the differential
-   suite and `bench validate` compare the VM against.
+   The row-at-a-time reference the differential suite and `bench
+   validate` compare the VM against lives in the test-only oracle
+   library, built on {!check_values}.
 
    Every checking entry point takes the *compiled* program: callers
    compile once with {!compile} and reuse the compilation across rows,
@@ -204,49 +204,6 @@ let prepare (c : compiled) frame = ignore (Vm.Cache.get c.cache frame)
 (* The lowered program for a frame, for callers that pin it alongside
    their own per-table state. *)
 let bytecode (c : compiled) frame = fst (Vm.Cache.get c.cache frame)
-
-(* ------------------------------------------------------------------ *)
-(* Row-at-a-time reference path: one materialized row and one decision-
-   table probe per statement per row. Kept as the semantic baseline the
-   differential tests and `bench validate` measure the VM against. *)
-
-let violations_rows (c : compiled) frame =
-  let acc = ref [] in
-  for i = Frame.nrows frame - 1 downto 0 do
-    let values = Frame.row frame i in
-    let vs =
-      List.map
-        (fun (s, r) ->
-          make_violation c ~row:i ~stmt:s ~rule:r values.(c.stmts.(s).Dsl.on))
-        (Vm.Exec.check_values c.rules values)
-    in
-    acc := vs @ !acc
-  done;
-  !acc
-
-let detect_rows (c : compiled) frame =
-  let flags = Array.make (Frame.nrows frame) false in
-  List.iter (fun v -> flags.(v.row) <- true) (violations_rows c frame);
-  flags
-
-let handle_rows ?(strategy = Ignore) (c : compiled) frame =
-  let vs = violations_rows c frame in
-  match strategy with
-  | Ignore -> (frame, vs)
-  | Raise ->
-    (match vs with
-     | [] -> (frame, [])
-     | v :: _ -> raise (Violation_error (describe (Frame.schema frame) v)))
-  | Coerce ->
-    ( List.fold_left
-        (fun f v -> Frame.set f v.row v.stmt.Dsl.on Value.Null)
-        frame vs,
-      vs )
-  | Rectify ->
-    ( List.fold_left
-        (fun f v -> Frame.set f v.row v.stmt.Dsl.on v.expected)
-        frame vs,
-      vs )
 
 (* Re-resolve a program's attribute indices by name against another
    schema, so constraints synthesized on a training split can be applied

@@ -65,17 +65,5 @@ val prepare : compiled -> Dataframe.Frame.t -> unit
     alongside their own per-table state. Cached like {!prepare}. *)
 val bytecode : compiled -> Dataframe.Frame.t -> Vm.Program.t
 
-(** Row-at-a-time reference implementations — the pre-VM semantics the
-    differential suite and [bench validate] compare against. *)
-val violations_rows : compiled -> Dataframe.Frame.t -> violation list
-
-val detect_rows : compiled -> Dataframe.Frame.t -> bool array
-
-val handle_rows :
-  ?strategy:strategy ->
-  compiled ->
-  Dataframe.Frame.t ->
-  Dataframe.Frame.t * violation list
-
 (** Re-resolve attribute indices by column name against another schema. *)
 val rebind : Dsl.prog -> Dataframe.Schema.t -> Dsl.prog

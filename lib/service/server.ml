@@ -33,6 +33,7 @@
 module Frame = Dataframe.Frame
 module Schema = Dataframe.Schema
 module Validator = Guardrail.Validator
+module Pool = Runtime.Pool
 
 module Config = struct
   type t = {

@@ -1,6 +1,6 @@
 (** The guardrail serving daemon: one event-driven readiness loop
-    multiplexing every connection over [Unix.select], feeding a {!Pool}
-    of worker domains.
+    multiplexing every connection over [Unix.select], feeding a
+    {!Runtime.Pool} of worker domains.
 
     Connections use non-blocking sockets with incremental frame
     assembly, so hundreds can be live at once regardless of pool size.

@@ -1,31 +1,39 @@
 (* Executor for ML-integrated SQL queries.
 
-   Mirrors the paper's §7 prototype: rows flow through the plan's
-   pre-filter, then — when the query calls PREDICT() — each surviving row
-   is first vetted by the guardrail (with one of the four handling
-   strategies) and only then handed to the ML backend; predictions replace
-   the PREDICT() expressions and the rest of the query (post-filter,
-   grouping, aggregation) runs as usual. Guardrail time and inference time
+   Mirrors the paper's §7 prototype, which runs guarded queries
+   column-at-a-time over a data frame. A query is one path over a row
+   set [(frame, rows, predictions)]: [rows] are the surviving row
+   indices of [frame], and each PREDICT() target has one prediction
+   array indexed like the frame. Every expression compiles once per
+   query into an [int -> Value.t] closure over the frame's columns;
+   unknown names raise only when a row is evaluated, and AND/OR/CASE
+   short-circuit per row.
+
+   The stages: the plan's pre-filter runs its offloadable conjuncts as
+   one VM bitmap pass and the residual conjuncts on the rows the bitmap
+   kept. When the query calls PREDICT(), the surviving rows are gathered
+   into a sub-frame, vetted by the guardrail (one of the four handling
+   strategies) and predicted per target; the row set becomes that
+   sub-frame. Then the post-filter, and either a projection per row or
+   GROUP BY on the shared [Dataframe.Group] kernel with aggregates
+   folded over each group's rows. ORDER BY is a stable sort of an index
+   permutation, LIMIT a truncation. Guardrail time and inference time
    are metered separately (Table 6). *)
 
 open Sql_ast
 
 module Frame = Dataframe.Frame
 module Value = Dataframe.Value
+module Column = Dataframe.Column
+module Group = Dataframe.Group
 
 exception Runtime_error of string
 
 type context = {
   tables : (string, Frame.t) Hashtbl.t;
   models : (string, Mlmodel.Ensemble.t) Hashtbl.t;  (* keyed by target name *)
-  (* the installed guard, pre-compiled against its own schema; queries
-     over tables with an identical column layout reuse the compilation,
-     others re-bind by column name through [rebound] *)
+  (* the installed guard, pre-compiled against its own schema *)
   mutable guard : (Guardrail.Validator.compiled * Guardrail.Validator.strategy) option;
-  (* re-bound guard compilations keyed by column-name layout, so a view
-     with a different layout compiles (and lowers its bytecode) once,
-     not once per query; most recent first, bounded *)
-  mutable rebound : (string list * Guardrail.Validator.compiled) list;
 }
 
 type stats = {
@@ -42,148 +50,209 @@ type result = {
   stats : stats;
 }
 
-let create () =
-  {
-    tables = Hashtbl.create 8;
-    models = Hashtbl.create 8;
-    guard = None;
-    rebound = [];
-  }
+let create () = { tables = Hashtbl.create 8; models = Hashtbl.create 8; guard = None }
 
 let register_table ctx name frame = Hashtbl.replace ctx.tables name frame
 
 let register_model ctx ~target model = Hashtbl.replace ctx.models target model
 
 let set_guard ctx ?(strategy = Guardrail.Validator.Rectify) compiled =
-  ctx.guard <- Some (compiled, strategy);
-  ctx.rebound <- []
+  ctx.guard <- Some (compiled, strategy)
 
-let clear_guard ctx =
-  ctx.guard <- None;
-  ctx.rebound <- []
+let clear_guard ctx = ctx.guard <- None
 
-(* Row environment: materialized (possibly repaired) values plus the
-   prediction per target. *)
-type env = {
-  schema : Dataframe.Schema.t;
-  values : Value.t array;
-  predictions : (string * Value.t) list;
-}
+(* ------------------------------------------------------------------ *)
+(* Expression semantics *)
 
-let truthy = function Value.Bool b -> b | Value.Null -> false | _ -> false
+let truthy = function Value.Bool b -> b | _ -> false
+
+(* Does row [i] pass every compiled predicate (short-circuiting)? *)
+let passes preds i = List.for_all (fun f -> truthy (f i)) preds
 
 let numeric v =
   match Value.to_float v with
   | Some f -> f
   | None -> raise (Runtime_error (Fmt.str "non-numeric value %a" Value.pp v))
 
-let rec eval env = function
-  | Lit v -> v
-  | Col name ->
-    (match Dataframe.Schema.index_opt env.schema name with
-     | Some i -> env.values.(i)
-     | None -> raise (Runtime_error (Printf.sprintf "unknown column %S" name)))
-  | Predict target ->
-    (match List.assoc_opt target env.predictions with
-     | Some v -> v
-     | None -> raise (Runtime_error (Printf.sprintf "no prediction for %S" target)))
-  | Cmp (op, a, b) ->
-    let va = eval env a and vb = eval env b in
-    if Value.is_null va || Value.is_null vb then Value.Bool false
-    else begin
-      let c = Value.compare va vb in
-      Value.Bool
-        (match op with
-         | Eq -> c = 0
-         | Neq -> c <> 0
-         | Lt -> c < 0
-         | Le -> c <= 0
-         | Gt -> c > 0
-         | Ge -> c >= 0)
-    end
-  | Arith (op, a, b) ->
-    let va = eval env a and vb = eval env b in
-    if Value.is_null va || Value.is_null vb then Value.Null
-    else begin
-      let x = numeric va and y = numeric vb in
-      match op with
-      | Add -> Value.Float (x +. y)
-      | Sub -> Value.Float (x -. y)
-      | Mul -> Value.Float (x *. y)
-      | Div -> if y = 0.0 then Value.Null else Value.Float (x /. y)
-    end
-  | And (a, b) -> Value.Bool (truthy (eval env a) && truthy (eval env b))
-  | Or (a, b) -> Value.Bool (truthy (eval env a) || truthy (eval env b))
-  | Not e -> Value.Bool (not (truthy (eval env e)))
-  | Case (whens, else_) ->
-    let rec go = function
-      | (cond, v) :: rest -> if truthy (eval env cond) then eval env v else go rest
-      | [] -> (match else_ with Some e -> eval env e | None -> Value.Null)
-    in
-    go whens
-  | Agg _ -> raise (Runtime_error "aggregate outside aggregation context")
+(* A NULL operand makes a comparison false and arithmetic NULL. *)
+let compare_values op va vb =
+  if Value.is_null va || Value.is_null vb then Value.Bool false
+  else begin
+    let c = Value.compare va vb in
+    Value.Bool
+      (match op with
+       | Eq -> c = 0
+       | Neq -> c <> 0
+       | Lt -> c < 0
+       | Le -> c <= 0
+       | Gt -> c > 0
+       | Ge -> c >= 0)
+  end
 
-(* Aggregate evaluation over a group of environments. Aggregates may be
-   nested inside arithmetic; group-key expressions evaluate on the group's
-   representative row. *)
-let rec eval_agg group (group_keys : (expr * Value.t) list) e =
-  match e with
-  | Agg (fn, arg) ->
-    let values =
-      match arg with
-      | None -> List.map (fun _ -> Value.Int 1) group
-      | Some a -> List.map (fun env -> eval env a) group
-    in
-    let numerics =
-      List.filter_map (fun v -> if Value.is_null v then None else Value.to_float v) values
-    in
-    (match fn with
-     | Count ->
-       (match arg with
-        | None -> Value.Int (List.length group)
-        | Some _ ->
-          Value.Int (List.length (List.filter (fun v -> not (Value.is_null v)) values)))
-     | Sum -> Value.Float (List.fold_left ( +. ) 0.0 numerics)
-     | Avg ->
-       (match numerics with
-        | [] -> Value.Null
-        | _ ->
-          Value.Float
-            (List.fold_left ( +. ) 0.0 numerics /. float_of_int (List.length numerics)))
-     | Min ->
-       (match List.filter (fun v -> not (Value.is_null v)) values with
-        | [] -> Value.Null
-        | v :: rest -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
-     | Max ->
-       (match List.filter (fun v -> not (Value.is_null v)) values with
-        | [] -> Value.Null
-        | v :: rest -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest))
-  | _ ->
-    (* group key? evaluate on the representative row *)
-    (match List.find_opt (fun (k, _) -> k = e) group_keys with
-     | Some (_, v) -> v
-     | None ->
-       (match e with
-        | Lit v -> v
-        | Cmp (op, a, b) ->
-          let env0 = List.hd group in
-          ignore env0;
-          eval_binary group group_keys (fun x y -> Cmp (op, Lit x, Lit y)) a b
-        | Arith (op, a, b) ->
-          eval_binary group group_keys (fun x y -> Arith (op, Lit x, Lit y)) a b
-        | Case _ | Col _ | Predict _ | And _ | Or _ | Not _ ->
-          (* fall back: evaluate on the representative row *)
-          (match group with
-           | env :: _ -> eval env e
-           | [] -> Value.Null)
-        | Agg _ -> assert false))
+let arith op va vb =
+  if Value.is_null va || Value.is_null vb then Value.Null
+  else begin
+    let x = numeric va in
+    let y = numeric vb in
+    match op with
+    | Add -> Value.Float (x +. y)
+    | Sub -> Value.Float (x -. y)
+    | Mul -> Value.Float (x *. y)
+    | Div -> if y = 0.0 then Value.Null else Value.Float (x /. y)
+  end
 
-and eval_binary group group_keys rebuild a b =
-  let va = eval_agg group group_keys a in
-  let vb = eval_agg group group_keys b in
-  match group with
-  | env :: _ -> eval env (rebuild va vb)
-  | [] -> Value.Null
+(* [compile leaf e] closes [e] over an evaluation point, a row or a
+   group. [leaf] claims the subexpressions it evaluates itself; the
+   others combine their children left to right. *)
+let rec compile leaf e =
+  match leaf e with
+  | Some f -> f
+  | None ->
+    let binary a b k =
+      let fa = compile leaf a and fb = compile leaf b in
+      fun x ->
+        let va = fa x in
+        k va (fb x)
+    in
+    (match e with
+     | Lit v -> fun _ -> v
+     | Cmp (op, a, b) -> binary a b (compare_values op)
+     | Arith (op, a, b) -> binary a b (arith op)
+     | And (a, b) ->
+       let fa = compile leaf a and fb = compile leaf b in
+       fun x -> Value.Bool (truthy (fa x) && truthy (fb x))
+     | Or (a, b) ->
+       let fa = compile leaf a and fb = compile leaf b in
+       fun x -> Value.Bool (truthy (fa x) || truthy (fb x))
+     | Not a ->
+       let fa = compile leaf a in
+       fun x -> Value.Bool (not (truthy (fa x)))
+     | Case (whens, else_) ->
+       let whens = List.map (fun (c, v) -> (compile leaf c, compile leaf v)) whens in
+       let else_ =
+         match else_ with Some e -> compile leaf e | None -> fun _ -> Value.Null
+       in
+       fun x ->
+         let rec go = function
+           | (c, v) :: rest -> if truthy (c x) then v x else go rest
+           | [] -> else_ x
+         in
+         go whens
+     | Col _ | Predict _ | Agg _ -> invalid_arg "Exec.compile: unclaimed leaf")
+
+(* Row evaluation over [frame]: row [i]'s cells through the column
+   dictionaries, its predictions from the per-target arrays. *)
+let compile_row frame predictions =
+  compile (function
+    | Col name ->
+      Some
+        (match Dataframe.Schema.index_opt (Frame.schema frame) name with
+         | Some j ->
+           let col = Frame.column frame j in
+           let codes = Column.codes col and dict = Column.dict col in
+           fun i -> dict.(codes.(i))
+         | None ->
+           fun _ -> raise (Runtime_error (Printf.sprintf "unknown column %S" name)))
+    | Predict target ->
+      Some
+        (match List.assoc_opt target predictions with
+         | Some p -> fun i -> p.(i)
+         | None ->
+           fun _ ->
+             raise (Runtime_error (Printf.sprintf "no prediction for %S" target)))
+    | Agg _ ->
+      Some (fun _ -> raise (Runtime_error "aggregate outside aggregation context"))
+    | _ -> None)
+
+(* One aggregate over the rows [members.(lo .. hi - 1)], in row order —
+   which fixes the float summation order. NULLs are skipped;
+   COUNT( * ) counts every row. *)
+let aggregate fn value members lo hi =
+  let fold f init =
+    let acc = ref init in
+    for k = lo to hi - 1 do
+      let v = value members.(k) in
+      if not (Value.is_null v) then acc := f !acc v
+    done;
+    !acc
+  in
+  match fn with
+  | Count -> Value.Int (fold (fun n _ -> n + 1) 0)
+  | Sum | Avg ->
+    let sum, n =
+      fold
+        (fun (sum, n) v ->
+          match Value.to_float v with Some f -> (sum +. f, n + 1) | None -> (sum, n))
+        (0.0, 0)
+    in
+    if fn = Sum then Value.Float sum
+    else if n = 0 then Value.Null
+    else Value.Float (sum /. float_of_int n)
+  | Min | Max ->
+    let better v best =
+      let c = Value.compare v best in
+      if fn = Min then c < 0 else c > 0
+    in
+    fold (fun best v -> if Value.is_null best || better v best then v else best) Value.Null
+
+(* Group evaluation: group [g] is the rows [members.(offsets.(g) ..
+   offsets.(g + 1) - 1)]. Aggregates fold over them; an aggregate-free
+   subexpression other than a literal evaluates on the group's first
+   row (NULL for the one empty group of an ungrouped aggregate over no
+   rows); the rest combine their children like rows do. *)
+let eval_group row ~members ~offsets =
+  compile (function
+    | Lit _ -> None
+    | Agg (fn, arg) ->
+      let value = match arg with Some a -> row a | None -> fun _ -> Value.Int 1 in
+      Some (fun g -> aggregate fn value members offsets.(g) offsets.(g + 1))
+    | e when not (contains_agg e) ->
+      let f = row e in
+      Some
+        (fun g ->
+          let lo = offsets.(g) in
+          if lo = offsets.(g + 1) then Value.Null else f members.(lo))
+    | _ -> None)
+
+(* Lexicographic order on key tuples, [ascending.(k)] per position. *)
+let compare_keys ascending a b =
+  let rec go k =
+    if k = Array.length ascending then 0
+    else begin
+      let c = Value.compare a.(k) b.(k) in
+      if c <> 0 then (if ascending.(k) then c else -c) else go (k + 1)
+    end
+  in
+  go 0
+
+(* GROUP BY: each key expression's values are dictionary-coded and the
+   code tuples grouped by the shared kernel, so group identity is
+   structural (Int 1 and Float 1.0 are separate groups). Returns the
+   group ids in [Value.compare] order of their keys (ties in first-
+   occurrence order) with the CSR [members]/[offsets] of frame rows,
+   ascending within each group. Without GROUP BY all rows form one
+   group, even when there are none. *)
+let group_rows row group_by rows =
+  match group_by with
+  | [] -> ([| 0 |], rows, [| 0; Array.length rows |])
+  | exprs ->
+    let fs = Array.of_list (List.map row exprs) in
+    let m = Array.length rows in
+    let cells = Array.map (fun _ -> Array.make m Value.Null) fs in
+    Array.iteri (fun r i -> Array.iteri (fun k f -> cells.(k).(r) <- f i) fs) rows;
+    let cols = Array.to_list (Array.map Column.of_values cells) in
+    let g =
+      Group.make (List.map Column.codes cols) (List.map Column.cardinality cols) m
+    in
+    let keys =
+      Array.init (Group.n_groups g) (fun gid ->
+          let r = Group.first_row g gid in
+          Array.of_list (List.map (fun c -> Column.get c r) cols))
+    in
+    let ascending = Array.make (Array.length fs) true in
+    let order = Array.init (Group.n_groups g) Fun.id in
+    Array.stable_sort (fun a b -> compare_keys ascending keys.(a) keys.(b)) order;
+    (order, Array.map (fun p -> rows.(p)) (Group.row_index g), Group.offsets g)
 
 let find_table ctx name =
   match Hashtbl.find_opt ctx.tables name with
@@ -200,7 +269,7 @@ let now () = Unix.gettimeofday ()
 (* ------------------------------------------------------------------ *)
 (* WHERE-guard offload: column-vs-literal conjuncts lower to the VM's
    bitmap prefilter ({!Vm.Lower.filter}) when that path provably agrees
-   with [eval]'s semantics. [eval] compares values with [Value.compare],
+   with row evaluation, which compares values with [Value.compare],
    which ranks across constructors (Bool < numeric < String) and aliases
    Int/Float numerically; the VM compares dictionary codes (equality) or
    column float images (ranges). The two agree exactly when:
@@ -214,91 +283,63 @@ let now () = Unix.gettimeofday ()
      on both. Numeric equality lowers as a degenerate BETWEEN so Int 1
      matches a Float 1.0 cell, exactly like [Value.compare];
    - [<] and [<=] additionally require the dictionary to be NaN-free:
-     OCaml's [Float.compare] totalizes NaN below every number, so eval
-     accepts [x < k] for a NaN cell where the VM's NaN-fails-ranges
+     OCaml's [Float.compare] totalizes NaN below every number, so row
+     evaluation accepts [x < k] for a NaN cell where the VM's NaN-fails-ranges
      kernel rejects it. ([>], [>=] and [=] reject NaN on both paths.)
 
    Anything else (NULL literals, <>, mixed-type columns, compound
-   expressions) stays on the residual eval path. *)
+   expressions) stays a residual conjunct, evaluated per surviving row. *)
 
-let numeric_only_dict frame col =
-  Array.for_all
-    (function
-      | Value.Int _ | Value.Float _ | Value.Null -> true
-      | Value.Bool _ | Value.String _ -> false)
-    (Dataframe.Column.dict (Frame.column frame col))
-
-let nan_free_numeric_dict frame col =
+let numeric_dict ~nan frame col =
   Array.for_all
     (function
       | Value.Int _ | Value.Null -> true
-      | Value.Float f -> not (Float.is_nan f)
+      | Value.Float f -> nan || not (Float.is_nan f)
       | Value.Bool _ | Value.String _ -> false)
-    (Dataframe.Column.dict (Frame.column frame col))
+    (Column.dict (Frame.column frame col))
 
 let guard_of_conjunct frame schema e =
-  let col_lit = function
-    | Cmp (op, Col c, Lit v) -> Some (op, c, v)
-    | Cmp (op, Lit v, Col c) ->
-      let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | o -> o in
-      Some (flip op, c, v)
+  let offload op name v =
+    match Dataframe.Schema.index_opt schema name, v with
+    | Some col, (Value.String _ | Value.Bool _) when op = Eq ->
+      Some (col, Vm.Lower.Guard_eq v)
+    | Some col, (Value.Int _ | Value.Float _) ->
+      let f = Option.get (Value.to_float v) in
+      let numeric = numeric_dict frame col in
+      (match op with
+       | Eq when numeric ~nan:true -> Some (col, Vm.Lower.Guard_between (f, f))
+       | Gt when numeric ~nan:true -> Some (col, Vm.Lower.Guard_gt f)
+       | Ge when numeric ~nan:true -> Some (col, Vm.Lower.Guard_ge f)
+       | Lt when numeric ~nan:false -> Some (col, Vm.Lower.Guard_lt f)
+       | Le when numeric ~nan:false -> Some (col, Vm.Lower.Guard_le f)
+       | _ -> None)
     | _ -> None
   in
-  match col_lit e with
-  | None -> None
-  | Some (op, name, v) ->
-    (match Dataframe.Schema.index_opt schema name with
-     | None -> None
-     | Some col ->
-       (match op, v with
-        | Eq, (Value.String _ | Value.Bool _) ->
-          Some (col, Vm.Lower.Guard_eq v)
-        | Eq, (Value.Int _ | Value.Float _) when numeric_only_dict frame col ->
-          let f = Option.get (Value.to_float v) in
-          Some (col, Vm.Lower.Guard_between (f, f))
-        | (Gt | Ge), (Value.Int _ | Value.Float _)
-          when numeric_only_dict frame col ->
-          let f = Option.get (Value.to_float v) in
-          Some (col, if op = Gt then Vm.Lower.Guard_gt f else Vm.Lower.Guard_ge f)
-        | (Lt | Le), (Value.Int _ | Value.Float _)
-          when nan_free_numeric_dict frame col ->
-          let f = Option.get (Value.to_float v) in
-          Some (col, if op = Lt then Vm.Lower.Guard_lt f else Vm.Lower.Guard_le f)
-        | _ -> None))
-
-(* Retained rebound-guard layouts (most recent first). *)
-let rebound_limit = 4
+  let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | o -> o in
+  match e with
+  | Cmp (op, Col c, Lit v) -> offload op c v
+  | Cmp (op, Lit v, Col c) -> offload (flip op) c v
+  | _ -> None
 
 (* The guard compilation fitting [schema]: the installed one when the
-   column layout matches, a cached-or-fresh name-rebound compilation
-   otherwise. Caching the rebound compilation keeps its VM bytecode
-   cache alive across queries, so a view's guard lowers once. *)
+   column layout matches; otherwise the guard is re-bound by column name
+   and compiled for this query (views may order or extend columns
+   differently). *)
 let guard_for ctx schema table_name =
   match ctx.guard with
   | None -> None
   | Some (compiled, strategy) ->
     let prog = Guardrail.Validator.source compiled in
-    let names = Dataframe.Schema.names schema in
-    if Dataframe.Schema.names prog.Guardrail.Dsl.schema = names then
-      Some (compiled, strategy)
+    if Dataframe.Schema.names prog.Guardrail.Dsl.schema = Dataframe.Schema.names schema
+    then Some (compiled, strategy)
     else begin
-      match List.assoc_opt names ctx.rebound with
-      | Some c -> Some (c, strategy)
-      | None ->
-        (try
-           let c =
-             Guardrail.Validator.compile
-               (Guardrail.Validator.rebind prog schema)
-           in
-           ctx.rebound <-
-             (names, c)
-             :: List.filteri (fun i _ -> i < rebound_limit - 1) ctx.rebound;
-           Some (c, strategy)
-         with Invalid_argument msg ->
-           raise
-             (Runtime_error
-                (Printf.sprintf "guard does not fit table %S: %s" table_name
-                   msg)))
+      try
+        Some
+          (Guardrail.Validator.compile (Guardrail.Validator.rebind prog schema), strategy)
+      with Invalid_argument msg ->
+        raise
+          (Runtime_error
+             (Printf.sprintf "guard does not fit table %S: %s" table_name msg))
     end
 
 let run ctx sql =
@@ -308,18 +349,13 @@ let run ctx sql =
   let frame = find_table ctx plan.Plan.table in
   let schema = Frame.schema frame in
   let n = Frame.nrows frame in
-  (* When the queried table has the guard's exact column layout, reuse the
-     compilation built once in [set_guard]; otherwise (views may order or
-     extend columns differently) the name-rebound compilation is built
-     once per layout and cached on the context. *)
   let guard = guard_for ctx schema plan.Plan.table in
   let guardrail_s = ref 0.0 in
   let inference_s = ref 0.0 in
   let violations = ref 0 in
-  let rows_predicted = ref 0 in
   (* scan + pre-filter: offloadable conjuncts run as one VM bitmap pass
-     over the columnar data; only surviving rows are materialized and
-     checked against the residual conjuncts *)
+     over the columnar data; the residual conjuncts then filter only the
+     rows the bitmap kept *)
   let guards, residual =
     List.partition_map
       (fun e ->
@@ -333,163 +369,94 @@ let run ctx sql =
     | [] -> None
     | gs -> Some (Vm.Exec.run (Vm.Lower.filter frame gs) frame).Vm.Exec.any
   in
+  let residual = List.map (compile_row frame []) residual in
   let kept = ref [] in
   for i = n - 1 downto 0 do
-    let pass =
-      match prefilter with None -> true | Some bm -> Vm.Bitmap.get bm i
-    in
-    if pass then begin
-      let values = Frame.row frame i in
-      let env0 = { schema; values; predictions = [] } in
-      if List.for_all (fun e -> truthy (eval env0 e)) residual then
-        kept := (i, env0) :: !kept
-    end
+    if (match prefilter with None -> true | Some bm -> Vm.Bitmap.get bm i)
+       && passes residual i
+    then kept := i :: !kept
   done;
+  let rows = Array.of_list !kept in
   (* prediction with guardrail interception: surviving rows are gathered
      into a sub-frame (sharing the table's dictionaries, so the guard's
      bytecode is reused), vetted in one batch over the VM's violation
      bitmaps, repaired in one batch update, and predicted in one
-     predict_frame call per target *)
-  let envs =
-    if not plan.Plan.uses_predict then List.map snd !kept
+     predict_frame call per target; the sub-frame is the new row set *)
+  let frame, rows, predictions =
+    if not plan.Plan.uses_predict then (frame, rows, [])
     else begin
-      let idx = Array.of_list (List.map fst !kept) in
-      rows_predicted := Array.length idx;
-      let sub = Frame.take frame idx in
+      let sub = Frame.take frame rows in
       let sub =
         match guard with
         | None -> sub
         | Some (compiled, strategy) ->
           let t0 = now () in
-          let finish () = guardrail_s := !guardrail_s +. (now () -. t0) in
-          (match Guardrail.Validator.handle ~strategy compiled sub with
-           | repaired, vs ->
-             violations := !violations + List.length vs;
-             finish ();
-             repaired
-           | exception e ->
-             finish ();
-             raise e)
+          let repaired, vs =
+            Fun.protect
+              ~finally:(fun () -> guardrail_s := now () -. t0)
+              (fun () -> Guardrail.Validator.handle ~strategy compiled sub)
+          in
+          violations := List.length vs;
+          repaired
       in
       let t1 = now () in
-      let preds =
+      let predictions =
         List.map
           (fun target ->
             (target, Mlmodel.Ensemble.predict_frame (find_model ctx target) sub))
           plan.Plan.predict_targets
       in
-      inference_s := !inference_s +. (now () -. t1);
-      List.init (Array.length idx) (fun j ->
-          {
-            schema;
-            values = Frame.row sub j;
-            predictions = List.map (fun (t, arr) -> (t, arr.(j))) preds;
-          })
+      inference_s := now () -. t1;
+      (sub, Array.init (Array.length rows) Fun.id, predictions)
     end
   in
-  (* post-filter *)
-  let envs =
-    List.filter
-      (fun env -> List.for_all (fun e -> truthy (eval env e)) plan.Plan.post_filter)
-      envs
-  in
-  let columns = List.mapi Plan.output_name plan.Plan.select in
-  (* rows paired with their ORDER BY key values *)
-  let keyed_rows =
+  let rows_predicted = if plan.Plan.uses_predict then Array.length rows else 0 in
+  let row = compile_row frame predictions in
+  let post_filter = List.map row plan.Plan.post_filter in
+  let rows = Array.of_list (List.filter (passes post_filter) (Array.to_list rows)) in
+  (* evaluation points: rows, or group ids in key order *)
+  let points, eval =
     if plan.Plan.is_aggregate then begin
-      (* group *)
-      let groups : (Value.t list, env list) Hashtbl.t = Hashtbl.create 16 in
-      let order = ref [] in
-      List.iter
-        (fun env ->
-          let key = List.map (fun e -> eval env e) plan.Plan.group_by in
-          if not (Hashtbl.mem groups key) then order := key :: !order;
-          Hashtbl.replace groups key
-            (env :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
-        envs;
-      (* deterministic group order so results align across runs *)
-      let compare_keys a b =
-        let rec go = function
-          | x :: xs, y :: ys ->
-            let c = Value.compare x y in
-            if c <> 0 then c else go (xs, ys)
-          | [], [] -> 0
-          | [], _ -> -1
-          | _, [] -> 1
-        in
-        go (a, b)
-      in
-      let keys = List.sort compare_keys (List.rev !order) in
-      let keys = if plan.Plan.group_by = [] && keys = [] then [ [] ] else keys in
-      List.map
-        (fun key ->
-          let group = List.rev (Option.value ~default:[] (Hashtbl.find_opt groups key)) in
-          let group_keys = List.combine plan.Plan.group_by key in
-          let row =
-            Array.of_list
-              (List.map
-                 (fun (item : select_item) -> eval_agg group group_keys item.expr)
-                 plan.Plan.select)
-          in
-          let order_values =
-            List.map (fun (e, _) -> eval_agg group group_keys e) plan.Plan.order_by
-          in
-          (row, order_values))
-        keys
+      let order, members, offsets = group_rows row plan.Plan.group_by rows in
+      (order, eval_group row ~members ~offsets)
     end
-    else
-      List.map
-        (fun env ->
-          let row =
-            Array.of_list
-              (List.map (fun (item : select_item) -> eval env item.expr) plan.Plan.select)
-          in
-          let order_values =
-            List.map (fun (e, _) -> eval env e) plan.Plan.order_by
-          in
-          (row, order_values))
-        envs
+    else (rows, row)
   in
-  (* ORDER BY: lexicographic over the order expressions with per-key
-     direction; stable sort keeps scan order for ties *)
-  let keyed_rows =
-    if plan.Plan.order_by = [] then keyed_rows
-    else begin
-      let directions = List.map snd plan.Plan.order_by in
-      let compare_rows (_, a) (_, b) =
-        let rec go vals_a vals_b dirs =
-          match vals_a, vals_b, dirs with
-          | [], [], _ -> 0
-          | va :: ra, vb :: rb, asc :: rd ->
-            let c = Value.compare va vb in
-            if c <> 0 then (if asc then c else -c) else go ra rb rd
-          | _ -> 0
-        in
-        go a b directions
-      in
-      List.stable_sort compare_rows keyed_rows
-    end
+  let items = Array.of_list (List.map (fun (it : select_item) -> eval it.expr) plan.Plan.select) in
+  let keys = Array.of_list (List.map (fun (e, _) -> eval e) plan.Plan.order_by) in
+  let out =
+    Array.map
+      (fun p ->
+        let row = Array.map (fun f -> f p) items in
+        (row, Array.map (fun f -> f p) keys))
+      points
   in
-  let keyed_rows =
+  (* ORDER BY: stable sort of an index permutation (ties keep scan or
+     group order); LIMIT truncates it *)
+  let perm = Array.init (Array.length out) Fun.id in
+  if plan.Plan.order_by <> [] then begin
+    let ascending = Array.of_list (List.map snd plan.Plan.order_by) in
+    Array.stable_sort (fun a b -> compare_keys ascending (snd out.(a)) (snd out.(b))) perm
+  end;
+  let k =
     match plan.Plan.limit with
-    | Some k ->
-      List.filteri (fun i _ -> i < k) keyed_rows
-    | None -> keyed_rows
+    | Some k -> max 0 (min k (Array.length perm))
+    | None -> Array.length perm
   in
-  let rows = List.map fst keyed_rows in
+  let rows = List.init k (fun j -> fst out.(perm.(j))) in
   if Obs.Span.enabled () then begin
-    Obs.Span.add_attr "rows" (string_of_int (List.length rows));
+    Obs.Span.add_attr "rows" (string_of_int k);
     Obs.Span.add_attr "violations" (string_of_int !violations);
     Obs.Span.add_attr "guardrail_ms" (Printf.sprintf "%.3f" (!guardrail_s *. 1e3));
     Obs.Span.add_attr "inference_ms" (Printf.sprintf "%.3f" (!inference_s *. 1e3))
   end;
   {
-    columns;
+    columns = List.mapi Plan.output_name plan.Plan.select;
     rows;
     stats =
       {
         rows_scanned = n;
-        rows_predicted = !rows_predicted;
+        rows_predicted;
         violations = !violations;
         guardrail_s = !guardrail_s;
         inference_s = !inference_s;

@@ -24,9 +24,8 @@ val register_model : context -> target:string -> Mlmodel.Ensemble.t -> unit
 
 (** Install a compiled guardrail applied to every row before prediction
     (default strategy: [Rectify]). Queries over tables with the guard's
-    exact column layout reuse the compilation as-is; other layouts are
-    re-bound by column name once and cached (with their lowered VM
-    bytecode) on the context. *)
+    exact column layout reuse the compilation as-is; a query over any
+    other layout re-binds it by column name and compiles it again. *)
 val set_guard :
   context ->
   ?strategy:Guardrail.Validator.strategy ->

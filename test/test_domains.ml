@@ -177,7 +177,7 @@ let test_range_vm_differential () =
       Dsl.prog ~schema [ Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ]
     in
     let compiled = Validator.compile prog in
-    let rows_flags = Validator.detect_rows compiled frame in
+    let rows_flags = Oracle.Validator.detect compiled frame in
     let vm_flags = Validator.detect compiled frame in
     if rows_flags <> vm_flags then
       Alcotest.fail

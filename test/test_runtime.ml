@@ -55,6 +55,10 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   Alcotest.(check int) "queued jobs drained" 10 (Atomic.get counter);
   Alcotest.(check int) "no workers left" 0 (Pool.size pool);
+  Alcotest.(check bool) "post after the drain raises Stopped" true
+    (match Pool.post pool (fun () -> ()) with
+     | () -> false
+     | exception Pool.Stopped -> true);
   (* second and third calls are documented no-ops *)
   Pool.shutdown pool;
   Pool.shutdown pool;

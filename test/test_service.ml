@@ -1,6 +1,6 @@
 (* Tests for the serving subsystem: protocol encode/decode round-trips
-   (including truncated and oversized payload rejection), the Domain
-   worker pool, metrics, the compile-once registry, and a loopback
+   (including truncated and oversized payload rejection), metrics, the
+   compile-once registry, and a loopback
    integration test with concurrent clients checked against the offline
    Validator/Sqlexec results. *)
 
@@ -262,48 +262,6 @@ let test_truncated_frame_rejected () =
   Alcotest.(check bool) "mid-frame EOF rejected" true
     (expect_protocol_error (fun () -> P.read_frame b));
   Unix.close b
-
-(* ------------------------------------------------------------------ *)
-(* Pool *)
-
-let test_pool_submit () =
-  let pool = Service.Pool.create ~size:4 () in
-  let futures =
-    List.init 20 (fun i -> Service.Pool.submit pool (fun () -> i * i))
-  in
-  let results = List.map Service.Pool.await futures in
-  Service.Pool.shutdown pool;
-  Alcotest.(check (list int)) "squares" (List.init 20 (fun i -> i * i)) results
-
-let test_pool_map_list () =
-  let pool = Service.Pool.create ~size:3 () in
-  let out = Service.Pool.map_list pool (fun x -> x + 1) [ 1; 2; 3; 4; 5 ] in
-  Service.Pool.shutdown pool;
-  Alcotest.(check (list int)) "order preserved" [ 2; 3; 4; 5; 6 ] out
-
-let test_pool_exception () =
-  let pool = Service.Pool.create ~size:2 () in
-  let fut = Service.Pool.submit pool (fun () -> failwith "job blew up") in
-  let raised =
-    match Service.Pool.await fut with
-    | exception Failure m -> m = "job blew up"
-    | _ -> false
-  in
-  Service.Pool.shutdown pool;
-  Alcotest.(check bool) "exception re-raised at await" true raised
-
-let test_pool_shutdown_drains () =
-  let pool = Service.Pool.create ~size:2 () in
-  let counter = Atomic.make 0 in
-  for _ = 1 to 50 do
-    Service.Pool.post pool (fun () -> Atomic.incr counter)
-  done;
-  Service.Pool.shutdown pool;
-  Alcotest.(check int) "every queued job ran" 50 (Atomic.get counter);
-  Alcotest.(check bool) "post after shutdown raises" true
-    (match Service.Pool.post pool (fun () -> ()) with
-     | exception Service.Pool.Stopped -> true
-     | () -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
@@ -1040,13 +998,6 @@ let () =
           Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "oversized frame" `Quick test_oversized_frame_rejected;
           Alcotest.test_case "truncated frame" `Quick test_truncated_frame_rejected;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "submit/await" `Quick test_pool_submit;
-          Alcotest.test_case "map_list" `Quick test_pool_map_list;
-          Alcotest.test_case "exception re-raised" `Quick test_pool_exception;
-          Alcotest.test_case "shutdown drains" `Quick test_pool_shutdown_drains;
         ] );
       ( "metrics",
         [

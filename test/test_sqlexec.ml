@@ -281,6 +281,34 @@ let test_frame_of_result_kinds () =
   Alcotest.(check (list int)) "age numeric, name categorical" [ 0 ]
     (Frame.categorical_indices frame)
 
+(* Aggregate expressions over the empty ungrouped group evaluate their
+   aggregates: COUNT( * ) is 0 there, not NULL. *)
+let test_exec_empty_aggregate_arith () =
+  let ctx = ctx_with_people () in
+  let r = Exec.run ctx "SELECT COUNT(*) + 1 AS n FROM people WHERE age > 100" in
+  Alcotest.(check (list (array value))) "one row" [ [| Value.Float 1.0 |] ] r.Exec.rows
+
+let test_exec_empty_aggregate_compare () =
+  let ctx = ctx_with_people () in
+  let r = Exec.run ctx "SELECT COUNT(*) > 0 FROM people WHERE age > 100" in
+  Alcotest.(check (list (array value))) "one row" [ [| Value.Bool false |] ] r.Exec.rows
+
+(* CASE, NOT, AND and OR combine aggregates like arithmetic does. *)
+let test_exec_boolean_over_aggregates () =
+  let ctx = ctx_with_people () in
+  let r =
+    Exec.run ctx
+      "SELECT dept, CASE WHEN COUNT(*) > 2 THEN 1 ELSE 0 END, \
+       NOT (MAX(age) > 40), MIN(age) < 30 AND COUNT(*) = 2, \
+       SUM(age) > 100 OR AVG(age) > 40 FROM people GROUP BY dept"
+  in
+  Alcotest.(check (list (array value))) "per dept"
+    [
+      [| s "eng"; Value.Int 1; Value.Bool false; Value.Bool false; Value.Bool true |];
+      [| s "ops"; Value.Int 0; Value.Bool true; Value.Bool true; Value.Bool false |];
+    ]
+    r.Exec.rows
+
 (* ------------------------------------------------------------------ *)
 (* ML-integrated execution with the guardrail *)
 
@@ -442,6 +470,12 @@ let () =
           Alcotest.test_case "limit" `Quick test_exec_limit_without_order;
           Alcotest.test_case "materialized view" `Quick test_exec_materialized_view;
           Alcotest.test_case "frame of result" `Quick test_frame_of_result_kinds;
+          Alcotest.test_case "empty aggregate arithmetic" `Quick
+            test_exec_empty_aggregate_arith;
+          Alcotest.test_case "empty aggregate comparison" `Quick
+            test_exec_empty_aggregate_compare;
+          Alcotest.test_case "boolean and case over aggregates" `Quick
+            test_exec_boolean_over_aggregates;
         ] );
       ( "ml",
         [

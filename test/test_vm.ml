@@ -1,7 +1,7 @@
 (* Differential tests for the predicate-bytecode VM: on random programs
    and random frames the batch (bitmap) validator must agree bit-for-bit
-   with the row-at-a-time reference path, including the awkward corners
-   — empty frames, all-violating rows, Int/Float dictionary aliasing,
+   with the row-at-a-time [Oracle.Validator], including the awkward
+   corners — empty frames, all-violating rows, Int/Float dictionary aliasing,
    duplicate decision keys, and high-cardinality determinant spaces that
    push grouping past the mixed-radix cap. Plus unit tests for the
    bitmap kernel, the ANY reduce, set_cells and the bytecode cache. *)
@@ -117,12 +117,12 @@ let frames_eq a b =
 let check_differential frame prog =
   let c = Validator.compile prog in
   let vm = Validator.violations c frame in
-  let rows = Validator.violations_rows c frame in
+  let rows = Oracle.Validator.violations c frame in
   if not (violations_eq vm rows) then
     Alcotest.failf "violations diverge: vm=%d rows=%d" (List.length vm)
       (List.length rows);
   let d_vm = Validator.detect c frame in
-  let d_rows = Validator.detect_rows c frame in
+  let d_rows = Oracle.Validator.detect c frame in
   Alcotest.(check (array bool)) "detect" d_rows d_vm;
   let bm = Validator.detect_bitmap c frame in
   Alcotest.(check int) "bitmap count"
@@ -131,7 +131,7 @@ let check_differential frame prog =
   List.iter
     (fun strategy ->
       let f_vm, v_vm = Validator.handle ~strategy c frame in
-      let f_rows, v_rows = Validator.handle_rows ~strategy c frame in
+      let f_rows, v_rows = Oracle.Validator.handle ~strategy c frame in
       if not (violations_eq v_vm v_rows) then
         Alcotest.fail "handle violations diverge";
       if not (frames_eq f_vm f_rows) then
@@ -309,7 +309,7 @@ let test_subset_reuses_lowering () =
   let sub = Frame.take frame (Array.init 10 (fun i -> i * 3)) in
   check_differential sub prog;
   Alcotest.(check (array bool)) "subset detect"
-    (Validator.detect_rows c sub) (Validator.detect c sub)
+    (Oracle.Validator.detect c sub) (Validator.detect c sub)
 
 (* ---------------------------------------------------------------- *)
 (* Bytecode cache counters *)
