@@ -904,13 +904,8 @@ let micro () =
 (* Serving throughput: hundreds of concurrent pipelining clients
    hammering DETECT over a pre-loaded dataset.
 
-   Two server designs are driven with the identical client fleet:
-   - "event": the event-driven readiness loop (Server.run), at pool
-     sizes 1/2/4/8;
-   - "blocking": a reconstruction of the retired design — one blocking
-     connection per pool domain, so at most [pool] of the N clients are
-     ever served concurrently; the rest starve until their receive
-     timeout.
+   The event-driven readiness loop (Server.run) is driven at pool sizes
+   1/2/4/8 with the identical client fleet.
 
    Every client keeps a batch of pipelined DETECTs in flight
    (Client.pipeline: one write, replies in order), so the event loop's
@@ -923,7 +918,6 @@ let micro () =
    per-request syscall overhead is visible. *)
 
 type serve_run = {
-  design : string;
   pool : int;
   ok : int;
   shed : int;
@@ -996,73 +990,6 @@ let drive_clients ~addr ~n_clients ~seconds ~batch =
     1e3 *. percentile 50.0,
     1e3 *. percentile 99.0 )
 
-(* The retired serving design, reconstructed for the comparison: a
-   polling accept loop handing each connection to a pool job that
-   blocks in read_frame -> handle_request -> write_frame until the peer
-   closes. Dispatch goes through Server.handle_request, so both designs
-   execute the exact same request path. *)
-let blocking_design ~pool_size ~registry ~n_clients ~seconds ~batch =
-  let config = Service.Server.Config.make ~pool_size:1 () in
-  let server = Service.Server.create ~config registry in
-  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen Unix.SO_REUSEADDR true;
-  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen listen (2 * n_clients);  (* every client must get through *)
-  let addr = Unix.getsockname listen in
-  let pool = Runtime.Pool.create ~size:pool_size () in
-  let stop = Atomic.make false in
-  let handle_conn fd =
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let rec loop () =
-      match Service.Protocol.read_frame fd with
-      | None -> ()
-      | Some payload ->
-        let resp =
-          match Service.Protocol.decode_request payload with
-          | req ->
-            (* the retired design recorded per-request metrics inline;
-               keep that cost in the baseline so the comparison is fair *)
-            let t0 = Perf.Measure.now_s () in
-            let resp = Service.Server.handle_request server req in
-            let ok =
-              match resp with Service.Protocol.Error_reply _ -> false | _ -> true
-            in
-            Service.Metrics.record
-              (Service.Server.metrics server)
-              ~command:(Service.Protocol.request_command req)
-              ~ok ~seconds:(Perf.Measure.now_s () -. t0);
-            resp
-          | exception Service.Protocol.Error msg -> Service.Protocol.Error_reply msg
-        in
-        Service.Protocol.write_frame fd (Service.Protocol.encode_response resp);
-        loop ()
-      | exception _ -> ()
-    in
-    Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) loop
-  in
-  let acceptor =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          match Unix.select [ listen ] [] [] 0.05 with
-          | [], _, _ -> ()
-          | _ :: _, _, _ ->
-            (match Unix.accept listen with
-             | fd, _ -> Runtime.Pool.post pool (fun () -> handle_conn fd)
-             | exception Unix.Unix_error _ -> ())
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done)
-  in
-  let ok, shed, errors, elapsed, p50, p99 =
-    drive_clients ~addr ~n_clients ~seconds ~batch
-  in
-  Atomic.set stop true;
-  Domain.join acceptor;
-  (try Unix.close listen with _ -> ());
-  Runtime.Pool.shutdown pool;
-  Service.Server.shutdown server;
-  { design = "blocking"; pool = pool_size; ok; shed; errors;
-    elapsed_s = elapsed; p50_ms = p50; p99_ms = p99 }
-
 let event_design ~pool_size ~registry ~n_clients ~seconds ~batch =
   let config =
     (* budgets sized so a well-behaved client is never refused; the
@@ -1082,7 +1009,7 @@ let event_design ~pool_size ~registry ~n_clients ~seconds ~batch =
   in
   Service.Server.stop server;
   Domain.join runner;
-  { design = "event"; pool = pool_size; ok; shed; errors;
+  { pool = pool_size; ok; shed; errors;
     elapsed_s = elapsed; p50_ms = p50; p99_ms = p99 }
 
 let serve_bench ?(seconds_default = 2.0) () =
@@ -1115,17 +1042,12 @@ let serve_bench ?(seconds_default = 2.0) () =
     registry
   in
   let report r =
-    let total = r.ok + r.shed + r.errors in
-    let shed_rate =
-      if total = 0 then 0.0 else float_of_int r.shed /. float_of_int total
-    in
     Printf.printf
-      "  %-8s pool %d: %6d ok %6d shed %4d err in %5.2fs -> %8.1f req/s  \
+      "  event    pool %d: %6d ok %6d shed %4d err in %5.2fs -> %8.1f req/s  \
        p50 %6.2fms  p99 %6.2fms\n%!"
-      r.design r.pool r.ok r.shed r.errors r.elapsed_s
+      r.pool r.ok r.shed r.errors r.elapsed_s
       (float_of_int r.ok /. r.elapsed_s)
-      r.p50_ms r.p99_ms;
-    ignore shed_rate
+      r.p50_ms r.p99_ms
   in
   let runs = ref [] in
   List.iter
@@ -1137,20 +1059,11 @@ let serve_bench ?(seconds_default = 2.0) () =
       report r;
       runs := r :: !runs)
     [ 1; 2; 4; 8 ];
-  List.iter
-    (fun pool_size ->
-      let r =
-        blocking_design ~pool_size ~registry:(fresh_registry ()) ~n_clients
-          ~seconds ~batch
-      in
-      report r;
-      runs := r :: !runs)
-    [ 8 ];
   let num v = Obs.Json.Num v in
   let run_json r =
     let total = r.ok + r.shed + r.errors in
     Obs.Json.Obj
-      [ ("design", Obs.Json.Str r.design);
+      [ ("design", Obs.Json.Str "event");
         ("pool", num (float_of_int r.pool));
         ("requests_ok", num (float_of_int r.ok));
         ("shed", num (float_of_int r.shed));
@@ -1183,36 +1096,22 @@ let serve_bench ?(seconds_default = 2.0) () =
   let metric = Perf.Result.metric ~suite:"serve" in
   List.concat_map
     (fun r ->
-      let workload = Printf.sprintf "%s-pool%d" r.design r.pool in
+      let workload = Printf.sprintf "event-pool%d" r.pool in
       let metric = metric ~workload in
       let total = r.ok + r.shed + r.errors in
       let shed_rate =
         if total = 0 then 1.0 else float_of_int r.shed /. float_of_int total
       in
-      let event = String.equal r.design "event" in
       [ metric ~name:"rps"
           ~value:(float_of_int r.ok /. r.elapsed_s)
-          ~unit_:"req/s" ~direction:Perf.Result.Higher_better ~gated:event
+          ~unit_:"req/s" ~direction:Perf.Result.Higher_better ~gated:true
           ~tolerance:0.95 ~bound:1.0 ();
         metric ~name:"nonshed_rate" ~value:(1.0 -. shed_rate) ~unit_:"rate"
-          ~direction:Perf.Result.Higher_better ~gated:event ~tolerance:1.0
+          ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:1.0
           ~bound:0.01 ();
         metric ~name:"p50_ms" ~value:r.p50_ms ~unit_:"ms" ();
         metric ~name:"p99_ms" ~value:r.p99_ms ~unit_:"ms" () ])
     (List.rev !runs)
-  @
-  (* event-vs-blocking ratio at the shared pool size: the PR-7 claim,
-     tracked as a trajectory rather than hard-gated (loopback schedulers
-     on small CI boxes make it jittery) *)
-  let rps r = float_of_int r.ok /. r.elapsed_s in
-  match
-    ( List.find_opt (fun r -> r.design = "event" && r.pool = 8) !runs,
-      List.find_opt (fun r -> r.design = "blocking" && r.pool = 8) !runs )
-  with
-  | Some e, Some b when rps b > 0.0 ->
-    [ metric ~workload:"pool8" ~name:"event_vs_blocking_rps" ~value:(rps e /. rps b)
-        ~unit_:"x" ~direction:Perf.Result.Higher_better () ]
-  | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Group-by kernel: retired ad-hoc Hashtbl grouping vs Dataframe.Group *)
@@ -1443,7 +1342,10 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
             (* a fresh compilation lowers the bytecode from scratch *)
             Validator.detect (Validator.compile prog) frame)
       in
-      let hot_s = time reps (fun () -> Validator.detect compiled frame) in
+      (* the hot path validates on the frame's own group cache, as the
+         daemon does on a registered table *)
+      let groups = Dataframe.Group.Cache.of_frame frame in
+      let hot_s = time reps (fun () -> Validator.detect ~groups compiled frame) in
       (* batch repair: the row path folds one whole-frame copy per
          violation, so it is only measured at the smaller sizes *)
       let handle_rows_s, handle_vm_s =
@@ -1452,7 +1354,8 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
           ( time reps (fun () ->
                 Oracle.Validator.handle ~strategy:Validator.Rectify compiled frame),
             time reps (fun () ->
-                Validator.handle ~strategy:Validator.Rectify compiled frame) )
+                Validator.handle ~strategy:Validator.Rectify ~groups compiled
+                  frame) )
       in
       let speedup a b = if b > 0.0 then a /. b else Float.infinity in
       let handle_cells =
@@ -1577,7 +1480,8 @@ let numeric_bench () =
   end;
   let time reps f = (Perf.Measure.run ~warmup:1 ~reps f).Perf.Measure.min_s in
   let rows_s = time 5 (fun () -> Oracle.Validator.detect compiled frame) in
-  let vm_s = time 5 (fun () -> Validator.detect compiled frame) in
+  let groups = Dataframe.Group.Cache.of_frame frame in
+  let vm_s = time 5 (fun () -> Validator.detect ~groups compiled frame) in
   let speedup = if vm_s > 0.0 then rows_s /. vm_s else Float.infinity in
   Printf.printf "  %-9s %9s %11s %11s %8s\n" "rows" "viol" "rows(ms)"
     "vm(ms)" "speedup";

@@ -202,11 +202,9 @@ let serve socket host port pool timeout max_connections max_inflight shards
   try
     let config =
       Service.Server.Config.make ~pool_size:pool ~read_timeout_s:timeout
-        ~max_connections ~max_inflight ~shards ()
+        ~max_connections ~max_inflight ()
     in
-    let registry =
-      Service.Registry.create ~shards:config.Service.Server.Config.shards ()
-    in
+    let registry = Service.Registry.create ~shards () in
     List.iter
       (fun spec ->
         let name, csv_path, grl_path = parse_preload spec in

@@ -22,12 +22,7 @@ type t = {
   structure : structure;  (* sketch-learning strategy *)
   max_strata : int;       (* CI-test stratum cap (identity sampler suffers here) *)
   jobs : int;             (* worker domains for the parallel pipeline *)
-  bins : int;             (* learned bins per numeric column *)
-  binning : Dataframe.Domain.method_;  (* how bin edges are learned *)
-  bin_merge_alpha : float;  (* ChiMerge level for the supervised bin-merge
-                               pass; 0 disables it *)
-  range_width : int;      (* max adjacent bins one HAVING range may span *)
-  drift : float;          (* out-of-range APPEND fraction forcing re-learn *)
+  bins : int;             (* learned (equi-width) bins per numeric column *)
 }
 
 (* GUARDRAIL_JOBS seeds the default parallelism, so the whole binary
@@ -45,9 +40,7 @@ let env_jobs () =
 let make ?(epsilon = 0.05) ?(alpha = 0.01) ?(max_cond = 2) ?(max_dags = 512)
     ?(max_shifts = 11) ?(max_samples = 120_000) ?(min_support = 2)
     ?(min_effect = 0.02) ?(sampler = Auxiliary) ?(structure = Pc_mec)
-    ?(max_strata = 4096) ?jobs ?(bins = 8)
-    ?(binning = Dataframe.Domain.Equi_width) ?(bin_merge_alpha = 0.0)
-    ?(range_width = 4) ?(drift = 0.2) () =
+    ?(max_strata = 4096) ?jobs ?(bins = 8) () =
   let jobs = match jobs with Some j -> j | None -> env_jobs () in
   if not (epsilon >= 0.0 && epsilon < 1.0) then
     invalid_arg "Config.make: epsilon must be in [0, 1)";
@@ -62,10 +55,6 @@ let make ?(epsilon = 0.05) ?(alpha = 0.01) ?(max_cond = 2) ?(max_dags = 512)
   if max_strata < 1 then invalid_arg "Config.make: max_strata must be >= 1";
   if jobs < 1 then invalid_arg "Config.make: jobs must be >= 1";
   if bins < 1 then invalid_arg "Config.make: bins must be >= 1";
-  if not (bin_merge_alpha >= 0.0 && bin_merge_alpha < 1.0) then
-    invalid_arg "Config.make: bin_merge_alpha must be in [0, 1)";
-  if range_width < 1 then invalid_arg "Config.make: range_width must be >= 1";
-  if not (drift > 0.0) then invalid_arg "Config.make: drift must be > 0";
   {
     epsilon;
     alpha;
@@ -80,31 +69,9 @@ let make ?(epsilon = 0.05) ?(alpha = 0.01) ?(max_cond = 2) ?(max_dags = 512)
     max_strata;
     jobs;
     bins;
-    binning;
-    bin_merge_alpha;
-    range_width;
-    drift;
   }
 
 let default = make ()
-
-let with_epsilon epsilon t = { t with epsilon }
-let with_alpha alpha t = { t with alpha }
-let with_max_cond max_cond t = { t with max_cond }
-let with_max_dags max_dags t = { t with max_dags }
-let with_max_shifts max_shifts t = { t with max_shifts }
-let with_max_samples max_samples t = { t with max_samples }
-let with_min_support min_support t = { t with min_support }
-let with_min_effect min_effect t = { t with min_effect }
-let with_sampler sampler t = { t with sampler }
-let with_structure structure t = { t with structure }
-let with_max_strata max_strata t = { t with max_strata }
-let with_jobs jobs t = { t with jobs }
-let with_bins bins t = { t with bins }
-let with_binning binning t = { t with binning }
-let with_bin_merge_alpha bin_merge_alpha t = { t with bin_merge_alpha }
-let with_range_width range_width t = { t with range_width }
-let with_drift drift t = { t with drift }
 
 let pp ppf t =
   Fmt.pf ppf

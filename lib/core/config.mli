@@ -1,6 +1,6 @@
 (** Tuning knobs of the synthesis pipeline. Build a configuration with
-    {!make} (every field has the evaluation's default) and derive
-    variants with the [with_*] family; {!default} is [make ()]. *)
+    {!make} (every field has the evaluation's default); {!default} is
+    [make ()]. *)
 
 type sampler =
   | Auxiliary  (** circular-shift samples of the binary indicator vector, §4.6 *)
@@ -23,12 +23,7 @@ type t = {
   structure : structure;  (** sketch-learning strategy *)
   max_strata : int;       (** CI-test stratum cap (identity sampler suffers here) *)
   jobs : int;             (** worker domains for the parallel pipeline *)
-  bins : int;             (** learned bins per numeric column *)
-  binning : Dataframe.Domain.method_;  (** how bin edges are learned *)
-  bin_merge_alpha : float;
-      (** ChiMerge level for the supervised bin-merge pass; 0 disables it *)
-  range_width : int;      (** max adjacent bins one HAVING range may span *)
-  drift : float;          (** out-of-range APPEND fraction forcing re-learn *)
+  bins : int;             (** learned (equi-width) bins per numeric column *)
 }
 
 (** Uniform constructor: every field defaults to the evaluation's
@@ -49,37 +44,11 @@ val make :
   ?max_strata:int ->
   ?jobs:int ->
   ?bins:int ->
-  ?binning:Dataframe.Domain.method_ ->
-  ?bin_merge_alpha:float ->
-  ?range_width:int ->
-  ?drift:float ->
   unit ->
   t
 
 (** [make ()], evaluated once at start-up (so [$GUARDRAIL_JOBS] is read
     once). *)
 val default : t
-
-(** Field-wise functional updates, one per field of {!t}. Unlike {!make}
-    they do not re-validate — use them for mechanical derivation from an
-    already-valid configuration. *)
-
-val with_epsilon : float -> t -> t
-val with_alpha : float -> t -> t
-val with_max_cond : int -> t -> t
-val with_max_dags : int -> t -> t
-val with_max_shifts : int -> t -> t
-val with_max_samples : int -> t -> t
-val with_min_support : int -> t -> t
-val with_min_effect : float -> t -> t
-val with_sampler : sampler -> t -> t
-val with_structure : structure -> t -> t
-val with_max_strata : int -> t -> t
-val with_jobs : int -> t -> t
-val with_bins : int -> t -> t
-val with_binning : Dataframe.Domain.method_ -> t -> t
-val with_bin_merge_alpha : float -> t -> t
-val with_range_width : int -> t -> t
-val with_drift : float -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -29,7 +29,8 @@ type filled = {
   support : int;      (* rows covered by kept branches *)
 }
 
-let default_range_width = 4
+(* Most adjacent bins one range assignment may span. *)
+let range_width = 4
 
 (* Group rows by determinant combination via the shared kernel: the
    observed combinations are the group index's groups, the support sizes
@@ -69,8 +70,8 @@ let best_window hist nbins width =
 
 (* FillStmtSketch (Alg. 1, lines 7-20). Returns [None] when no branch
    survives the epsilon-validity check (line 20: ⊥). *)
-let fill_stmt_sketch ?(min_support = 1) ?(range_width = default_range_width)
-    ?groups frame ~epsilon (sk : Sketch.stmt_sketch) =
+let fill_stmt_sketch ?(min_support = 1) ?groups frame ~epsilon
+    (sk : Sketch.stmt_sketch) =
   Obs.Span.with_ "fill.sketch"
     ~attrs:(fun () ->
       [
@@ -154,7 +155,7 @@ let group_cache frame = Group.Cache.of_frame frame
    independent of one another, so with a pool they fan out across
    domains; [parmap] preserves sketch order, keeping the result
    identical at every pool size. *)
-let fill_prog_sketch ?min_support ?range_width ?pool ?groups frame ~epsilon
+let fill_prog_sketch ?min_support ?pool ?groups frame ~epsilon
     (p : Sketch.prog_sketch) =
   let groups =
     match groups with Some c -> c | None -> group_cache frame
@@ -162,7 +163,7 @@ let fill_prog_sketch ?min_support ?range_width ?pool ?groups frame ~epsilon
   let filled =
     List.filter_map Fun.id
       (Runtime.Pool.parmap ?pool ~chunk:1
-         (fill_stmt_sketch ?min_support ?range_width ~groups frame ~epsilon)
+         (fill_stmt_sketch ?min_support ~groups frame ~epsilon)
          p)
   in
   let stmts = List.map (fun f -> f.stmt) filled in

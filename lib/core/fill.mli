@@ -11,20 +11,15 @@ type filled = {
     sketches sharing a GIVEN set reuse one group index. *)
 val group_cache : Dataframe.Frame.t -> Dataframe.Group.Cache.t
 
-(** Default [range_width]: a HAVING range assignment may span at most
-    this many adjacent bins. *)
-val default_range_width : int
-
 (** FillStmtSketch: [None] when no branch is ε-valid. [min_support] is a
     floor on branch support (defaults to 1 = the paper's behaviour).
     [groups] must be a {!group_cache} of the same frame; without it the
     determinant grouping is computed from scratch. On a binned dependent
-    column the best-fit assignment is the densest run of at most
-    [range_width] adjacent bins, emitted as a BETWEEN/<=/>= test over
-    the run's outer edges. *)
+    column the best-fit assignment is the densest run of at most 4
+    adjacent bins, emitted as a BETWEEN/<=/>= test over the run's outer
+    edges. *)
 val fill_stmt_sketch :
   ?min_support:int ->
-  ?range_width:int ->
   ?groups:Dataframe.Group.Cache.t ->
   Dataframe.Frame.t ->
   epsilon:float ->
@@ -37,7 +32,6 @@ val fill_stmt_sketch :
     fresh {!group_cache} shared by the statements of this call. *)
 val fill_prog_sketch :
   ?min_support:int ->
-  ?range_width:int ->
   ?pool:Runtime.Pool.t ->
   ?groups:Dataframe.Group.Cache.t ->
   Dataframe.Frame.t ->

@@ -94,23 +94,9 @@ let eligible_columns frame =
     (List.sort_uniq Int.compare (categorical @ binned))
 
 (* Attach typed domains per the config (a no-op on frames that already
-   carry them or are all-categorical), then optionally run the
-   supervised ChiMerge pass: adjacent bins that the chi-square test
-   cannot distinguish — judged against the first categorical column —
-   are coalesced, so range constraints do not fragment along arbitrary
-   edge placements. *)
+   carry them or are all-categorical). *)
 let prepare_frame (config : Config.t) frame =
-  let frame =
-    Frame.ensure_domains ~bins:config.Config.bins
-      ~method_:config.Config.binning ~drift:config.Config.drift frame
-  in
-  if config.Config.bin_merge_alpha > 0.0 && Frame.has_domains frame then
-    match Frame.categorical_indices frame with
-    | [] -> frame
-    | supervise :: _ ->
-      Frame.refine_domains frame ~alpha:config.Config.bin_merge_alpha
-        ~supervise
-  else frame
+  Frame.ensure_domains ~bins:config.Config.bins frame
 
 (* The pool actually used for a run: an explicit [pool] wins; otherwise
    [config.jobs] > 1 spins up a transient pool torn down with the run. *)
@@ -253,8 +239,7 @@ let run ?(config = Config.default) ?pool frame =
       Runtime.Pool.parmap ?pool ~chunk:1
         (timed_task fill_work
            (Fill.fill_stmt_sketch ~min_support:config.Config.min_support
-              ~range_width:config.Config.range_width ~groups frame
-              ~epsilon:config.Config.epsilon))
+              ~groups frame ~epsilon:config.Config.epsilon))
         distinct
     in
     let cache : (int list * int, Fill.filled option) Hashtbl.t =

@@ -14,9 +14,12 @@
    entry points lower those rulesets to predicate bytecode executed over
    the frame's dictionary-code arrays — per-row violation bitmaps
    instead of a hashtable probe per row per statement. Lowered programs
-   are cached per frame (and reused across row subsets sharing
-   dictionaries) in a [Vm.Cache] carried by the compilation, so the
-   bytecode for a daemon table or a query's guard compiles exactly once.
+   are cached by dictionary set in a [Vm.Cache] carried by the
+   compilation, so a daemon table, its appends and a query's row subsets
+   all run one lowering. Group indexes are not cached here: a caller
+   that owns a snapshot's [Group.Cache] (the daemon's ingest state)
+   passes it as [?groups]; without one, decision-table statements group
+   ad hoc.
 
    The scalar path ({!check_values}) is a 1-row call into the VM's
    value-level probe: one key-array allocation per statement, no per-row
@@ -68,7 +71,7 @@ type compiled = {
   stmts : Dsl.stmt array;
   branches : Dsl.branch array array;  (* parallel to each ruleset's rules *)
   rules : Vm.Ruleset.t array;         (* one per statement *)
-  cache : Vm.Cache.t;                 (* lowered bytecode, per frame *)
+  cache : Vm.Cache.t;                 (* lowered bytecode, per dictionary set *)
 }
 
 let compile (p : Dsl.prog) =
@@ -122,14 +125,16 @@ let check_values (c : compiled) values =
       make_violation c ~row:(-1) ~stmt:s ~rule:r values.(c.stmts.(s).Dsl.on))
     (Vm.Exec.check_values c.rules values)
 
-(* Lowered bytecode for a frame (cached on frame identity, reused
-   across dictionary-sharing row subsets) plus its group cache. *)
-let verdicts (c : compiled) frame =
-  let program, groups = Vm.Cache.get c.cache frame in
-  Vm.Exec.run ~groups program frame
+(* The frame's lowered bytecode, reused across frames that share its
+   dictionaries. *)
+let bytecode (c : compiled) frame = Vm.Cache.get c.cache frame
+
+let verdicts ?groups (c : compiled) frame =
+  Vm.Exec.run ?groups (bytecode c frame) frame
 
 (* Per-row violation bitmap — the batch detector output. *)
-let detect_bitmap (c : compiled) frame = (verdicts c frame).Vm.Exec.any
+let detect_bitmap ?groups (c : compiled) frame =
+  (verdicts ?groups c frame).Vm.Exec.any
 
 (* Recover the violation list from the bitmaps: rows ascending, and
    within a row statements in program order — exactly the order the
@@ -159,12 +164,12 @@ let violations_of_verdicts (c : compiled) frame (v : Vm.Exec.verdicts) =
   List.rev !acc
 
 (* All violations over a frame. *)
-let violations (c : compiled) frame =
-  violations_of_verdicts c frame (verdicts c frame)
+let violations ?groups (c : compiled) frame =
+  violations_of_verdicts c frame (verdicts ?groups c frame)
 
 (* Per-row violation flags: the detector output scored in Table 3. *)
-let detect (c : compiled) frame =
-  let v = verdicts c frame in
+let detect ?groups (c : compiled) frame =
+  let v = verdicts ?groups c frame in
   let flags = Array.make v.Vm.Exec.n false in
   Vm.Bitmap.iteri_set v.Vm.Exec.any (fun i -> flags.(i) <- true);
   flags
@@ -188,8 +193,8 @@ let repair strategy frame vs =
 
 (* Apply a handling strategy. Returns the (possibly repaired) frame plus
    the violations found. *)
-let handle ?(strategy = Ignore) (c : compiled) frame =
-  let vs = violations c frame in
+let handle ?(strategy = Ignore) ?groups (c : compiled) frame =
+  let vs = violations ?groups c frame in
   match strategy with
   | Ignore -> (frame, vs)
   | Raise ->
@@ -197,13 +202,6 @@ let handle ?(strategy = Ignore) (c : compiled) frame =
      | [] -> (frame, [])
      | v :: _ -> raise (Violation_error (describe (Frame.schema frame) v)))
   | Coerce | Rectify -> (repair strategy frame vs, vs)
-
-(* Warm the bytecode cache for a frame (e.g. at daemon LOAD). *)
-let prepare (c : compiled) frame = ignore (Vm.Cache.get c.cache frame)
-
-(* The lowered program for a frame, for callers that pin it alongside
-   their own per-table state. *)
-let bytecode (c : compiled) frame = fst (Vm.Cache.get c.cache frame)
 
 (* Re-resolve a program's attribute indices by name against another
    schema, so constraints synthesized on a training split can be applied

@@ -5,8 +5,14 @@
     {!compile} once and reuse the compilation across rows, frames and
     requests. Frame-granular entry points ({!violations}, {!detect},
     {!detect_bitmap}, {!handle}) run on lib/vm predicate bytecode —
-    lowered once per frame (cached, and shared across row subsets that
-    keep the same dictionaries) and executed as columnar bitmap ops. *)
+    lowered once per dictionary set (cached, and shared across row
+    subsets and appends that keep the same dictionaries) and executed as
+    columnar bitmap ops.
+
+    Their optional [groups] is the frame's own
+    [Dataframe.Group.Cache] (same [Frame.Snapshot.key]; anything else
+    raises [Invalid_argument]): decision-table statements then reuse
+    and warm its groupings. Without it they group ad hoc. *)
 
 type violation = {
   row : int;
@@ -24,8 +30,8 @@ val strategy_of_string : string -> strategy option
 val strategy_to_string : strategy -> string
 
 (** Statements compiled into [Vm.Ruleset] decision tables plus a
-    per-frame bytecode cache: checking is O(statements) per row on the
-    scalar path and columnar on the batch path. *)
+    bytecode cache: checking is O(statements) per row on the scalar
+    path and columnar on the batch path. *)
 type compiled
 
 val compile : Dsl.prog -> compiled
@@ -38,14 +44,20 @@ val check_values : compiled -> Dataframe.Value.t array -> violation list
 
 (** All violations over a frame: rows ascending, statements in program
     order within a row. *)
-val violations : compiled -> Dataframe.Frame.t -> violation list
+val violations :
+  ?groups:Dataframe.Group.Cache.t -> compiled -> Dataframe.Frame.t ->
+  violation list
 
 (** Per-row violation flags — the detector output scored in Table 3. *)
-val detect : compiled -> Dataframe.Frame.t -> bool array
+val detect :
+  ?groups:Dataframe.Group.Cache.t -> compiled -> Dataframe.Frame.t ->
+  bool array
 
 (** Per-row violation bitmap (the batch detector's native output; bit
     [i] set iff row [i] violates some statement). *)
-val detect_bitmap : compiled -> Dataframe.Frame.t -> Vm.Bitmap.t
+val detect_bitmap :
+  ?groups:Dataframe.Group.Cache.t -> compiled -> Dataframe.Frame.t ->
+  Vm.Bitmap.t
 
 val describe : Dataframe.Schema.t -> violation -> string
 
@@ -54,15 +66,12 @@ val describe : Dataframe.Schema.t -> violation -> string
     repair all offending cells in one batch update. *)
 val handle :
   ?strategy:strategy ->
+  ?groups:Dataframe.Group.Cache.t ->
   compiled ->
   Dataframe.Frame.t ->
   Dataframe.Frame.t * violation list
 
-(** Lower (and cache) the bytecode for a frame ahead of first use. *)
-val prepare : compiled -> Dataframe.Frame.t -> unit
-
-(** The lowered program for a frame, for callers that pin the bytecode
-    alongside their own per-table state. Cached like {!prepare}. *)
+(** The lowered program for a frame, from the compilation's cache. *)
 val bytecode : compiled -> Dataframe.Frame.t -> Vm.Program.t
 
 (** Re-resolve attribute indices by column name against another schema. *)

@@ -210,112 +210,6 @@ let relearn b values =
   | Some b' -> { b' with version = b.version + 1 }
   | None -> { b with version = b.version + 1 }
 
-(* ------------------------------------------------------------------ *)
-(* Supervised merge (ChiMerge-style)
-
-   Coalesce adjacent bins whose conditional distribution over a supervising
-   categorical column is indistinguishable: the 2 x k contingency of the two
-   bins against the target passes a chi-square independence test at [alpha].
-   This is the discretization counterpart of the CI oracle — bins it cannot
-   tell apart only inflate the auxiliary-distribution strata. *)
-
-let normal_sf z = 0.5 *. Float.erfc (z /. Float.sqrt 2.0)
-
-(* Wilson-Hilferty approximation of the chi-square survival function. *)
-let chi2_sf x dof =
-  if dof <= 0 then 1.0
-  else if x <= 0.0 then 1.0
-  else
-    let d = float_of_int dof in
-    let t = (x /. d) ** (1.0 /. 3.0) in
-    let mu = 1.0 -. (2.0 /. (9.0 *. d)) in
-    let sigma = Float.sqrt (2.0 /. (9.0 *. d)) in
-    normal_sf ((t -. mu) /. sigma)
-
-(* p-value of independence for two adjacent bin rows of a counts matrix. *)
-let pair_pvalue row_a row_b k =
-  let tot_a = Array.fold_left ( + ) 0 row_a in
-  let tot_b = Array.fold_left ( + ) 0 row_b in
-  if tot_a = 0 || tot_b = 0 then 1.0  (* an empty bin carries no signal *)
-  else begin
-    let total = tot_a + tot_b in
-    let chi2 = ref 0.0 and nonzero_cols = ref 0 in
-    for j = 0 to k - 1 do
-      let cj = row_a.(j) + row_b.(j) in
-      if cj > 0 then begin
-        incr nonzero_cols;
-        let add o tot =
-          let e = float_of_int (tot * cj) /. float_of_int total in
-          if e > 0.0 then
-            let d = float_of_int o -. e in
-            chi2 := !chi2 +. (d *. d /. e)
-        in
-        add row_a.(j) tot_a;
-        add row_b.(j) tot_b
-      end
-    done;
-    chi2_sf !chi2 (!nonzero_cols - 1)
-  end
-
-(* Merge adjacent indistinguishable bins. [codes] are this column's bin ids
-   (entries outside [0, n_bins) — e.g. the null code — are ignored);
-   [target] supervises with codes in [0, target_card). Deterministic: each
-   pass merges the pair with the largest p-value above [alpha], ties to the
-   lowest bin index. The version is unchanged — this is a learning-time
-   refinement, not a re-base. *)
-let merge_adjacent b ~codes ~target ~target_card ~alpha =
-  if Array.length codes <> Array.length target then
-    invalid_arg "Domain.merge_adjacent: codes/target length mismatch";
-  let n = n_bins b in
-  if n <= 1 || target_card < 1 then b
-  else begin
-    let counts = Array.make_matrix n target_card 0 in
-    Array.iteri
-      (fun i bc ->
-        let tc = target.(i) in
-        if bc >= 0 && bc < n && tc >= 0 && tc < target_card then
-          counts.(bc).(tc) <- counts.(bc).(tc) + 1)
-      codes;
-    (* live rows as a mutable list of (first-edge-index, counts row) *)
-    let rows = ref (Array.to_list (Array.mapi (fun i r -> (i, r)) counts)) in
-    let merged = ref true in
-    while !merged && List.length !rows > 1 do
-      merged := false;
-      let best = ref None in
-      let rec scan = function
-        | (ia, ra) :: ((_, rb) :: _ as rest) ->
-          let p = pair_pvalue ra rb target_card in
-          if p > alpha then begin
-            match !best with
-            | Some (_, bp) when bp >= p -> ()
-            | _ -> best := Some (ia, p)
-          end;
-          scan rest
-        | [ _ ] | [] -> ()
-      in
-      scan !rows;
-      match !best with
-      | None -> ()
-      | Some (ia, _) ->
-        merged := true;
-        let rec fuse = function
-          | (i, ra) :: (_, rb) :: rest when i = ia ->
-            (i, Array.init target_card (fun j -> ra.(j) + rb.(j))) :: rest
-          | r :: rest -> r :: fuse rest
-          | [] -> []
-        in
-        rows := fuse !rows
-    done;
-    let kept = List.map fst !rows in
-    if List.length kept = n then b
-    else
-      let edges =
-        Array.of_list
-          (List.map (fun i -> b.edges.(i)) kept @ [ b.edges.(n) ])
-      in
-      { b with edges }
-  end
-
 let pp_binning ppf b =
   Fmt.pf ppf "%a[%d bins v%d: %g..%g]" pp_method b.method_ (n_bins b) b.version
     b.edges.(0) b.edges.(n_bins b)

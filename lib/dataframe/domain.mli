@@ -73,14 +73,6 @@ val learn : method_ -> bins:int -> float array -> binning option
     snapshot consumers can tell the codes were re-based. *)
 val relearn : binning -> float array -> binning
 
-(** ChiMerge-style supervised coalescing: repeatedly merge the adjacent bin
-    pair whose 2 x k contingency against the supervising [target] codes is
-    most confidently independent (chi-square p-value above [alpha]).
-    Deterministic; the version is unchanged. *)
-val merge_adjacent :
-  binning -> codes:int array -> target:int array -> target_card:int ->
-  alpha:float -> binning
-
 val pp_binning : Format.formatter -> binning -> unit
 
 (** {1 Domains} *)

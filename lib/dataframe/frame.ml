@@ -19,7 +19,6 @@ type view = { bcodes : int array; bcard : int }
 type domains = {
   doms : Domain.t array;          (* one per column *)
   views : view option array;      (* [None] for categorical columns *)
-  drift : float;                  (* re-learn threshold for [extend] *)
 }
 
 type t = {
@@ -34,7 +33,7 @@ type t = {
   (* [(epoch, nrows)] newest first, for epochs in [pure_since, epoch].
      Bounded by [max_epoch_window]. *)
   epoch_rows : (int * int) list;
-  (* Learned attribute domains. Attached by [learn_domains]/[with_domains];
+  (* Learned attribute domains. Attached by [learn_domains];
      maintained by [extend]/[update_cells]; dropped by every other
      derivation. *)
   domains : domains option;
@@ -198,28 +197,24 @@ let views_of_domains columns doms =
       | Some b -> Some (view_of_binning columns.(j) b))
     doms
 
-let default_drift = 0.2
+(* Fraction of an append's finite values outside a binned column's
+   learned envelope that forces [extend] to re-learn the bins. *)
+let drift_threshold = 0.2
 
 (* Domains change the frame's attribute view (the codes every grouping
    consumer sees), so attaching them makes a new snapshot: fresh lineage,
    restarted delta log. *)
-let attach_domains t doms drift =
+let attach_domains t doms =
   {
     t with
     id = fresh_id ();
     epoch = 0;
     pure_since = 0;
     epoch_rows = [ (0, t.nrows) ];
-    domains = Some { doms; views = views_of_domains t.columns doms; drift };
+    domains = Some { doms; views = views_of_domains t.columns doms };
   }
 
-let with_domains ?(drift = default_drift) t doms =
-  if Array.length doms <> Array.length t.columns then
-    invalid_arg "Frame.with_domains: arity mismatch";
-  attach_domains t doms drift
-
-let learn_domains ?(bins = 8) ?(method_ = Domain.Equi_width)
-    ?(drift = default_drift) t =
+let learn_domains ?(bins = 8) t =
   let doms =
     Array.mapi
       (fun j col ->
@@ -231,12 +226,12 @@ let learn_domains ?(bins = 8) ?(method_ = Domain.Equi_width)
            | Some b -> Domain.Ordinal b
            | None -> Domain.Categorical)
         | Schema.Numeric ->
-          (match learn method_ with
+          (match learn Domain.Equi_width with
            | Some b -> Domain.Numeric b
            | None -> Domain.Categorical))
       t.columns
   in
-  attach_domains t doms drift
+  attach_domains t doms
 
 let has_domains t = Option.is_some t.domains
 let domains t = Option.map (fun d -> d.doms) t.domains
@@ -248,7 +243,7 @@ let binning t j = Domain.binning (domain t j)
 
 (* Attach domains only when the schema has something to bin; a frame of
    categorical columns keeps its snapshot (and every cache keyed on it). *)
-let ensure_domains ?bins ?method_ ?drift t =
+let ensure_domains ?bins t =
   if has_domains t then t
   else begin
     let needs = ref false in
@@ -257,45 +252,8 @@ let ensure_domains ?bins ?method_ ?drift t =
       | Schema.Ordinal | Schema.Numeric -> needs := true
       | Schema.Categorical -> ()
     done;
-    if !needs then learn_domains ?bins ?method_ ?drift t else t
+    if !needs then learn_domains ?bins t else t
   end
-
-(* Supervised refinement: coalesce adjacent bins the supervising column
-   cannot distinguish (ChiMerge against [supervise]'s attribute codes). *)
-let refine_domains t ~alpha ~supervise =
-  match t.domains with
-  | None -> t
-  | Some d ->
-    let target, target_card =
-      match d.views.(supervise) with
-      | Some v -> (v.bcodes, v.bcard)
-      | None ->
-        ( Column.codes t.columns.(supervise),
-          Column.cardinality t.columns.(supervise) )
-    in
-    let changed = ref false in
-    let doms =
-      Array.mapi
-        (fun j dom ->
-          if j = supervise then dom
-          else
-            match dom, d.views.(j) with
-            | Domain.Categorical, _ | _, None -> dom
-            | (Domain.Ordinal b | Domain.Numeric b), Some v ->
-              let b' =
-                Domain.merge_adjacent b ~codes:v.bcodes ~target ~target_card
-                  ~alpha
-              in
-              if Domain.equal_binning b b' then dom
-              else begin
-                changed := true;
-                match dom with
-                | Domain.Ordinal _ -> Domain.Ordinal b'
-                | _ -> Domain.Numeric b'
-              end)
-        d.doms
-    in
-    if !changed then attach_domains t doms d.drift else t
 
 let attr_codes t j =
   match t.domains with
@@ -387,7 +345,7 @@ let extend t rows =
                  let x = fd.(cs.(i)) in
                  if Float.is_finite x && not (Domain.in_range b x) then incr oor
                done;
-               float_of_int !oor /. float_of_int added > d.drift)
+               float_of_int !oor /. float_of_int added > drift_threshold)
            (Array.init (Array.length columns) (fun j -> j))
     in
     if not drifted then
@@ -432,7 +390,7 @@ let extend t rows =
         columns; nrows; epoch;
         pure_since = epoch;
         epoch_rows = [ (epoch, nrows) ];
-        domains = Some { d with doms; views = views_of_domains columns doms };
+        domains = Some { doms; views = views_of_domains columns doms };
       }
 
 (* Lineage-preserving in-place cell edit: same id, next epoch, but the

@@ -97,24 +97,14 @@ val cardinalities : t -> int array
 
 (** Learn domains for every [Ordinal]/[Numeric] schema column: [Distinct]
     binning for ordinals (falling back to quantiles past [bins] distinct
-    values), [method_] (default [Equi_width]) with [bins] (default 8) bins
-    for numerics. [drift] (default 0.2) is the re-learn threshold for
-    {!extend}. *)
-val learn_domains :
-  ?bins:int -> ?method_:Domain.method_ -> ?drift:float -> t -> t
-
-(** Attach explicit domains; raises [Invalid_argument] on arity mismatch. *)
-val with_domains : ?drift:float -> t -> Domain.t array -> t
+    values), equi-width with [bins] (default 8) bins for numerics.
+    {!extend} re-learns them once more than a fifth of an append's
+    values fall outside a column's learned envelope. *)
+val learn_domains : ?bins:int -> t -> t
 
 (** {!learn_domains}, but a no-op (same snapshot) when the frame already
     has domains or the schema is all-categorical. *)
-val ensure_domains :
-  ?bins:int -> ?method_:Domain.method_ -> ?drift:float -> t -> t
-
-(** Supervised refinement: ChiMerge adjacent bins of every binned column
-    against column [supervise]'s attribute codes at level [alpha]. Returns
-    the same snapshot when nothing merges. *)
-val refine_domains : t -> alpha:float -> supervise:int -> t
+val ensure_domains : ?bins:int -> t -> t
 
 val has_domains : t -> bool
 val domains : t -> Domain.t array option

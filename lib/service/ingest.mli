@@ -2,7 +2,8 @@
     statistics that make appends cheap and constraint staleness
     detectable.
 
-    Holds a frame-keyed group cache (advanced over append deltas), one
+    Holds a frame-keyed group cache (advanced over append deltas; the
+    snapshot's only group index, which validation reuses), one
     contingency table of GIVEN-grouping × ON per statement (extended
     over delta rows), cumulative per-statement violation counts, and
     an {!Obs.Drift} monitor with two keys per statement — violation
@@ -34,7 +35,11 @@ val key_of_stmt : Dataframe.Schema.t -> Guardrail.Dsl.stmt -> string
 val advance : t -> Guardrail.Validator.compiled -> Dataframe.Frame.t -> t
 
 val epoch : t -> int
+
+(** The group cache of the snapshot at {!epoch}: pass it as
+    [?groups] when validating that frame. *)
 val groups : t -> Dataframe.Group.Cache.t
+
 val drift : t -> Obs.Drift.t
 val readings : t -> Obs.Drift.reading list
 

@@ -9,8 +9,9 @@
    snapshot handle: [find] returns the whole record, and a concurrent
    [load]/[set_program] replaces the shard's binding with a NEW record
    rather than mutating the old one, so a handle obtained before the
-   replace keeps pinning its frame, compiled program and VM bytecode
-   for as long as the caller holds it.
+   replace keeps pinning its frame, compiled program and ingest state
+   (whose group cache is the snapshot's only group index) for as long
+   as the caller holds it.
 
    The expensive steps (CSV parse, program parse + compile, model
    training) run outside the shard mutex; only the map insert/lookup is
@@ -22,7 +23,6 @@ type program = {
   text : string;                            (* .grl source as received *)
   prog : Guardrail.Dsl.prog;
   compiled : Guardrail.Validator.compiled;
-  bytecode : Vm.Program.t;  (* lowered once against the table's frame *)
 }
 
 type entry = {
@@ -55,11 +55,7 @@ let with_lock shard f =
 
 let compile_program frame text =
   let prog = Guardrail.Parse.prog (Frame.schema frame) text in
-  let compiled = Guardrail.Validator.compile prog in
-  (* lower (and pin) the guard bytecode for the daemon table now, so
-     every Detect/Rectify/Sql request over it starts on a warm cache *)
-  let bytecode = Guardrail.Validator.bytecode compiled frame in
-  { text; prog; compiled; bytecode }
+  { text; prog; compiled = Guardrail.Validator.compile prog }
 
 (* Drift/ingest baselines ride along whenever a program is installed:
    the freshly loaded (or re-guarded) table is the "trusted" state the
@@ -111,8 +107,10 @@ let set_program t ~name text =
    drop rows. The whole step therefore runs under the shard mutex —
    ingests serialize per shard — while CSV parsing stays with the
    caller, outside the lock. The frame evolves on its own lineage
-   ([Frame.extend]/[Frame.update_cells]), so the VM bytecode cache and
-   the group caches advance over the delta instead of rebuilding. *)
+   ([Frame.extend]/[Frame.update_cells]), so the compiled program's
+   bytecode stays valid while the dictionaries do, and the ingest
+   state's group cache advances over the delta instead of
+   rebuilding. *)
 
 let locked_rmw t ~name f =
   let shard = shard_of t name in
@@ -125,17 +123,12 @@ let locked_rmw t ~name f =
         (entry, out))
 
 let reframe entry frame =
-  let program =
-    Option.map
-      (fun p -> { p with bytecode = Guardrail.Validator.bytecode p.compiled frame })
-      entry.program
-  in
   let ingest =
-    match (entry.ingest, program) with
+    match (entry.ingest, entry.program) with
     | Some i, Some p -> Some (Ingest.advance i p.compiled frame)
     | _, _ -> None
   in
-  { entry with frame; program; ingest }
+  { entry with frame; ingest }
 
 let append_rows t ~name rows =
   fst
@@ -164,6 +157,9 @@ let refresh ?epsilon t ~name =
     | Some e -> e
     | None -> Guardrail.Config.default.Guardrail.Config.epsilon
   in
+  (* the support floor synthesis applies, so a refill keeps no branch a
+     full synthesis run would drop *)
+  let min_support = Guardrail.Config.default.Guardrail.Config.min_support in
   locked_rmw t ~name (fun entry ->
       match (entry.program, entry.ingest) with
       | None, _ | _, None ->
@@ -187,8 +183,8 @@ let refresh ?epsilon t ~name =
                     Guardrail.Sketch.stmt_sketch ~given:s.given ~on:s.on
                   in
                   match
-                    Guardrail.Fill.fill_stmt_sketch ~groups entry.frame
-                      ~epsilon sketch
+                    Guardrail.Fill.fill_stmt_sketch ~min_support ~groups
+                      entry.frame ~epsilon sketch
                   with
                   | Some filled ->
                     incr refreshed;
@@ -201,8 +197,7 @@ let refresh ?epsilon t ~name =
           let prog = { prog with Guardrail.Dsl.stmts } in
           let text = Guardrail.Pretty.prog_to_string prog in
           let compiled = Guardrail.Validator.compile prog in
-          let bytecode = Guardrail.Validator.bytecode compiled entry.frame in
-          let program = Some { text; prog; compiled; bytecode } in
+          let program = Some { text; prog; compiled } in
           let ingest = Some (Ingest.create ~groups compiled entry.frame) in
           ( { entry with program; ingest },
             { checked; stale; refreshed = !refreshed; dropped = !dropped } )

@@ -7,18 +7,16 @@
     hash; requests for different tables proceed without contending on a
     global mutex. {!entry} is an immutable snapshot handle: a record
     returned by {!find}/{!load} keeps pinning its frame, compiled
-    program and VM bytecode even if the table is concurrently replaced
+    program and ingest state even if the table is concurrently replaced
     or removed — replacement installs a new record, it never mutates an
-    existing one. *)
+    existing one. The ingest state's group cache is the only group
+    index of the entry's snapshot: requests over the registered frame
+    validate with it, and the compilation caches only bytecode. *)
 
 type program = {
   text : string;                  (** .grl source as received *)
   prog : Guardrail.Dsl.prog;
   compiled : Guardrail.Validator.compiled;
-  bytecode : Vm.Program.t;
-      (** guard bytecode lowered once against the table's frame at
-          load/guard time; requests over the table execute it from the
-          compilation's warm cache *)
 }
 
 type entry = {
@@ -66,10 +64,9 @@ val count : t -> int
     ingest operations are read-modify-write and run under the shard
     mutex — concurrent ingests of one table serialize, none is lost.
     The frame evolves on its own lineage ([Frame.extend] /
-    [Frame.update_cells]), so VM bytecode and group caches advance
-    over the delta instead of rebuilding, and the entry's ingest
-    statistics are maintained incrementally. All raise [Not_found] on
-    an unknown table. *)
+    [Frame.update_cells]), so the entry's ingest state — its group
+    cache and statistics — advances over an append delta instead of
+    rebuilding. All raise [Not_found] on an unknown table. *)
 
 (** Append rows (same column names) to a registered table. Raises
     [Invalid_argument] on a schema mismatch. *)
@@ -90,8 +87,9 @@ type refresh_report = {
 (** Re-run the HAVING fill for exactly the statements whose GIVEN set
     the drift monitor flagged stale, splice the results into the
     program (recompiling once), and rebaseline the monitor. [epsilon]
-    defaults to [Guardrail.Config.default.epsilon]. Raises [Failure]
-    if the table has no program. *)
+    defaults to [Guardrail.Config.default.epsilon]; the refill keeps
+    synthesis' support floor, [Guardrail.Config.default.min_support].
+    Raises [Failure] if the table has no program. *)
 val refresh : ?epsilon:float -> t -> name:string -> entry * refresh_report
 
 (** Entries sorted by table name. *)

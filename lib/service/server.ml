@@ -44,14 +44,12 @@ module Config = struct
     max_connections : int;
     max_inflight : int;          (* per-connection admission budget *)
     max_inflight_global : int;   (* across all connections *)
-    shards : int;                (* registry partitions (used by callers
-                                    that create the registry) *)
   }
 
   let make ?(pool_size = 4) ?(backlog = 128) ?(read_timeout_s = 30.0)
       ?(max_request_bytes = Protocol.default_max_frame)
       ?(max_connections = 1024) ?(max_inflight = 32)
-      ?(max_inflight_global = 1024) ?(shards = 8) () =
+      ?(max_inflight_global = 1024) () =
     let positive name v =
       if v < 1 then
         invalid_arg
@@ -63,7 +61,6 @@ module Config = struct
     positive "max_connections" max_connections;
     positive "max_inflight" max_inflight;
     positive "max_inflight_global" max_inflight_global;
-    positive "shards" shards;
     if read_timeout_s < 0.0 then
       invalid_arg "Server.Config.make: read_timeout_s must be >= 0";
     {
@@ -74,19 +71,9 @@ module Config = struct
       max_connections;
       max_inflight;
       max_inflight_global;
-      shards;
     }
 
   let default = make ()
-
-  let with_pool_size v c = { c with pool_size = v }
-  let with_backlog v c = { c with backlog = v }
-  let with_read_timeout_s v c = { c with read_timeout_s = v }
-  let with_max_request_bytes v c = { c with max_request_bytes = v }
-  let with_max_connections v c = { c with max_connections = v }
-  let with_max_inflight v c = { c with max_inflight = v }
-  let with_max_inflight_global v c = { c with max_inflight_global = v }
-  let with_shards v c = { c with shards = v }
 end
 
 type t = {
@@ -165,6 +152,12 @@ let compiled_for (entry : Registry.entry) (p : Registry.program) frame =
      || Schema.names (Frame.schema frame) = Schema.names (Frame.schema entry.frame)
   then p.Registry.compiled
   else Validator.compile (Validator.rebind p.Registry.prog (Frame.schema frame))
+
+(* The registered frame validates on its ingest state's group cache,
+   the snapshot's one group index; request-supplied rows group ad hoc. *)
+let groups_for (entry : Registry.entry) frame =
+  if frame != entry.Registry.frame then None
+  else Option.map Ingest.groups entry.Registry.ingest
 
 let find_table t name =
   match Registry.find t.registry name with
@@ -265,14 +258,18 @@ let dispatch t (req : Protocol.request) : Protocol.response =
   | Protocol.Detect { table; csv } ->
     let entry, p = guarded_entry t table in
     let frame = target_frame entry csv in
-    let flags = Validator.detect (compiled_for entry p frame) frame in
+    let flags =
+      Validator.detect ?groups:(groups_for entry frame)
+        (compiled_for entry p frame) frame
+    in
     let violations = Array.fold_left (fun n b -> if b then n + 1 else n) 0 flags in
     Protocol.Detections { flags; violations }
   | Protocol.Rectify { table; strategy; csv } ->
     let entry, p = guarded_entry t table in
     let frame = target_frame entry csv in
     let repaired, vs =
-      Validator.handle ~strategy (compiled_for entry p frame) frame
+      Validator.handle ~strategy ?groups:(groups_for entry frame)
+        (compiled_for entry p frame) frame
     in
     Protocol.Rectified
       { csv = Dataframe.Csv.to_string repaired; violations = List.length vs }

@@ -14,9 +14,8 @@
     keeps serving; SHUTDOWN (or {!stop}, e.g. from a SIGINT handler)
     drains owed replies before {!run} returns. *)
 
-(** Serving configuration. Build with {!Config.make} and derive
-    variants with the [with_*] family; {!Config.default} is
-    [make ()]. *)
+(** Serving configuration. Build with {!Config.make};
+    {!Config.default} is [make ()]. *)
 module Config : sig
   type t = {
     pool_size : int;           (** worker domains executing requests *)
@@ -32,14 +31,11 @@ module Config : sig
                                    excess is answered [Busy_reply] *)
     max_inflight_global : int; (** admitted requests across all
                                    connections *)
-    shards : int;              (** registry partitions — consumed by the
-                                   caller creating the {!Registry}, not
-                                   by the server itself *)
   }
 
   (** Uniform constructor: pool 4, backlog 128, 30 s timeout, 64 MiB
       frames, 1024 connections, 32 in-flight per connection, 1024
-      global, 8 shards. Raises [Invalid_argument] on a value no server
+      global. Raises [Invalid_argument] on a value no server
       could honour (non-positive sizes, negative timeout). *)
   val make :
     ?pool_size:int ->
@@ -49,25 +45,11 @@ module Config : sig
     ?max_connections:int ->
     ?max_inflight:int ->
     ?max_inflight_global:int ->
-    ?shards:int ->
     unit ->
     t
 
   (** [make ()]. *)
   val default : t
-
-  (** Field-wise functional updates, one per field of {!t}. Unlike
-      {!make} they do not re-validate — use them for mechanical
-      derivation from an already-valid configuration. *)
-
-  val with_pool_size : int -> t -> t
-  val with_backlog : int -> t -> t
-  val with_read_timeout_s : float -> t -> t
-  val with_max_request_bytes : int -> t -> t
-  val with_max_connections : int -> t -> t
-  val with_max_inflight : int -> t -> t
-  val with_max_inflight_global : int -> t -> t
-  val with_shards : int -> t -> t
 end
 
 type t

@@ -1,22 +1,18 @@
-(** Bytecode cache: lowered programs plus the frame's group cache,
-    keyed by [Frame.Snapshot.key] (lineage id, epoch) — never physical
-    identity — so each (program, snapshot) pair compiles once and
-    decision-table partitions are shared. A key miss against a later
-    epoch of a cached lineage advances the group cache over the append
-    delta and reuses the dict-compatible lowering. Thread-safe; counts
-    [vm.cache.hits]/[vm.cache.misses]/[vm.cache.advanced] in
-    [Obs.Metric.default]. *)
+(** Bytecode cache: the lowered programs of one compiled ruleset array,
+    looked up with {!Program.compatible} — by the dictionaries lowering
+    resolved literals against, never by frame identity. A frame, its
+    row subsets and its code-preserving appends and updates all share
+    one lowering. Bounded (least recently used dropped first) and
+    thread-safe; counts [vm.cache.hits] (a lowering reused) and
+    [vm.cache.misses] (a fresh lowering) in [Obs.Metric.default].
+
+    The cache holds no per-frame state: group indexes belong to the
+    snapshot's owner, which passes them to {!Exec.run}. *)
 
 type t
 
-(** [create rules] caches lowerings of [rules]. [max_entries] bounds
-    the number of retained frames (oldest dropped first). *)
-val create : ?cap:int -> ?max_entries:int -> Ruleset.t array -> t
+val create : Ruleset.t array -> t
 
-(** Bytecode and group cache for this frame: cached on
-    [Frame.Snapshot.key], advanced along the lineage on an epoch
-    miss, re-lowered (or dict-compatibly reused) otherwise. *)
-val get : t -> Dataframe.Frame.t -> Program.t * Dataframe.Group.Cache.t
-
-val length : t -> int
-val rules : t -> Ruleset.t array
+(** A program whose dictionaries the frame still carries, lowered
+    against [frame] on a miss. *)
+val get : t -> Dataframe.Frame.t -> Program.t

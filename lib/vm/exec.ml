@@ -2,10 +2,11 @@
 
    Registers are dense row bitmaps; compare/in ops scan one code array
    and emit 8 verdict bits per output byte, connectives run word-wise
-   in Bitmap, and TABLE/ANY ops partition rows through the (cached)
-   Dataframe.Group CSR index, probing the rule key once per partition
-   rather than once per row. Execution is wrapped in a [vm.exec] span
-   and bumps the [vm.rows.validated] counter. *)
+   in Bitmap, and TABLE ops partition rows through the Dataframe.Group
+   CSR index (the caller's group cache when it passes one), probing the
+   rule key once per partition rather than once per row. Execution is
+   wrapped in a [vm.exec] span and bumps the [vm.rows.validated]
+   counter. *)
 
 module Column = Dataframe.Column
 module Frame = Dataframe.Frame
@@ -99,9 +100,9 @@ let eval_in codes set dst n =
   end
 
 (* Inclusive range over a column's float image; NaN entries (nulls,
-   strings) fail both comparisons, so they are never in range. Strict
-   comparisons lower to this kernel with Float.pred/succ-adjusted
-   bounds. *)
+   strings) fail both comparisons, so they are never in range. One-sided
+   and strict comparisons lower to this kernel with infinite or
+   Float.pred/succ-adjusted bounds. *)
 let eval_range codes fvals lo hi dst n =
   let bytes = Bitmap.data dst in
   let full = n lsr 3 in
@@ -243,25 +244,6 @@ let eval_table ?groups (p : Program.t) ti dst frame n =
     Bytes.unsafe_set bytes b (Char.unsafe_chr !acc)
   done
 
-let eval_any ?groups (p : Program.t) ti src dst n frame =
-  let tbl = p.tables.(ti) in
-  let g = group_for ?groups frame tbl in
-  let ids = Group.ids g in
-  let hit = Bytes.make (max (Group.n_groups g) 1) '\000' in
-  Bitmap.iteri_set src (fun i -> Bytes.set hit ids.(i) '\001');
-  let bytes = Bitmap.data dst in
-  let nbytes = (n + 7) lsr 3 in
-  for b = 0 to nbytes - 1 do
-    let lo = b lsl 3 in
-    let hi = min (lo + 7) (n - 1) in
-    let acc = ref 0 in
-    for i = lo to hi do
-      if Bytes.unsafe_get hit (Array.unsafe_get ids i) <> '\000' then
-        acc := !acc lor (1 lsl (i land 7))
-    done;
-    Bytes.unsafe_set bytes b (Char.unsafe_chr !acc)
-  done
-
 let exec_op ?groups (p : Program.t) frame n regs op =
   match op with
   | Op.Eq { col; code; dst } ->
@@ -274,33 +256,18 @@ let exec_op ?groups (p : Program.t) frame n regs op =
     let f = p.fields.(fld) in
     eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals lo hi
       regs.(dst) n
-  | Op.Lt { fld; bound; dst } ->
-    let f = p.fields.(fld) in
-    eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals
-      Float.neg_infinity (Float.pred bound) regs.(dst) n
-  | Op.Le { fld; bound; dst } ->
-    let f = p.fields.(fld) in
-    eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals
-      Float.neg_infinity bound regs.(dst) n
-  | Op.Gt { fld; bound; dst } ->
-    let f = p.fields.(fld) in
-    eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals
-      (Float.succ bound) Float.infinity regs.(dst) n
-  | Op.Ge { fld; bound; dst } ->
-    let f = p.fields.(fld) in
-    eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals bound
-      Float.infinity regs.(dst) n
   | Op.And { src; dst } -> Bitmap.and_in regs.(dst) regs.(src)
   | Op.Or { src; dst } -> Bitmap.or_in regs.(dst) regs.(src)
   | Op.Andn { src; dst } -> Bitmap.andnot_in regs.(dst) regs.(src)
-  | Op.Not { dst } -> Bitmap.not_in regs.(dst)
   | Op.Table { table; dst } -> eval_table ?groups p table regs.(dst) frame n
-  | Op.Any { table; src; dst } ->
-    eval_any ?groups p table regs.(src) regs.(dst) n frame
 
 let run ?groups (p : Program.t) frame =
   if not (Program.compatible p frame) then
     invalid_arg "Vm.Exec.run: frame incompatible with program (stale dictionaries)";
+  (match groups with
+   | Some c when Group.Cache.frame_key c <> Some (Frame.Snapshot.key frame) ->
+     invalid_arg "Vm.Exec.run: group cache belongs to another snapshot"
+   | _ -> ());
   let n = Frame.nrows frame in
   Obs.Span.with_ "vm.exec"
     ~attrs:(fun () ->

@@ -11,9 +11,11 @@ type verdicts = {
 (** [run program frame] executes the bytecode over [frame]'s code
     arrays. [groups], when given, must be the frame's own group cache;
     decision-table partitioning then reuses (and warms) it instead of
-    regrouping. Wrapped in a [vm.exec] span; bumps [vm.rows.validated].
-    Raises [Invalid_argument] when the frame no longer carries the
-    dictionaries the program was lowered against. *)
+    grouping ad hoc. Wrapped in a [vm.exec] span; bumps
+    [vm.rows.validated]. Raises [Invalid_argument] when the frame no
+    longer carries the dictionaries the program was lowered against, or
+    when [groups]' [Group.Cache.frame_key] is not the frame's
+    [Frame.Snapshot.key]. *)
 val run :
   ?groups:Dataframe.Group.Cache.t -> Program.t -> Dataframe.Frame.t -> verdicts
 

@@ -20,7 +20,7 @@
      fused column scans with no per-row key construction at all.
    - mask form, few multi-column rules: one EQ/AND chain per rule.
      Range-keyed rules always take this form when few enough, with
-     RANGE/LE/GE ops in place of EQ.
+     RANGE ops in place of EQ.
    - table form, everything else: one TABLE op. Rows are partitioned by
      the GIVEN columns through the shared Dataframe.Group CSR index
      (mixed-radix key under the cap, hashed above it) and each
@@ -218,12 +218,9 @@ let lower_stmt b ~cap frame ~s1 ~s2 ~dst rs =
         (* unresolvable equality: handled by the caller's skip *)
         let code = Option.get (Column.code_of_value cols.(j) v) in
         emit b (Op.Eq { col = given.(j); code; dst = reg })
-      | Domain.Between { lo; hi } ->
-        emit b (Op.Range { fld = field_for b frame given.(j); lo; hi; dst = reg })
-      | Domain.Le bound ->
-        emit b (Op.Le { fld = field_for b frame given.(j); bound; dst = reg })
-      | Domain.Ge bound ->
-        emit b (Op.Ge { fld = field_for b frame given.(j); bound; dst = reg }));
+      | (Domain.Between _ | Domain.Le _ | Domain.Ge _) as a ->
+        let lo, hi = interval_of_atom a in
+        emit b (Op.Range { fld = field_for b frame given.(j); lo; hi; dst = reg }));
       if not first then emit b (Op.And { src = s2; dst = s1 })
     in
     let resolvable (rule : Ruleset.rule) =
@@ -439,18 +436,22 @@ let filter frame (guards : (int * guard) list) =
     List.iteri
       (fun i (c, g) ->
         let reg = if i = 0 then 0 else 1 in
+        let range (lo, hi) =
+          emit b (Op.Range { fld = field_for b frame c; lo; hi; dst = reg })
+        in
         (match g with
         | Guard_eq v ->
           let code =
             Option.get (Column.code_of_value (Frame.column frame c) v)
           in
           emit b (Op.Eq { col = c; code; dst = reg })
-        | Guard_lt bound -> emit b (Op.Lt { fld = field_for b frame c; bound; dst = reg })
-        | Guard_le bound -> emit b (Op.Le { fld = field_for b frame c; bound; dst = reg })
-        | Guard_gt bound -> emit b (Op.Gt { fld = field_for b frame c; bound; dst = reg })
-        | Guard_ge bound -> emit b (Op.Ge { fld = field_for b frame c; bound; dst = reg })
-        | Guard_between (lo, hi) ->
-          emit b (Op.Range { fld = field_for b frame c; lo; hi; dst = reg }));
+        (* every numeric guard is one inclusive RANGE; strict bounds
+           step to the adjacent float *)
+        | Guard_lt bound -> range (Float.neg_infinity, Float.pred bound)
+        | Guard_le bound -> range (Float.neg_infinity, bound)
+        | Guard_gt bound -> range (Float.succ bound, Float.infinity)
+        | Guard_ge bound -> range (bound, Float.infinity)
+        | Guard_between (lo, hi) -> range (lo, hi));
         if i > 0 then emit b (Op.And { src = 1; dst = 0 }))
       guards;
   let cols, dicts = record_cols frame (List.map fst guards) in

@@ -203,6 +203,183 @@ let test_group_cache_advance () =
     (Group.ids g_big = Group.ids g_big_scratch)
 
 (* ------------------------------------------------------------------ *)
+(* Daemon ingest differential: a registered table validates on its
+   ingest state's group cache, which APPEND advances and UPDATE
+   rebuilds. After every step of a random APPEND/UPDATE sequence the
+   DETECT and RECTIFY replies must equal a fresh compilation run over a
+   fresh frame of the same rows. *)
+
+module P = Service.Protocol
+
+let ingest_columns = [ "k"; "g"; "y"; "z" ]
+
+(* GIVEN k ON y and GIVEN g,k ON y lower to TABLE ops (more distinct
+   expects than the mask forms take), GIVEN g ON z to a mask chain *)
+let ingest_program =
+  let k_branches =
+    List.init 10 (fun i ->
+        Printf.sprintf "  IF k = \"k%d\" THEN y <- \"y%d\";\n" i i)
+  in
+  let gk_branches =
+    List.init 6 (fun i ->
+        Printf.sprintf "  IF g = \"g%d\" AND k = \"k%d\" THEN y <- \"y%d\";\n"
+          (i mod 3) i ((i + 1) mod 10))
+  in
+  String.concat ""
+    ([ "GIVEN k ON y HAVING\n" ] @ k_branches
+     @ [ "GIVEN g ON z HAVING\n";
+         "  IF g = \"g0\" THEN z <- \"z0\";\n";
+         "  IF g = \"g1\" THEN z <- \"z1\";\n";
+         "GIVEN g, k ON y HAVING\n" ]
+     @ gk_branches)
+
+(* Mostly rows that satisfy GIVEN k ON y; the occasional stray value
+   (including ones no dictionary holds yet) makes violations and forces
+   a re-lowering. *)
+let ingest_value rng col =
+  let pick n prefix = Printf.sprintf "%s%d" prefix (Stat.Rng.int rng n) in
+  if Stat.Rng.int rng 8 = 0 then pick 12 (String.sub col 0 1 ^ "x")
+  else
+    match col with
+    | "k" -> pick 10 "k"
+    | "g" -> pick 3 "g"
+    | "y" -> pick 10 "y"
+    | _ -> pick 2 "z"
+
+let ingest_row rng =
+  let k = Stat.Rng.int rng 10 in
+  Array.of_list
+    (List.map
+       (fun col ->
+         if col = "k" then Printf.sprintf "k%d" k
+         else if col = "y" && Stat.Rng.int rng 4 <> 0 then Printf.sprintf "y%d" k
+         else ingest_value rng col)
+       ingest_columns)
+
+let ingest_csv rows =
+  String.concat ""
+    (List.map (fun r -> String.concat "," r ^ "\n")
+       (ingest_columns :: List.map Array.to_list rows))
+
+let load_ingest_table srv rows =
+  match
+    Service.Server.handle_request srv
+      (P.Load
+         { table = "t"; csv = ingest_csv rows; program = Some ingest_program;
+           model_label = None })
+  with
+  | P.Loaded _ -> ()
+  | _ -> Alcotest.fail "load failed"
+
+let ingest_entry srv =
+  match Service.Registry.find (Service.Server.registry srv) "t" with
+  | Some e -> e
+  | None -> Alcotest.fail "table vanished"
+
+(* DETECT and RECTIFY over the registered table against a fresh
+   compilation over a fresh frame of [rows]; true iff both agree *)
+let replies_match srv rows =
+  let fresh =
+    Frame.of_rows
+      (Frame.schema (ingest_entry srv).Service.Registry.frame)
+      (List.map (Array.map Value.of_raw) rows)
+  in
+  let compiled =
+    Guardrail.Validator.compile
+      (Guardrail.Parse.prog (Frame.schema fresh) ingest_program)
+  in
+  let flags = Guardrail.Validator.detect compiled fresh in
+  let repaired, vs =
+    Guardrail.Validator.handle ~strategy:Guardrail.Validator.Rectify compiled
+      fresh
+  in
+  let detect_ok =
+    match Service.Server.handle_request srv (P.Detect { table = "t"; csv = None }) with
+    | P.Detections d -> d.flags = flags
+    | _ -> false
+  in
+  let rectify_ok =
+    match
+      Service.Server.handle_request srv
+        (P.Rectify
+           { table = "t"; strategy = Guardrail.Validator.Rectify; csv = None })
+    with
+    | P.Rectified r ->
+      r.csv = Csv.to_string repaired && r.violations = List.length vs
+    | _ -> false
+  in
+  detect_ok && rectify_ok
+
+let qcheck_daemon_ingest_matches_fresh =
+  QCheck.Test.make ~name:"daemon append/update = fresh compile" ~count:25
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Stat.Rng.create seed in
+      let srv = Service.Server.create (Service.Registry.create ()) in
+      let rows = ref (List.init (20 + Stat.Rng.int rng 30) (fun _ -> ingest_row rng)) in
+      load_ingest_table srv !rows;
+      let ok = ref (replies_match srv !rows) in
+      for _ = 1 to 6 do
+        if Stat.Rng.int rng 2 = 0 then begin
+          (* small appends extend the groupings, large ones rebuild *)
+          let added = List.init (1 + Stat.Rng.int rng 30) (fun _ -> ingest_row rng) in
+          (match
+             Service.Server.handle_request srv
+               (P.Append { table = "t"; csv = ingest_csv added })
+           with
+           | P.Ingested _ -> ()
+           | _ -> QCheck.Test.fail_report "append failed");
+          rows := !rows @ added
+        end
+        else begin
+          let arr = Array.of_list (List.map Array.copy !rows) in
+          let edits =
+            List.init (1 + Stat.Rng.int rng 3) (fun _ ->
+                let j = Stat.Rng.int rng 4 in
+                let v = ingest_value rng (List.nth ingest_columns j) in
+                (Stat.Rng.int rng (Array.length arr), j, v))
+          in
+          let cells =
+            List.map (fun (row, j, v) -> (row, List.nth ingest_columns j, v)) edits
+          in
+          (match Service.Server.handle_request srv (P.Update { table = "t"; cells }) with
+           | P.Ingested _ -> ()
+           | _ -> QCheck.Test.fail_report "update failed");
+          List.iter (fun (row, j, v) -> arr.(row).(j) <- v) edits;
+          rows := Array.to_list arr
+        end;
+        ok := !ok && replies_match srv !rows
+      done;
+      Service.Server.shutdown srv;
+      !ok)
+
+(* One APPEND extends each grouping of the table's single group cache
+   exactly once: validation and ingest statistics share it. *)
+let test_append_extends_one_cache () =
+  let rng = Stat.Rng.create 5 in
+  let srv = Service.Server.create (Service.Registry.create ()) in
+  load_ingest_table srv (List.init 80 (fun _ -> ingest_row rng));
+  (match Service.Server.handle_request srv (P.Detect { table = "t"; csv = None }) with
+   | P.Detections _ -> ()
+   | _ -> Alcotest.fail "detect failed");
+  let groups =
+    Service.Ingest.groups (Option.get (ingest_entry srv).Service.Registry.ingest)
+  in
+  let extended = Obs.Metric.counter Obs.Metric.default "group.cache.extended" in
+  let before = Obs.Metric.counter_value extended in
+  (match
+     Service.Server.handle_request srv
+       (P.Append
+          { table = "t"; csv = ingest_csv (List.init 10 (fun _ -> ingest_row rng)) })
+   with
+   | P.Ingested _ -> ()
+   | _ -> Alcotest.fail "append failed");
+  Alcotest.(check int) "one extension per cached grouping"
+    (Dataframe.Group.Cache.length groups)
+    (Obs.Metric.counter_value extended - before);
+  Service.Server.shutdown srv
+
+(* ------------------------------------------------------------------ *)
 (* Append-then-synthesize differential: streaming a table in as
    appends must give the bit-identical program to a batch build, at
    every job count (incremental state must not leak into synthesis) *)
@@ -220,7 +397,7 @@ let test_append_synthesize_identical () =
   Alcotest.(check int) "streamed rows" n (Frame.nrows streamed);
   Alcotest.(check int) "two appends, epoch 2" 2 (Frame.Snapshot.epoch streamed);
   let program frame jobs =
-    let config = Guardrail.Config.with_jobs jobs Guardrail.Config.default in
+    let config = Guardrail.Config.make ~jobs () in
     let r = Guardrail.Synthesize.run ~config frame in
     (Guardrail.Pretty.prog_to_string r.Guardrail.Synthesize.program,
      r.Guardrail.Synthesize.coverage)
@@ -334,6 +511,40 @@ let test_refresh_refills_stale () =
      Alcotest.(check bool) "program text regenerated" true
        (String.length p.Service.Registry.text > 0))
 
+(* REFRESH refills with synthesis' support floor: a GIVEN value that
+   only one row carries gets no branch of its own *)
+let test_refresh_min_support () =
+  let reg = Service.Registry.create () in
+  let (_ : Service.Registry.entry) =
+    Service.Registry.load reg ~name:"t" ~program:drift_program
+      (Csv.of_string (drift_csv 200))
+  in
+  (* 8 violations in 209 rows push GIVEN c ON d past the drift
+     threshold while its c0/c1 branches stay within epsilon *)
+  let drifted =
+    "a,b,c,d\n"
+    ^ String.concat ""
+        (List.init 8 (fun i ->
+             if i mod 2 = 0 then "a0,b0,c0,d1\n" else "a1,b1,c1,d0\n"))
+    ^ "a0,b0,c9,d0\n"
+  in
+  let (_ : Service.Registry.entry) =
+    Service.Registry.append_rows reg ~name:"t" (Csv.of_string drifted)
+  in
+  let entry, report = Service.Registry.refresh reg ~name:"t" in
+  Alcotest.(check int) "the drifted statement was refilled" 1
+    report.Service.Registry.refreshed;
+  let text = (Option.get entry.Service.Registry.program).Service.Registry.text in
+  let mentions needle =
+    let n = String.length needle and m = String.length text in
+    let rec at i = i + n <= m && (String.sub text i n = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "refill kept a supported branch" true
+    (mentions "c = \"c0\"" || mentions "c = \"c1\"");
+  Alcotest.(check bool) "no branch for the single-row value" false
+    (mentions "c9")
+
 let () =
   Alcotest.run "ingest"
     [
@@ -354,6 +565,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_contingency_extend_agrees;
           Alcotest.test_case "group cache advance" `Quick
             test_group_cache_advance;
+          QCheck_alcotest.to_alcotest qcheck_daemon_ingest_matches_fresh;
+          Alcotest.test_case "append extends the one cache" `Quick
+            test_append_extends_one_cache;
         ] );
       ( "synthesis",
         [
@@ -366,5 +580,7 @@ let () =
             test_drift_flags_only_affected;
           Alcotest.test_case "refresh re-fills stale" `Quick
             test_refresh_refills_stale;
+          Alcotest.test_case "refresh keeps the support floor" `Quick
+            test_refresh_min_support;
         ] );
     ]

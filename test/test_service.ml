@@ -787,13 +787,9 @@ let test_config_validation () =
     (match Service.Server.Config.make ~max_inflight:0 () with
      | exception Invalid_argument _ -> true
      | _ -> false);
-  let c =
-    Service.Server.Config.(
-      default |> with_pool_size 2 |> with_max_inflight 7 |> with_shards 3)
-  in
-  Alcotest.(check int) "with_pool_size" 2 c.Service.Server.Config.pool_size;
-  Alcotest.(check int) "with_max_inflight" 7 c.Service.Server.Config.max_inflight;
-  Alcotest.(check int) "with_shards" 3 c.Service.Server.Config.shards
+  let c = Service.Server.Config.make ~pool_size:2 ~max_inflight:7 () in
+  Alcotest.(check int) "pool_size" 2 c.Service.Server.Config.pool_size;
+  Alcotest.(check int) "max_inflight" 7 c.Service.Server.Config.max_inflight
 
 (* A request frame delivered one byte per write: the loop must assemble
    it across chunk boundaries and answer normally. *)

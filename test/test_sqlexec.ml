@@ -394,6 +394,24 @@ let test_exec_guardrail_raise () =
        false
      with Guardrail.Validator.Violation_error _ -> true)
 
+(* The guard's bytecode is cached by dictionary set: each query vets a
+   fresh Frame.take sub-frame, and the second run of a query reuses the
+   first run's lowering. *)
+let test_exec_guard_lowers_once () =
+  let _, frame, model, prog = ml_setup () in
+  let ctx = Exec.create () in
+  Exec.register_table ctx "t" frame;
+  Exec.register_model ctx ~target:"label" model;
+  Exec.set_guard ctx (Guardrail.Validator.compile prog);
+  let misses = Obs.Metric.counter Obs.Metric.default "vm.cache.misses" in
+  let lowerings () =
+    let m0 = Obs.Metric.counter_value misses in
+    ignore (Exec.run ctx "SELECT COUNT(*) FROM t WHERE PREDICT(label) = 'yes'");
+    Obs.Metric.counter_value misses - m0
+  in
+  Alcotest.(check int) "first run lowers" 1 (lowerings ());
+  Alcotest.(check int) "second run reuses" 0 (lowerings ())
+
 let test_exec_no_model () =
   let ctx = ctx_with_people () in
   Alcotest.(check bool) "missing model" true
@@ -482,6 +500,7 @@ let () =
           Alcotest.test_case "predict" `Quick test_exec_predict;
           Alcotest.test_case "guardrail rectifies" `Quick test_exec_guardrail_rectifies;
           Alcotest.test_case "guardrail raises" `Quick test_exec_guardrail_raise;
+          Alcotest.test_case "guard lowers once" `Quick test_exec_guard_lowers_once;
           Alcotest.test_case "missing model" `Quick test_exec_no_model;
         ] );
       ( "properties",

@@ -4,7 +4,8 @@
    corners — empty frames, all-violating rows, Int/Float dictionary aliasing,
    duplicate decision keys, and high-cardinality determinant spaces that
    push grouping past the mixed-radix cap. Plus unit tests for the
-   bitmap kernel, the ANY reduce, set_cells and the bytecode cache. *)
+   bitmap kernel, set_cells, the bytecode cache and its group-cache
+   check. *)
 
 module Value = Dataframe.Value
 module Schema = Dataframe.Schema
@@ -332,6 +333,26 @@ let test_cache_counters () =
   Alcotest.(check int) "two hits"
     2 (Obs.Metric.counter_value hits - h0)
 
+(* A group cache is only valid for the snapshot it was built from:
+   handing the VM another snapshot's cache must fail loudly rather than
+   partition rows by stale group ids. *)
+let test_foreign_group_cache () =
+  let schema = postal_schema () in
+  let frame =
+    Frame.of_rows schema [ [| s "94704"; s "Berkeley" |]; [| s "94612"; s "Reno" |] ]
+  in
+  let p = Validator.bytecode (Validator.compile (postal_prog schema)) frame in
+  let own = Dataframe.Group.Cache.of_frame frame in
+  Alcotest.(check int) "own cache runs" 2 (Vm.Exec.run ~groups:own p frame).Vm.Exec.n;
+  let grown = Frame.extend frame (Frame.of_rows schema [ [| s "94704"; s "Berkeley" |] ]) in
+  Alcotest.check_raises "cache of an earlier epoch"
+    (Invalid_argument "Vm.Exec.run: group cache belongs to another snapshot")
+    (fun () -> ignore (Vm.Exec.run ~groups:own p grown));
+  let copy = Frame.take frame [| 0; 1 |] in
+  Alcotest.check_raises "cache of another lineage"
+    (Invalid_argument "Vm.Exec.run: group cache belongs to another snapshot")
+    (fun () -> ignore (Vm.Exec.run ~groups:own p copy))
+
 (* ---------------------------------------------------------------- *)
 (* Bitmap kernel *)
 
@@ -375,50 +396,6 @@ let qcheck_bitmap_ops =
       let asc = List.rev !seen in
       asc = List.sort Int.compare asc
       && List.length asc = Vm.Bitmap.count x)
-
-(* ---------------------------------------------------------------- *)
-(* The ANY group-scoped reduce *)
-
-let test_any_reduce () =
-  (* table-lowered statement, then ANY over the statement register:
-     every row of a partition containing a violation gets flagged *)
-  let schema = Schema.make [ Schema.categorical "g"; Schema.categorical "y" ] in
-  let rows =
-    (* 10 keys to exceed the mask-bucket bound and force TABLE *)
-    List.concat
-      (List.init 10 (fun j ->
-           let g = Printf.sprintf "g%d" j in
-           let ok = Printf.sprintf "y%d" j in
-           [ [| s g; s ok |]; [| s g; s (if j = 3 then "bad" else ok) |] ]))
-  in
-  let frame = Frame.of_rows schema rows in
-  let branches =
-    List.init 10 (fun j ->
-        Dsl.branch
-          ~condition:[ Dsl.eq 0 (s (Printf.sprintf "g%d" j)) ]
-          ~assignment:(Dsl.Eq (s (Printf.sprintf "y%d" j))))
-  in
-  let prog = Dsl.prog ~schema [ Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ] in
-  let c = Validator.compile prog in
-  let p = Validator.bytecode c frame in
-  Alcotest.(check int) "table lowering" 1 (Vm.Program.n_tables p);
-  let reg = p.Vm.Program.stmt_reg.(0) in
-  let p' =
-    {
-      p with
-      Vm.Program.ops =
-        Array.append p.Vm.Program.ops
-          [| Vm.Op.Any { table = 0; src = reg; dst = reg } |];
-    }
-  in
-  let v = Vm.Exec.run p' frame in
-  (* only group g3 contains a violation; ANY must flag both its rows *)
-  let flags = Vm.Bitmap.to_bool_array v.Vm.Exec.any in
-  Array.iteri
-    (fun i f ->
-      let expected = i = 6 || i = 7 in
-      if f <> expected then Alcotest.failf "row %d: got %b" i f)
-    flags
 
 (* ---------------------------------------------------------------- *)
 (* Frame.set_cells *)
@@ -466,7 +443,8 @@ let () =
       ( "vm",
         [
           Alcotest.test_case "cache counters" `Quick test_cache_counters;
-          Alcotest.test_case "any reduce" `Quick test_any_reduce;
+          Alcotest.test_case "foreign group cache" `Quick
+            test_foreign_group_cache;
         ] );
       ( "dataframe",
         [ QCheck_alcotest.to_alcotest qcheck_set_cells ] );
