@@ -21,30 +21,70 @@ let dict t = t.dict
 
 let code_of_value t v = Hashtbl.find_opt t.index v
 
+(* Value -> code interning, codes in first-occurrence order. *)
+type interner = {
+  values : (Value.t, int) Hashtbl.t;
+  mutable rev_dict : Value.t list;  (* code -> value, newest first *)
+  mutable next : int;
+}
+
+let interner () = { values = Hashtbl.create 64; rev_dict = []; next = 0 }
+
+let intern it v =
+  match Hashtbl.find_opt it.values v with
+  | Some c -> c
+  | None ->
+    let c = it.next in
+    it.next <- c + 1;
+    Hashtbl.add it.values v c;
+    it.rev_dict <- v :: it.rev_dict;
+    c
+
+let encoded it codes =
+  { codes; dict = Array.of_list (List.rev it.rev_dict); index = it.values }
+
 let of_values values =
-  let n = Array.length values in
-  let index = Hashtbl.create 64 in
-  let rev = ref [] in
-  let next = ref 0 in
-  let codes =
-    Array.map
-      (fun v ->
-        match Hashtbl.find_opt index v with
-        | Some c -> c
-        | None ->
-          let c = !next in
-          incr next;
-          Hashtbl.add index v c;
-          rev := v :: !rev;
-          c)
-      values
-  in
-  let dict = Array.of_list (List.rev !rev) in
-  assert (Array.length dict = !next);
-  ignore n;
-  { codes; dict; index }
+  let it = interner () in
+  encoded it (Array.map (intern it) values)
 
 let of_list values = of_values (Array.of_list values)
+
+(* Interner for a column read from text. Each distinct raw field is
+   sniffed with [Value.of_raw] once, at its first sight, and its value is
+   interned as [of_values] would, so codes and dictionary order stay
+   first-occurrence by value: ["NA"] and [""] share the [Null] code,
+   ["1"] and ["01"] the [Int 1] code. *)
+module Builder = struct
+  type column = t
+
+  module Raw = Hashtbl.Make (String)
+
+  type t = {
+    values : interner;
+    raw : int Raw.t;             (* raw field -> code *)
+    codes : int array;           (* cells [0, len) are filled *)
+    mutable len : int;
+  }
+
+  let create capacity =
+    { values = interner (); raw = Raw.create 64; codes = Array.make capacity 0; len = 0 }
+
+  let add b raw =
+    let c =
+      match Raw.find b.raw raw with
+      | c -> c
+      | exception Not_found ->
+        let c = intern b.values (Value.of_raw raw) in
+        Raw.add b.raw raw c;
+        c
+    in
+    b.codes.(b.len) <- c;
+    b.len <- b.len + 1
+
+  let finish b : column =
+    encoded b.values
+      (if b.len = Array.length b.codes then b.codes else Array.sub b.codes 0 b.len)
+end
 
 let to_values t = Array.map (fun c -> t.dict.(c)) t.codes
 

@@ -8,6 +8,24 @@ type t
 val of_values : Value.t array -> t
 val of_list : Value.t list -> t
 
+(** Builds a column from raw text fields, one cell at a time. *)
+module Builder : sig
+  type column := t
+  type t
+
+  (** A builder for at most [capacity] cells. *)
+  val create : int -> t
+
+  (** Append the cell [Value.of_raw raw]; [Value.of_raw] runs once per
+      distinct raw string. Raises [Invalid_argument] past [capacity]. *)
+  val add : t -> string -> unit
+
+  (** The column built so far: codes, dictionary and index equal to
+      [of_values] over the added cells in order. The builder must not be
+      used afterwards. *)
+  val finish : t -> column
+end
+
 val length : t -> int
 
 (** Number of distinct values ever inserted (codes range over

@@ -1,0 +1,207 @@
+(* Differential suite for the CSV reader: [Dataframe.Csv.of_string] (one
+   pass, per-column raw-field interning) must build the same frame as the
+   row-at-a-time [Oracle.Csv.of_string] — the same names, kinds, codes
+   and dictionaries, floats compared bit for bit — or raise the same
+   class of exception, and [Dataframe.Csv.parse_string] must give the
+   oracle's records. Line numbers of ragged records are the one allowed
+   difference: the oracle reports record index + 2, the library the
+   physical line (pinned in test_dataframe.ml).
+
+   Texts are generated with quoted fields holding commas, doubled quotes
+   and newlines, LF and CRLF endings, the NA and boolean spellings, one
+   number in several spellings ([1], [01], [1.0], [+1], [0x1F]), ISO-8601
+   dates, and columns with more than 20 distinct numbers so they sniff as
+   numeric. Mutated texts (truncated, an unbalanced quote, a dropped
+   comma) and byte soup over the CSV metacharacters check the error
+   paths. The 12 benchmark datasets are pinned as well, both parsed whole
+   and appended with [Frame.extend] as the daemon's APPEND does. *)
+
+module Value = Dataframe.Value
+module Schema = Dataframe.Schema
+module Column = Dataframe.Column
+module Frame = Dataframe.Frame
+module Csv = Dataframe.Csv
+module Gen = QCheck.Gen
+
+(* ---------------------------------------------------------------- *)
+(* Comparing outcomes *)
+
+let same_value (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_column a b =
+  Column.codes a = Column.codes b
+  && Array.length (Column.dict a) = Array.length (Column.dict b)
+  && Array.for_all2 same_value (Column.dict a) (Column.dict b)
+
+let same_frame a b =
+  Frame.names a = Frame.names b
+  && Frame.nrows a = Frame.nrows b
+  && List.for_all
+       (fun j ->
+         Schema.equal_kind (Schema.kind (Frame.schema a) j) (Schema.kind (Frame.schema b) j)
+         && same_column (Frame.column a j) (Frame.column b j))
+       (List.init (Frame.ncols a) Fun.id)
+
+type 'a outcome =
+  | Ok of 'a
+  | Parse of int * string
+  | Invalid
+  | Other of exn
+
+let outcome f x =
+  match f x with
+  | v -> Ok v
+  | exception Csv.Parse_error { line; message } -> Parse (line, message)
+  | exception Invalid_argument _ -> Invalid
+  | exception e -> Other e
+
+let is_arity message = String.starts_with ~prefix:"expected " message
+
+(* Equal results, or the same exception class. Lines and messages must
+   agree except for ragged records: the oracle numbers those by record
+   index and, tokenizing the whole input first, reports an unterminated
+   quote later in the text instead. *)
+let agree same lib oracle =
+  match lib, oracle with
+  | Ok x, Ok y -> same x y
+  | Parse (_, m1), Parse (_, m2) when is_arity m1 -> m1 = m2 || not (is_arity m2)
+  | Parse (l1, m1), Parse (l2, m2) -> l1 = l2 && m1 = m2
+  | Invalid, Invalid -> true
+  | _ -> false
+
+let describe = function
+  | Ok _ -> "ok"
+  | Parse (l, m) -> Printf.sprintf "Parse_error line %d: %s" l m
+  | Invalid -> "Invalid_argument"
+  | Other e -> Printexc.to_string e
+
+let check_text ~header text =
+  let lib = outcome (Csv.of_string ~header) text in
+  let ref_ = outcome (Oracle.Csv.of_string ~header) text in
+  let records = outcome Csv.parse_string text in
+  let ref_records = outcome Oracle.Csv.parse_string text in
+  let frames_agree = agree same_frame lib ref_ in
+  let records_agree = agree ( = ) records ref_records in
+  if not (frames_agree && records_agree) then
+    QCheck.Test.fail_reportf "header %b, text %S:\nof_string %s, oracle %s\nparse_string %s, oracle %s"
+      header text (describe lib) (describe ref_) (describe records) (describe ref_records);
+  true
+
+(* ---------------------------------------------------------------- *)
+(* Texts *)
+
+let tricky =
+  [| ""; "NA"; "N/A"; "NaN"; "nan"; "null"; "NULL"; "true"; "True"; "TRUE"; "false";
+     "False"; "FALSE"; "1"; "01"; "1.0"; "+1"; "0x1F"; "31"; "1_000"; "1e3"; "-0"; "-0.0";
+     "0.0"; "inf"; "-nan"; "2024-02-29"; "2023-02-29"; "2024-01-01T00:00:00Z";
+     "2024-01-01 12:30:00"; "v3"; "v12"; "a,b"; "he said \"hi\""; "line\nbreak";
+     "cr\r\nlf"; " x "; "\""; "x\"y"; "\r" |]
+
+(* one column's raw fields: tokens, or > 20 distinct numbers *)
+let column_gen nrows =
+  Gen.oneof
+    [ Gen.array_repeat nrows (Gen.oneofa tricky);
+      Gen.array_repeat nrows
+        (Gen.frequency
+           [ (8, Gen.map string_of_int (Gen.int_range (-500) 500));
+             (4, Gen.map (Printf.sprintf "%.3f") (Gen.float_range (-50.) 50.));
+             (1, Gen.oneofa [| ""; "NA"; "01"; "+7"; "1.0" |]) ]);
+      Gen.array_repeat nrows (Gen.oneofa [| "v1"; "v2"; "v3"; "" |]) ]
+
+(* Quote when needed, and sometimes when not. *)
+let render_field force raw =
+  if force || String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') raw then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' raw) ^ "\""
+  else raw
+
+let table_gen =
+  let open Gen in
+  let* ncols = int_range 1 4 in
+  let* nrows = int_range 0 40 in
+  let* names = array_repeat ncols (oneofa [| "a"; "b"; "c"; "d"; "e"; "f"; "g,h" |]) in
+  let* cols = array_repeat ncols (column_gen nrows) in
+  let* eol = oneofa [| "\n"; "\r\n" |] in
+  let* trailing = bool in
+  let* quote_all = frequency [ (4, return false); (1, return true) ] in
+  let line fields = String.concat "," (Array.to_list (Array.map (render_field quote_all) fields)) in
+  let lines = line names :: List.init nrows (fun i -> line (Array.map (fun c -> c.(i)) cols)) in
+  let text = String.concat eol lines in
+  return (if trailing then text ^ eol else text)
+
+let soup_gen =
+  Gen.string_size ~gen:(Gen.oneofa [| 'a'; '1'; ','; '"'; '\n'; '\r'; ' ' |]) (Gen.int_range 0 30)
+
+let mutate_gen text =
+  let open Gen in
+  let n = String.length text in
+  if n = 0 then return text
+  else
+    let* i = int_bound (n - 1) in
+    oneof
+      [ return (String.sub text 0 i);
+        return (String.sub text 0 i ^ "\"" ^ String.sub text i (n - i));
+        (match String.index_from_opt text i ',' with
+         | Some k -> return (String.sub text 0 k ^ String.sub text (k + 1) (n - k - 1))
+         | None -> return (String.sub text 0 i)) ]
+
+let header_and text_gen =
+  QCheck.make
+    ~print:(fun (h, t) -> Printf.sprintf "header %b, %S" h t)
+    Gen.(pair bool text_gen)
+
+let qcheck_tables =
+  QCheck.Test.make ~name:"reader = oracle on generated tables" ~count:1000
+    (header_and table_gen) (fun (header, text) -> check_text ~header text)
+
+let qcheck_mutated =
+  QCheck.Test.make ~name:"reader = oracle on mutated tables" ~count:1000
+    (header_and Gen.(table_gen >>= mutate_gen))
+    (fun (header, text) -> check_text ~header text)
+
+let qcheck_soup =
+  QCheck.Test.make ~name:"reader = oracle on metacharacter soup" ~count:2000
+    (header_and soup_gen) (fun (header, text) -> check_text ~header text)
+
+(* The kind comparison has teeth: 30 distinct ints sniff as numeric. *)
+let test_numeric_sniffed () =
+  let text =
+    "x,y\n" ^ String.concat "\n" (List.init 30 (fun i -> Printf.sprintf "%d,v%d" i (i mod 3)))
+  in
+  let f = Csv.of_string text in
+  Alcotest.(check bool) "numeric" true
+    (Schema.equal_kind Schema.Numeric (Schema.kind (Frame.schema f) 0));
+  Alcotest.(check bool) "same as oracle" true (same_frame f (Oracle.Csv.of_string text))
+
+(* ---------------------------------------------------------------- *)
+(* The benchmark inputs *)
+
+let test_datasets () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let _, frame = Datagen.Generate.dataset ~n_rows:300 spec in
+      let text = Csv.to_string frame in
+      let name = spec.Datagen.Spec.name in
+      let parsed = Csv.of_string text in
+      Alcotest.(check bool) (name ^ ": whole") true
+        (same_frame parsed (Oracle.Csv.of_string text));
+      (* the daemon's APPEND: extend a loaded base by a parsed delta *)
+      let base = Csv.of_string (Csv.to_string (Frame.head frame 200)) in
+      let delta = Csv.to_string (Frame.take frame (Array.init 100 (fun i -> 200 + i))) in
+      let extended = Frame.extend base (Csv.of_string delta) in
+      Alcotest.(check bool) (name ^ ": extend") true
+        (same_frame extended (Frame.extend base (Oracle.Csv.of_string delta)));
+      Alcotest.(check bool) (name ^ ": extend = whole") true
+        (List.for_all
+           (fun j -> same_column (Frame.column extended j) (Frame.column parsed j))
+           (List.init (Frame.ncols frame) Fun.id)))
+    Datagen.Spec.all
+
+let () =
+  Alcotest.run "csv_differential"
+    [ ( "differential",
+        Alcotest.test_case "numeric sniffed" `Quick test_numeric_sniffed
+        :: List.map QCheck_alcotest.to_alcotest [ qcheck_tables; qcheck_mutated; qcheck_soup ] );
+      ("datasets", [ Alcotest.test_case "benchmark inputs = oracle" `Quick test_datasets ]) ]

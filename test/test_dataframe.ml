@@ -192,6 +192,35 @@ let test_csv_ragged () =
        false
      with Csv.Parse_error _ -> true)
 
+(* A ragged record is reported at the physical line it starts on. *)
+let test_csv_ragged_line () =
+  let line_of ?header text =
+    match Csv.of_string ?header text with
+    | _ -> Alcotest.fail "ragged record accepted"
+    | exception Csv.Parse_error { line; _ } -> line
+  in
+  Alcotest.(check int) "with header" 2 (line_of "a,b\n1\n");
+  Alcotest.(check int) "without header" 2 (line_of ~header:false "a,b\n1\n");
+  Alcotest.(check int) "after a quoted newline" 4 (line_of "a,b\n\"x\ny\",1\n2\n");
+  Alcotest.(check int) "spanning a quoted newline" 2 (line_of "a,b\n\"x\ny\"\n");
+  Alcotest.(check int) "too many fields, CRLF" 3 (line_of "a,b\r\n1,2\r\n3,4,5\r\n")
+
+let test_csv_float_digits () =
+  let schema = Schema.make [ Schema.categorical "x" ] in
+  let f =
+    Frame.of_rows schema
+      [ [| Value.Float (0.1 +. 0.2) |]; [| Value.Float 9007199254740992. |];
+        [| Value.Float 1e300 |]; [| Value.Float (-0.5) |] ]
+  in
+  let back = Csv.of_string (Csv.to_string f) in
+  List.iteri
+    (fun i expected ->
+      Alcotest.(check value) "cell" expected (Frame.get back i 0))
+    [ Value.Float 0.30000000000000004; Value.Float 9007199254740992.;
+      Value.Float 1e300; Value.Float (-0.5) ];
+  Alcotest.(check string) "shortest digits" "x\n0.30000000000000004\n9007199254740992.\n1e+300\n-0.5\n"
+    (Csv.to_string f)
+
 let test_csv_unterminated () =
   Alcotest.(check bool) "unterminated raises" true
     (try
@@ -465,6 +494,34 @@ let qcheck_csv_roundtrip =
              || Value.equal got (Value.of_raw (Value.to_string orig)))
            (List.init (Frame.nrows frame) (fun i -> i)))
 
+(* Floats from raw bits (every exponent), from arithmetic (the digits
+   %.12g drops), and integral ones past 1e15. *)
+let finite_float_gen =
+  QCheck.Gen.(
+    map
+      (fun f -> if Float.is_finite f then f else 0.25)
+      (oneof
+         [ map Int64.float_of_bits ui64;
+           map2 ( +. ) (float_range (-1.) 1.) (float_range (-1.) 1.);
+           map (fun i -> Float.of_int i *. 1024.) int ]))
+
+let qcheck_csv_float_roundtrip =
+  QCheck.Test.make ~name:"csv keeps finite floats bit for bit" ~count:200
+    QCheck.(make ~print:Print.(list float) Gen.(list_size (1 -- 30) finite_float_gen))
+    (fun xs ->
+      let frame =
+        Frame.of_rows (Schema.make [ Schema.numeric "x" ])
+          (List.map (fun x -> [| Value.Float x |]) xs)
+      in
+      let back = Csv.of_string (Csv.to_string frame) in
+      List.for_all
+        (fun i ->
+          match Frame.get frame i 0, Frame.get back i 0 with
+          | Value.Float a, Value.Float b ->
+            Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+          | _ -> false)
+        (List.init (Frame.nrows frame) Fun.id))
+
 let () =
   Alcotest.run "dataframe"
     [
@@ -507,6 +564,8 @@ let () =
           Alcotest.test_case "crlf" `Quick test_csv_crlf;
           Alcotest.test_case "ragged rejected" `Quick test_csv_ragged;
           Alcotest.test_case "unterminated rejected" `Quick test_csv_unterminated;
+          Alcotest.test_case "ragged line numbers" `Quick test_csv_ragged_line;
+          Alcotest.test_case "float digits" `Quick test_csv_float_digits;
         ] );
       ( "split",
         [
@@ -525,7 +584,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_value_roundtrip; qcheck_column_encoding;
-            qcheck_column_cardinality; qcheck_csv_roundtrip;
+            qcheck_column_cardinality; qcheck_csv_roundtrip; qcheck_csv_float_roundtrip;
             qcheck_group_paths_agree; qcheck_group_matches_reference;
             qcheck_group_histograms ] );
     ]
