@@ -1,6 +1,11 @@
-(* The AutoML stand-in (paper §7 uses autogluon): train several model
-   families and predict by majority vote, with the naive-Bayes posterior
-   breaking ties. The public API works directly on dataframes. *)
+(* The AutoML stand-in (paper §7 uses autogluon): naive Bayes and two
+   decision trees vote, with the naive-Bayes posterior breaking ties.
+   The public API works directly on dataframes.
+
+   The two trees are one tree grown [max_depth + 4] deep and read at
+   two depth caps (see {!Decision_tree}). With three voters, a label
+   wins when the trees agree, and naive Bayes decides otherwise, so
+   only the rows whose caps disagree are scored by naive Bayes. *)
 
 module Frame = Dataframe.Frame
 module Value = Dataframe.Value
@@ -8,67 +13,42 @@ module Value = Dataframe.Value
 type t = {
   encoder : Features.t;
   bayes : Naive_bayes.t;
-  tree : Decision_tree.t;
-  deep_tree : Decision_tree.t;
+  tree : Decision_tree.t;   (* grown to [shallow + 4] *)
+  shallow : int;            (* depth cap of the shallow member *)
 }
 
 let train ?(tree_params = Decision_tree.default_params) frame ~label =
   let encoder = Features.fit frame ~label in
-  let xs, ys = Features.encode encoder frame in
-  let cards = Array.init (Features.n_features encoder) (fun _ -> 0) in
-  (* cardinalities come from the encoder's dictionaries (plus unknown) *)
-  let cards =
-    Array.mapi (fun j _ -> Features.unknown_code encoder j + 1) cards
-  in
+  let xs = Features.encode_columns encoder frame in
+  let ys = Features.labels encoder frame in
+  let cards = Features.cards encoder in
   let n_labels = Features.n_labels encoder in
   let bayes = Naive_bayes.train ~cards ~n_labels xs ys in
-  let tree = Decision_tree.train ~params:tree_params ~cards ~n_labels xs ys in
-  let deep_tree =
+  let tree =
     Decision_tree.train
       ~params:{ tree_params with Decision_tree.max_depth = tree_params.Decision_tree.max_depth + 4 }
       ~cards ~n_labels xs ys
   in
-  { encoder; bayes; tree; deep_tree }
+  { encoder; bayes; tree; shallow = tree_params.Decision_tree.max_depth }
 
-let predict_code t x =
-  let votes =
-    [ Naive_bayes.predict t.bayes x;
-      Decision_tree.predict t.tree x;
-      Decision_tree.predict t.deep_tree x ]
-  in
-  let n_labels = Features.n_labels t.encoder in
-  let hist = Array.make n_labels 0 in
-  List.iter (fun y -> hist.(y) <- hist.(y) + 1) votes;
-  let best = ref 0 in
-  Array.iteri (fun y c -> if c > hist.(!best) then best := y) hist;
-  if hist.(!best) > 1 then !best else Naive_bayes.predict t.bayes x
+(* Label values of rows [0 .. n - 1] of [cols]. *)
+let predict t cols n =
+  let out = Array.make n 0 in
+  let split = ref [] in
+  for i = n - 1 downto 0 do
+    let deep = Decision_tree.predict t.tree cols i in
+    if Decision_tree.predict ~cap:t.shallow t.tree cols i = deep then out.(i) <- deep
+    else split := i :: !split
+  done;
+  let split = Array.of_list !split in
+  Array.iteri (fun k y -> out.(split.(k)) <- y) (Naive_bayes.predict t.bayes cols split);
+  Array.map (Features.label_value t.encoder) out
 
 (* Predict the label value of one row of a frame with the same column
    names (the label column may be absent or stale; it is ignored). *)
-let predict_row t frame row =
-  let x = Features.encode_row t.encoder frame row in
-  Features.label_value t.encoder (predict_code t x)
+let predict_row t frame row = (predict t (Features.row_columns t.encoder frame row) 1).(0)
 
-(* Whole-frame prediction runs once per *distinct* feature vector:
-   rows are grouped by their encoded features (the group-by kernel's
-   dense ids), each group's representative is predicted, and the
-   answer is scattered back — identical output to row-by-row
-   prediction at a fraction of the model evaluations. *)
-let predict_frame t frame =
-  let n = Frame.nrows frame in
-  if n = 0 then [||]
-  else begin
-    let cols, g = Features.group_rows t.encoder frame in
-    let d = Array.length cols in
-    let preds =
-      Array.init (Dataframe.Group.n_groups g) (fun gid ->
-          let r = Dataframe.Group.first_row g gid in
-          let x = Array.init d (fun j -> cols.(j).(r)) in
-          Features.label_value t.encoder (predict_code t x))
-    in
-    let ids = Dataframe.Group.ids g in
-    Array.init n (fun i -> preds.(ids.(i)))
-  end
+let predict_frame t frame = predict t (Features.columns t.encoder frame) (Frame.nrows frame)
 
 (* Accuracy against the frame's label column. *)
 let accuracy t frame ~label =

@@ -9,6 +9,8 @@ val train : ?tree_params:Decision_tree.params -> Dataframe.Frame.t -> label:stri
     the label column, if present, is ignored). *)
 val predict_row : t -> Dataframe.Frame.t -> int -> Dataframe.Value.t
 
+(** Predict every row, a feature column at a time; equal to
+    [predict_row] on each row. *)
 val predict_frame : t -> Dataframe.Frame.t -> Dataframe.Value.t array
 
 (** Accuracy against the frame's label column; NaN on empty frames. *)

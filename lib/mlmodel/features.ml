@@ -1,14 +1,18 @@
-(* Feature extraction: dataframe rows -> integer feature vectors.
+(* Feature extraction: dataframe columns -> fitted integer codes.
 
    The encoder is fitted on the training split (dictionary per feature
    column) and maps unseen test-time values to a reserved "unknown" code,
-   so models never see out-of-range inputs. *)
+   so models never see out-of-range inputs. Models read a frame column
+   at a time: each feature is the frame's own code array seen through a
+   remap from the frame's dictionary codes to the fitted codes, so no
+   encoded copy of the frame is made. *)
 
 module Frame = Dataframe.Frame
 module Value = Dataframe.Value
+module Column = Dataframe.Column
 
 type t = {
-  feature_cols : string list;            (* by name: survives re-ordering *)
+  feature_cols : string array;           (* by name: survives re-ordering *)
   label_col : string;
   dicts : (Value.t, int) Hashtbl.t array; (* per feature column *)
   cards : int array;                      (* including the unknown code *)
@@ -16,109 +20,67 @@ type t = {
   label_values : Value.t array;           (* label code -> value *)
 }
 
+type column = { remap : int array; codes : int array }
+
+let get c i = c.remap.(c.codes.(i))
+
 let unknown_code t j = t.cards.(j) - 1
+
+let index_of_dict dict =
+  let h = Hashtbl.create (max 16 (Array.length dict)) in
+  Array.iteri (fun code v -> Hashtbl.replace h v code) dict;
+  h
 
 let fit frame ~label =
   let feature_cols =
-    List.filter (fun n -> n <> label) (Frame.names frame)
+    Array.of_list (List.filter (fun n -> n <> label) (Frame.names frame))
   in
-  let fit_dict name =
-    let col = Frame.column_by_name frame name in
-    let dict = Hashtbl.create 64 in
-    Array.iteri
-      (fun code v -> Hashtbl.replace dict v code)
-      (Dataframe.Column.dict col);
-    dict
-  in
-  let dicts = Array.of_list (List.map fit_dict feature_cols) in
-  let cards =
-    Array.of_list
-      (List.map
-         (fun n ->
-           Dataframe.Column.cardinality (Frame.column_by_name frame n) + 1)
-         feature_cols)
-  in
-  let label_col_data = Frame.column_by_name frame label in
-  let label_dict = Hashtbl.create 16 in
-  Array.iteri
-    (fun code v -> Hashtbl.replace label_dict v code)
-    (Dataframe.Column.dict label_col_data);
+  let dict name = Column.dict (Frame.column_by_name frame name) in
+  let label_values = Array.copy (dict label) in
   {
     feature_cols;
     label_col = label;
-    dicts;
-    cards;
-    label_dict;
-    label_values = Array.copy (Dataframe.Column.dict label_col_data);
+    dicts = Array.map (fun n -> index_of_dict (dict n)) feature_cols;
+    cards = Array.map (fun n -> Array.length (dict n) + 1) feature_cols;
+    label_dict = index_of_dict label_values;
+    label_values;
   }
 
 let n_features t = Array.length t.dicts
 let n_labels t = Array.length t.label_values
+let cards t = Array.copy t.cards
+let feature_names t = Array.to_list t.feature_cols
 let label_value t code = t.label_values.(code)
-
 let label_code t v = Hashtbl.find_opt t.label_dict v
 
-(* Encode one row of any frame sharing the column names. *)
-let encode_row t frame row =
-  Array.of_list
-    (List.mapi
-       (fun j name ->
-         let v = Frame.get_by_name frame row name in
-         match Hashtbl.find_opt t.dicts.(j) v with
-         | Some c -> c
-         | None -> unknown_code t j)
-       t.feature_cols)
+let code t j v =
+  match Hashtbl.find_opt t.dicts.(j) v with
+  | Some c -> c
+  | None -> unknown_code t j
 
-(* Per-column translation table from a frame's own dictionary codes to
-   the fitted codes: one hashtable lookup per *distinct* value instead
-   of one per cell. *)
-let remap_of t j col =
-  Array.map
-    (fun v ->
-      match Hashtbl.find_opt t.dicts.(j) v with
-      | Some c -> c
-      | None -> unknown_code t j)
-    (Dataframe.Column.dict col)
+(* One hashtable lookup per distinct value of the frame's column, none
+   per cell. *)
+let columns t frame =
+  Array.mapi
+    (fun j name ->
+      let col = Frame.column_by_name frame name in
+      { remap = Array.map (code t j) (Column.dict col); codes = Column.codes col })
+    t.feature_cols
 
-(* Column-major encoding: one fitted code array per feature column, the
-   layout the group-by kernel's key encoder consumes directly (see
-   {!group_rows}). *)
+let row_columns t frame row =
+  Array.mapi
+    (fun j name ->
+      { remap = [| code t j (Frame.get_by_name frame row name) |]; codes = [| 0 |] })
+    t.feature_cols
+
 let encode_columns t frame =
-  Array.of_list
-    (List.mapi
-       (fun j name ->
-         let col = Frame.column_by_name frame name in
-         let remap = remap_of t j col in
-         Array.map (fun c -> remap.(c)) (Dataframe.Column.codes col))
-       t.feature_cols)
+  Array.map (fun c -> Array.map (fun k -> c.remap.(k)) c.codes) (columns t frame)
 
-(* Group the frame's rows by their full encoded feature vector via the
-   shared kernel: rows of one group are indistinguishable to any model
-   trained on this encoder, so downstream prediction runs once per
-   group. Returns the column-major encoding alongside the index. *)
-let group_rows t frame =
-  let cols = encode_columns t frame in
-  let g =
-    Dataframe.Group.make (Array.to_list cols) (Array.to_list t.cards)
-      (Frame.nrows frame)
-  in
-  (cols, g)
-
-(* Encode a whole frame: feature matrix plus label codes (labels absent
-   from the training dictionary map to -1). *)
-let encode t frame =
-  let n = Frame.nrows frame in
-  let cols = encode_columns t frame in
-  let d = Array.length cols in
-  let xs = Array.init n (fun i -> Array.init d (fun j -> cols.(j).(i))) in
-  let label_col = Frame.column_by_name frame t.label_col in
-  let label_remap =
+let labels t frame =
+  let col = Frame.column_by_name frame t.label_col in
+  let remap =
     Array.map
-      (fun v ->
-        match Hashtbl.find_opt t.label_dict v with Some c -> c | None -> -1)
-      (Dataframe.Column.dict label_col)
+      (fun v -> Option.value ~default:(-1) (label_code t v))
+      (Column.dict col)
   in
-  let ys =
-    Array.map (fun c -> label_remap.(c)) (Dataframe.Column.codes label_col)
-  in
-  (xs, ys)
+  Array.map (fun c -> remap.(c)) (Column.codes col)

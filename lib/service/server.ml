@@ -198,7 +198,7 @@ let sql_context t ~guard_table =
     (fun (name, (entry : Registry.entry)) ->
       Sqlexec.Exec.register_table ctx name entry.Registry.frame;
       match entry.Registry.model with
-      | Some (label, model) -> Sqlexec.Exec.register_model ctx ~target:label model
+      | Some (label, model) -> Sqlexec.Exec.register_model ctx ~table:name ~target:label model
       | None -> ())
     (Registry.list t.registry);
   (match guard_table with

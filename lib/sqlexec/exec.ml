@@ -31,7 +31,8 @@ exception Runtime_error of string
 
 type context = {
   tables : (string, Frame.t) Hashtbl.t;
-  models : (string, Mlmodel.Ensemble.t) Hashtbl.t;  (* keyed by target name *)
+  (* keyed by (table scope, target name); [None] serves every table *)
+  models : (string option * string, Mlmodel.Ensemble.t) Hashtbl.t;
   (* the installed guard, pre-compiled against its own schema *)
   mutable guard : (Guardrail.Validator.compiled * Guardrail.Validator.strategy) option;
 }
@@ -54,7 +55,7 @@ let create () = { tables = Hashtbl.create 8; models = Hashtbl.create 8; guard = 
 
 let register_table ctx name frame = Hashtbl.replace ctx.tables name frame
 
-let register_model ctx ~target model = Hashtbl.replace ctx.models target model
+let register_model ctx ?table ~target model = Hashtbl.replace ctx.models (table, target) model
 
 let set_guard ctx ?(strategy = Guardrail.Validator.Rectify) compiled =
   ctx.guard <- Some (compiled, strategy)
@@ -259,10 +260,13 @@ let find_table ctx name =
   | Some f -> f
   | None -> raise (Runtime_error (Printf.sprintf "unknown table %S" name))
 
-let find_model ctx target =
-  match Hashtbl.find_opt ctx.models target with
+let find_model ctx ~table target =
+  match Hashtbl.find_opt ctx.models (Some table, target) with
   | Some m -> m
-  | None -> raise (Runtime_error (Printf.sprintf "no model registered for %S" target))
+  | None -> (
+    match Hashtbl.find_opt ctx.models (None, target) with
+    | Some m -> m
+    | None -> raise (Runtime_error (Printf.sprintf "no model registered for %S" target)))
 
 let now () = Unix.gettimeofday ()
 
@@ -403,7 +407,8 @@ let run ctx sql =
       let predictions =
         List.map
           (fun target ->
-            (target, Mlmodel.Ensemble.predict_frame (find_model ctx target) sub))
+            let model = find_model ctx ~table:plan.Plan.table target in
+            (target, Mlmodel.Ensemble.predict_frame model sub))
           plan.Plan.predict_targets
       in
       inference_s := now () -. t1;

@@ -20,7 +20,12 @@ type result = {
 
 val create : unit -> context
 val register_table : context -> string -> Dataframe.Frame.t -> unit
-val register_model : context -> target:string -> Mlmodel.Ensemble.t -> unit
+
+(** Register the model that answers [PREDICT(target)]. With [~table] it
+    answers only queries over that table, ahead of a model registered
+    without one; without [~table] it answers queries over any table. *)
+val register_model :
+  context -> ?table:string -> target:string -> Mlmodel.Ensemble.t -> unit
 
 (** Install a compiled guardrail applied to every row before prediction
     (default strategy: [Rectify]). Queries over tables with the guard's

@@ -12,6 +12,16 @@ module Ensemble = Mlmodel.Ensemble
 let s v = Value.String v
 let value = Alcotest.testable Value.pp Value.equal
 
+(* a frame fitted on its own "label" column: cardinalities, training
+   columns, label codes and the frame's model columns *)
+let encoded frame =
+  let enc = Features.fit frame ~label:"label" in
+  ( Features.cards enc, Features.encode_columns enc frame, Features.labels enc frame,
+    Features.columns enc frame )
+
+(* one feature vector as one-row model columns *)
+let row_cols x = Array.map (fun v -> { Features.remap = [| v |]; codes = [| 0 |] }) x
+
 (* label = AND of two binary features, with a distractor column *)
 let and_frame ?(n = 400) ?(noise = 0.0) () =
   let schema =
@@ -41,8 +51,9 @@ let test_features_encoding () =
   let enc = Features.fit frame ~label:"label" in
   Alcotest.(check int) "3 features" 3 (Features.n_features enc);
   Alcotest.(check int) "2 labels" 2 (Features.n_labels enc);
-  let xs, ys = Features.encode enc frame in
-  Alcotest.(check int) "row count" (Frame.nrows frame) (Array.length xs);
+  let xs = Features.encode_columns enc frame and ys = Features.labels enc frame in
+  Alcotest.(check int) "row count" (Frame.nrows frame) (Array.length xs.(0));
+  Alcotest.(check int) "label count" (Frame.nrows frame) (Array.length ys);
   Alcotest.(check bool) "labels in range" true
     (Array.for_all (fun y -> y >= 0 && y < 2) ys)
 
@@ -51,8 +62,9 @@ let test_features_unknown_value () =
   let enc = Features.fit frame ~label:"label" in
   let schema = Frame.schema frame in
   let odd = Frame.of_rows schema [ [| s "NEVER_SEEN"; s "1"; s "0"; s "yes" |] ] in
-  let x = Features.encode_row enc odd 0 in
-  Alcotest.(check int) "unknown maps to reserved code" (Features.unknown_code enc 0) x.(0)
+  let x = Features.row_columns enc odd 0 in
+  Alcotest.(check int) "unknown maps to reserved code" (Features.unknown_code enc 0)
+    (Features.get x.(0) 0)
 
 let test_features_label_roundtrip () =
   let frame = and_frame () in
@@ -66,24 +78,19 @@ let test_features_label_roundtrip () =
 (* Naive Bayes *)
 
 let test_naive_bayes_learns_and () =
-  let frame = and_frame () in
-  let enc = Features.fit frame ~label:"label" in
-  let xs, ys = Features.encode enc frame in
-  let cards = Array.init 3 (fun j -> Features.unknown_code enc j + 1) in
+  let cards, xs, ys, cols = encoded (and_frame ()) in
+  let rows = Array.init (Array.length ys) Fun.id in
   let nb = Naive_bayes.train ~cards ~n_labels:2 xs ys in
   (* accuracy should dominate the base rate (~75% no) *)
   let correct = ref 0 in
-  Array.iteri (fun i x -> if Naive_bayes.predict nb x = ys.(i) then incr correct) xs;
+  Array.iteri (fun i y -> if y = ys.(i) then incr correct) (Naive_bayes.predict nb cols rows);
   Alcotest.(check bool) "beats base rate" true
-    (float_of_int !correct /. float_of_int (Array.length xs) > 0.80)
+    (float_of_int !correct /. float_of_int (Array.length rows) > 0.80)
 
 let test_naive_bayes_scores_sum () =
-  let frame = and_frame () in
-  let enc = Features.fit frame ~label:"label" in
-  let xs, ys = Features.encode enc frame in
-  let cards = Array.init 3 (fun j -> Features.unknown_code enc j + 1) in
+  let cards, xs, ys, cols = encoded (and_frame ()) in
   let nb = Naive_bayes.train ~cards ~n_labels:2 xs ys in
-  let scores = Naive_bayes.log_scores nb xs.(0) in
+  let scores = Naive_bayes.log_scores nb cols [| 0 |] in
   Alcotest.(check int) "two scores" 2 (Array.length scores);
   Alcotest.(check bool) "finite" true (Array.for_all Float.is_finite scores)
 
@@ -91,21 +98,16 @@ let test_naive_bayes_scores_sum () =
 (* Decision tree *)
 
 let test_tree_learns_and_exactly () =
-  let frame = and_frame () in
-  let enc = Features.fit frame ~label:"label" in
-  let xs, ys = Features.encode enc frame in
-  let cards = Array.init 3 (fun j -> Features.unknown_code enc j + 1) in
+  let cards, xs, ys, cols = encoded (and_frame ()) in
+  let rows = Array.init (Array.length ys) Fun.id in
   let tree = Decision_tree.train ~cards ~n_labels:2 xs ys in
   let correct = ref 0 in
-  Array.iteri (fun i x -> if Decision_tree.predict tree x = ys.(i) then incr correct) xs;
-  Alcotest.(check int) "perfect on noiseless AND" (Array.length xs) !correct;
+  Array.iter (fun i -> if Decision_tree.predict tree cols i = ys.(i) then incr correct) rows;
+  Alcotest.(check int) "perfect on noiseless AND" (Array.length rows) !correct;
   Alcotest.(check bool) "shallow" true (Decision_tree.depth tree <= 4)
 
 let test_tree_depth_cap () =
-  let frame = and_frame ~noise:0.3 () in
-  let enc = Features.fit frame ~label:"label" in
-  let xs, ys = Features.encode enc frame in
-  let cards = Array.init 3 (fun j -> Features.unknown_code enc j + 1) in
+  let cards, xs, ys, _ = encoded (and_frame ~noise:0.3 ()) in
   let tree =
     Decision_tree.train
       ~params:{ Decision_tree.max_depth = 2; min_leaf = 1 } ~cards ~n_labels:2 xs ys
@@ -155,24 +157,18 @@ let qcheck_tree_prediction_total =
   QCheck.Test.make ~name:"tree predicts a valid label for any input" ~count:100
     QCheck.(pair (int_bound 5) (int_bound 5))
     (fun (a, b) ->
-      let frame = and_frame () in
-      let enc = Features.fit frame ~label:"label" in
-      let xs, ys = Features.encode enc frame in
-      let cards = Array.init 3 (fun j -> Features.unknown_code enc j + 1) in
+      let cards, xs, ys, _ = encoded (and_frame ()) in
       let tree = Decision_tree.train ~cards ~n_labels:2 xs ys in
-      let y = Decision_tree.predict tree [| a; b; 0 |] in
+      let y = Decision_tree.predict tree (row_cols [| a; b; 0 |]) 0 in
       y >= 0 && y < 2)
 
 let qcheck_nb_prediction_total =
   QCheck.Test.make ~name:"naive bayes predicts a valid label" ~count:100
     QCheck.(pair (int_bound 5) (int_bound 5))
     (fun (a, b) ->
-      let frame = and_frame () in
-      let enc = Features.fit frame ~label:"label" in
-      let xs, ys = Features.encode enc frame in
-      let cards = Array.init 3 (fun j -> Features.unknown_code enc j + 1) in
+      let cards, xs, ys, _ = encoded (and_frame ()) in
       let nb = Naive_bayes.train ~cards ~n_labels:2 xs ys in
-      let y = Naive_bayes.predict nb [| a; b; 0 |] in
+      let y = (Naive_bayes.predict nb (row_cols [| a; b; 0 |]) [| 0 |]).(0) in
       y >= 0 && y < 2)
 
 let () =

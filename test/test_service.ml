@@ -531,6 +531,44 @@ let test_dispatch_detect_matches_offline () =
       violations
   | _ -> Alcotest.fail "expected detections"
 
+(* Each table's PREDICT answers with the model trained on that table:
+   [b]'s label is the negation of [a]'s, and loading [b] after [a] must
+   not change what a query over [a] predicts. *)
+let test_dispatch_model_per_table () =
+  let srv = make_server () in
+  let table_csv ~negate =
+    "x,y,label\n"
+    ^ String.concat ""
+        (List.init 40 (fun i ->
+             let x = i mod 2 in
+             Printf.sprintf "%d,%d,%s\n" x (i / 2 mod 2)
+               (if (x = 1) <> negate then "yes" else "no")))
+  in
+  let load table ~negate =
+    match
+      Service.Server.handle_request srv
+        (P.Load
+           { table; csv = table_csv ~negate; program = None; model_label = Some "label" })
+    with
+    | P.Loaded { rows = 40; _ } -> ()
+    | _ -> Alcotest.failf "load %s failed" table
+  in
+  let predict table =
+    let query =
+      Printf.sprintf "SELECT x, PREDICT(label) FROM %s WHERE y = 0 LIMIT 2" table
+    in
+    match Service.Server.handle_request srv (P.Sql { query; guard_table = None }) with
+    | P.Sql_result { csv; _ } -> csv
+    | P.Error_reply msg -> Alcotest.fail msg
+    | _ -> Alcotest.fail "expected an SQL result"
+  in
+  load "a" ~negate:false;
+  let before = predict "a" in
+  Alcotest.(check string) "a's own model" "x,label_pred\n0,no\n1,yes\n" before;
+  load "b" ~negate:true;
+  Alcotest.(check string) "a after loading b" before (predict "a");
+  Alcotest.(check string) "b's own model" "x,label_pred\n0,yes\n1,no\n" (predict "b")
+
 (* ------------------------------------------------------------------ *)
 (* Loopback integration: daemon + concurrent clients vs offline results *)
 
@@ -1015,6 +1053,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_dispatch_errors;
           Alcotest.test_case "detect matches offline" `Quick
             test_dispatch_detect_matches_offline;
+          Alcotest.test_case "model per table" `Quick test_dispatch_model_per_table;
         ] );
       ( "loopback",
         [
