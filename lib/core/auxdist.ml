@@ -8,16 +8,18 @@
 
    Sampling all O(n²) row pairs is wasteful; the paper adopts FDX's
    circular-shift trick: for shift s, pair row i with row (i + s) mod n,
-   giving n near-independent pairs per shift. *)
+   giving n near-independent pairs per shift.
+
+   The indicators are stored bit-packed ({!Stat.Bits}), so every CI test
+   over them is a run of word ANDs and popcounts
+   ({!Stat.Bits.conditional}). *)
 
 module Frame = Dataframe.Frame
 
-type samples = {
-  columns : int array array;  (* one binary 0/1 array per attribute *)
-  cards : int list;           (* all 2 *)
-  n_samples : int;
-  design_scale : float;       (* rows / samples: non-iid deflation factor *)
-}
+(* per attribute: a bit-packed 0/1 column, or the dictionary codes *)
+type data = Indicators of int array array | Codes of int array array
+
+type samples = { data : data; cards : int list; n_samples : int }
 
 (* Binary samples over the given columns of a frame. *)
 let circular_shift ?(max_shifts = 7) ?(max_samples = 60_000) frame cols =
@@ -33,28 +35,21 @@ let circular_shift ?(max_shifts = 7) ?(max_samples = 60_000) frame cols =
   let shifts = min max_shifts (n - 1) in
   let per_shift = n in
   let total = min (shifts * per_shift) max_samples in
-  let columns = Array.init m (fun _ -> Array.make total 0) in
-  let out = ref 0 in
-  let s = ref 1 in
-  while !out < total && !s <= shifts do
-    let i = ref 0 in
-    while !out < total && !i < n do
-      let j = (!i + !s) mod n in
-      for k = 0 to m - 1 do
-        columns.(k).(!out) <-
-          (if code_arrays.(k).(!i) = code_arrays.(k).(j) then 1 else 0)
-      done;
-      incr out;
-      incr i
-    done;
-    incr s
-  done;
-  {
-    columns;
-    cards = List.init m (fun _ -> 2);
-    n_samples = total;
-    design_scale = 1.0;  (* callers may deflate via Stat.Ci's stat_scale *)
-  }
+  (* sample (s - 1) * n + i pairs row i with row (i + s) mod n *)
+  let indicators (codes : int array) =
+    let i = ref 0 and s = ref 1 in
+    Stat.Bits.init total (fun _ ->
+        let j = if !i + !s < n then !i + !s else !i + !s - n in
+        let agree = codes.(!i) = codes.(j) in
+        if !i = n - 1 then begin
+          i := 0;
+          incr s
+        end
+        else incr i;
+        agree)
+  in
+  let words = Array.map indicators code_arrays in
+  { data = Indicators words; cards = List.init m (fun _ -> 2); n_samples = total }
 
 (* The identity "sampler": raw dictionary codes, used by the Table 8
    ablation. High-cardinality attributes make the downstream CI tests
@@ -65,7 +60,12 @@ let identity frame cols =
       (List.map (fun c -> Array.copy (Frame.attr_codes frame c)) cols)
   in
   let cards = List.map (fun c -> Frame.attr_card frame c) cols in
-  { columns; cards; n_samples = Frame.nrows frame; design_scale = 1.0 }
+  { data = Codes columns; cards; n_samples = Frame.nrows frame }
+
+let columns samples =
+  match samples.data with
+  | Indicators words -> Array.map (Stat.Bits.unpack samples.n_samples) words
+  | Codes columns -> columns
 
 (* CI oracle over sampled columns for the PC algorithm: is variable i
    independent of variable j given the variables in [cond]?
@@ -78,27 +78,24 @@ let identity frame cols =
    work done; hit/miss counts land in [Obs.Metric.default]. *)
 let ci_oracle ?(alpha = 0.01) ?(max_strata = 4096) ?(min_effect = 0.0) samples =
   let cards = Array.of_list samples.cards in
-  (* one validated spec per variable pair; the pure Ci.test below is safe
-     to call from several domains at once (parallel PC skeleton) *)
-  let spec =
-    Stat.Ci.make ~max_strata ~min_effect ~stat_scale:samples.design_scale
-      ~alpha ~kx:2 ~ky:2 ()
-  in
-  (* Conditioning-set group index, shared across tests and PC levels:
-     stable-PC revisits the same set S for many (i, j) pairs, so the
-     stratification is computed once per distinct S. Sets past the
-     [max_strata] cap are never grouped — Ci.test gives up on them
-     before looking at the data. *)
-  let group_cache =
-    Dataframe.Group.Cache.create ~codes:samples.columns ~cards ()
-  in
-  let groups_for cond =
-    match
-      Dataframe.Group.strata_count ~cap:max_strata
-        (List.map (fun k -> cards.(k)) cond)
-    with
-    | None -> None
-    | Some _ -> Some (Dataframe.Group.Cache.get group_cache cond)
+  (* one validated spec; the tests below are pure and safe to call from
+     several domains at once (parallel PC skeleton) *)
+  let spec = Stat.Ci.make ~max_strata ~min_effect ~alpha ~kx:2 ~ky:2 () in
+  let test =
+    match samples.data with
+    | Indicators words ->
+      fun i j cond ->
+        Stat.Ci.evaluate spec
+          (Stat.Bits.conditional ~max_strata
+             ~n:samples.n_samples words.(i) words.(j)
+             (List.map (fun k -> words.(k)) cond))
+    | Codes columns ->
+      fun i j cond ->
+        Stat.Ci.test
+          { spec with Stat.Ci.kx = cards.(i); ky = cards.(j) }
+          columns.(i) columns.(j)
+          (List.map (fun k -> columns.(k)) cond)
+          (List.map (fun k -> cards.(k)) cond)
   in
   let memo : (int * int * int list, bool) Hashtbl.t = Hashtbl.create 256 in
   let memo_mutex = Mutex.create () in
@@ -119,14 +116,7 @@ let ci_oracle ?(alpha = 0.01) ?(max_strata = 4096) ?(min_effect = 0.0) samples =
       independent
     | None ->
       Obs.Metric.incr misses;
-      let spec = { spec with Stat.Ci.kx = cards.(i); ky = cards.(j) } in
-      let r =
-        Stat.Ci.test spec ?groups:(groups_for cond) samples.columns.(i)
-          samples.columns.(j)
-          (List.map (fun k -> samples.columns.(k)) cond)
-          (List.map (fun k -> cards.(k)) cond)
-      in
-      let independent = r.Stat.Ci.independent in
+      let independent = (test i j cond).Stat.Ci.independent in
       Mutex.lock memo_mutex;
       Hashtbl.replace memo key independent;
       Mutex.unlock memo_mutex;

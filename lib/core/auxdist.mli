@@ -1,11 +1,15 @@
 (** Auxiliary binary distribution (paper Def. 4.5) and its circular-shift
     sampler (§4.6). *)
 
+(** The sampled columns: bit-packed 0/1 indicators ({!Stat.Bits}) from
+    {!circular_shift}, dictionary codes from {!identity}. Read them as
+    int arrays with {!columns}. *)
+type data
+
 type samples = {
-  columns : int array array;  (** one 0/1 array per attribute *)
-  cards : int list;           (** per-attribute cardinalities *)
+  data : data;
+  cards : int list;  (** per-attribute cardinalities (all 2 for indicators) *)
   n_samples : int;
-  design_scale : float;       (** rows / samples: non-iid deflation factor *)
 }
 
 (** Binary indicator samples over the given columns; raises
@@ -15,6 +19,10 @@ val circular_shift :
 
 (** Raw dictionary codes (the Table 8 ablation baseline). *)
 val identity : Dataframe.Frame.t -> int list -> samples
+
+(** One int array per attribute, [n_samples] long: indicators unpacked
+    to 0/1, codes as stored. *)
+val columns : samples -> int array array
 
 (** Conditional-independence oracle over the samples, for {!Pgm.Pc}. *)
 val ci_oracle :

@@ -111,20 +111,25 @@ let with_pool ?pool (config : Config.t) f =
           f (Some p))
     end
 
-let learn_cpdag ?(config = Config.default) ?pool frame cols =
-  let frame = prepare_frame config frame in
+(* The samples PC learns from and the memoized CI oracle over them. The
+   auxiliary sampler pairs rows, so a frame with fewer than two rows
+   falls back to the identity sampler. *)
+let samples_and_oracle (config : Config.t) frame cols =
   let samples =
     match config.Config.sampler with
-    | Config.Auxiliary ->
+    | Config.Auxiliary when Frame.nrows frame >= 2 ->
       Auxdist.circular_shift ~max_shifts:config.Config.max_shifts
         ~max_samples:config.Config.max_samples frame cols
-    | Config.Identity -> Auxdist.identity frame cols
+    | Config.Auxiliary | Config.Identity -> Auxdist.identity frame cols
   in
-  let oracle =
+  ( samples,
     Auxdist.ci_oracle ~alpha:config.Config.alpha
       ~max_strata:config.Config.max_strata
-      ~min_effect:config.Config.min_effect samples
-  in
+      ~min_effect:config.Config.min_effect samples )
+
+let learn_cpdag ?(config = Config.default) ?pool frame cols =
+  let frame = prepare_frame config frame in
+  let _, oracle = samples_and_oracle config frame cols in
   with_pool ?pool config (fun pool ->
       let cpdag, _sepsets =
         Pgm.Pc.cpdag ~n:(List.length cols) ~max_cond:config.Config.max_cond
@@ -157,18 +162,9 @@ let run ?(config = Config.default) ?pool frame =
         [ ("jobs", string_of_int n_jobs); ("vars", string_of_int n_vars) ])
     @@ fun () ->
     root_id := Obs.Span.current_id ();
-    let samples =
+    let samples, base_oracle =
       Obs.Span.with_ "sampling" @@ fun () ->
-      match config.Config.sampler with
-      | Config.Auxiliary when Frame.nrows frame >= 2 ->
-        Auxdist.circular_shift ~max_shifts:config.Config.max_shifts
-          ~max_samples:config.Config.max_samples frame cols
-      | Config.Auxiliary | Config.Identity -> Auxdist.identity frame cols
-    in
-    let base_oracle =
-      Auxdist.ci_oracle ~alpha:config.Config.alpha
-        ~max_strata:config.Config.max_strata
-        ~min_effect:config.Config.min_effect samples
+      samples_and_oracle config frame cols
     in
     let oracle i j cond =
       timed_task structure_work (fun () -> base_oracle i j cond) ()
@@ -198,7 +194,7 @@ let run ?(config = Config.default) ?pool frame =
           Obs.Span.with_ "structure" @@ fun () ->
           let data =
             Pgm.Score.data_of ~cards:samples.Auxdist.cards
-              (Array.to_list samples.Auxdist.columns)
+              (Array.to_list (Auxdist.columns samples))
           in
           Pgm.Score.hill_climb data
         in

@@ -1,0 +1,27 @@
+(** Bit-packed 0/1 columns, 62 samples to an OCaml int word.
+
+    Sample [i] of an [n]-sample column is bit [i mod 62] of word
+    [i / 62]; bits past [n] are zero, and words are never negative. *)
+
+(** [init n f]: the [n]-sample column whose sample [i] is 1 iff [f i];
+    calls [f 0], [f 1], ..., [f (n - 1)] in that order. *)
+val init : int -> (int -> bool) -> int array
+
+(** [unpack n ws] is the [n]-sample column as one 0/1 int per sample. *)
+val unpack : int -> int array -> int array
+
+(** Set bits of a non-negative word. *)
+val popcount : int -> int
+
+(** [conditional ~max_strata ~n xs ys zs] is
+    [Contingency.conditional ~kx:2 ~ky:2 ~max_strata] of the unpacked
+    [n]-sample columns, with cardinality 2 for every conditioning column
+    [zs]: the same tables in the same order, and [None] in the same
+    cases. *)
+val conditional :
+  max_strata:int ->
+  n:int ->
+  int array ->
+  int array ->
+  int array list ->
+  Contingency.table list option

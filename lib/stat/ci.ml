@@ -2,17 +2,19 @@
 
    One [spec] record carries everything a test needs besides the data
    itself: the statistic kind, the significance level, the stratum cap,
-   the effect-size floor, the design-effect deflation and the variable
-   cardinalities. The record replaces the eight positional/optional
-   arguments the old [Independence.ci_test] took — call sites build a
-   spec once with {!make} and reuse it across tests of the same pair.
+   the effect-size floor and the variable cardinalities. Call sites
+   build a spec once with {!make} and reuse it across tests of the same
+   pair.
 
    The test itself is the classical stratified chi-square (or G) test:
    compute the two-way statistic inside every stratum of the
    conditioning set, sum statistics and degrees of freedom, and compare
    against the chi-square survival function. Degrees of freedom inside a
    stratum only count rows/columns with non-zero marginals, which keeps
-   sparse tables honest. *)
+   sparse tables honest. Counting the tables ([Contingency.conditional]
+   over int codes, [Bits.conditional] over packed bits) is separate from
+   judging them ([evaluate]), so both count sources share one statistic
+   path. *)
 
 type statistic = Chi_square | G_test
 
@@ -23,20 +25,18 @@ type spec = {
   alpha : float;        (* significance level *)
   max_strata : int;     (* conditioning-stratum cap (curse of dimensionality) *)
   min_effect : float;   (* Cramér's-V floor (large-sample guard) *)
-  stat_scale : float;   (* design-effect deflation for non-iid samples *)
   kx : int;             (* cardinality of the first variable *)
   ky : int;             (* cardinality of the second variable *)
 }
 
 let make ?(kind = Chi_square) ?(max_strata = 4096) ?(min_effect = 0.0)
-    ?(stat_scale = 1.0) ~alpha ~kx ~ky () =
+    ~alpha ~kx ~ky () =
   if not (alpha > 0.0 && alpha < 1.0) then
     invalid_arg "Ci.make: alpha must be in (0, 1)";
   if max_strata < 1 then invalid_arg "Ci.make: max_strata must be >= 1";
   if min_effect < 0.0 then invalid_arg "Ci.make: min_effect must be >= 0";
-  if not (stat_scale > 0.0) then invalid_arg "Ci.make: stat_scale must be > 0";
   if kx < 1 || ky < 1 then invalid_arg "Ci.make: cardinalities must be >= 1";
-  { kind; alpha; max_strata; min_effect; stat_scale; kx; ky }
+  { kind; alpha; max_strata; min_effect; kx; ky }
 
 (* Statistic and df of one table; tables with fewer than two non-empty rows
    or columns contribute nothing. *)
@@ -76,35 +76,28 @@ let effect_size ~kx ~ky ~n stat =
 
 let independent_result = { stat = 0.0; df = 0; p_value = 1.0; independent = true }
 
-(* Registered lazily so merely linking stat doesn't populate the
-   default registry. [tests] counts every call; [conservative] counts
-   the no-usable-signal early returns (stratum cap hit or all-degenerate
-   tables) where independence is declared without evidence. *)
-let tests_counter =
-  lazy (Obs.Metric.counter Obs.Metric.default "ci.tests")
-
-let conservative_counter =
-  lazy (Obs.Metric.counter Obs.Metric.default "ci.conservative")
+(* [tests] counts every test; [conservative] counts the
+   no-usable-signal returns (stratum cap hit or all-degenerate tables)
+   where independence is declared without evidence. Both are looked up
+   on use, so merely linking stat doesn't populate the default registry:
+   the registry's get-or-create is domain-safe, whereas two domains
+   forcing one [lazy] at once (the parallel PC skeleton) raise
+   [CamlinternalLazy.Undefined]. *)
+let count name = Obs.Metric.incr (Obs.Metric.counter Obs.Metric.default name)
 
 let conservative () =
-  Obs.Metric.incr (Lazy.force conservative_counter);
+  count "ci.conservative";
   independent_result
 
-(* Conditional test: sum per-stratum statistics and dfs. When the stratum
-   space exceeds [max_strata], or no stratum has enough data, we
-   conservatively declare independence: with no usable signal, the PC
-   algorithm should not keep an edge. This mirrors the "identity sampler
-   becomes unusable on high-cardinality data" failure mode of the paper's
-   ablation (Table 8). [stat_scale] deflates the summed statistic before
-   the significance and effect-size checks — the design-effect correction
-   for non-iid samples (the circular-shift sampler reuses every row once
-   per shift). *)
-let test spec ?groups xs ys cond_codes cond_cards =
-  Obs.Metric.incr (Lazy.force tests_counter);
-  match
-    Contingency.conditional ~kx:spec.kx ~ky:spec.ky ~max_strata:spec.max_strata
-      ?groups xs ys cond_codes cond_cards
-  with
+(* Judge stratified tables: sum per-stratum statistics and dfs. When
+   there are no tables (the stratum space exceeded [max_strata]), or no
+   stratum has enough data, we conservatively declare independence: with
+   no usable signal, the PC algorithm should not keep an edge. This
+   mirrors the "identity sampler becomes unusable on high-cardinality
+   data" failure mode of the paper's ablation (Table 8). *)
+let evaluate spec tables =
+  count "ci.tests";
+  match tables with
   | None -> conservative ()
   | Some tables ->
     let stat, df, n =
@@ -116,8 +109,6 @@ let test spec ?groups xs ys cond_codes cond_cards =
     in
     if df = 0 then conservative ()
     else begin
-      let stat = stat *. spec.stat_scale in
-      let n = int_of_float (float_of_int n *. spec.stat_scale) in
       let p_value = Special.chi2_sf ~df stat in
       let effect = effect_size ~kx:spec.kx ~ky:spec.ky ~n stat in
       {
@@ -127,3 +118,8 @@ let test spec ?groups xs ys cond_codes cond_cards =
         independent = p_value > spec.alpha || effect < spec.min_effect;
       }
     end
+
+let test spec xs ys cond_codes cond_cards =
+  evaluate spec
+    (Contingency.conditional ~kx:spec.kx ~ky:spec.ky ~max_strata:spec.max_strata
+       xs ys cond_codes cond_cards)

@@ -1,8 +1,8 @@
 (** Conditional-independence testing, spec-record API.
 
     A {!spec} bundles every parameter of a stratified CI test besides
-    the data itself; build one with {!make} and run it with {!test} —
-    the only conditional-test entry point. *)
+    the data itself; build one with {!make} and run it with {!test}, or
+    judge tables counted elsewhere with {!evaluate}. *)
 
 type statistic = Chi_square | G_test
 
@@ -13,7 +13,6 @@ type spec = {
   alpha : float;       (** significance level, in (0, 1) *)
   max_strata : int;    (** conditioning-stratum cap *)
   min_effect : float;  (** Cramér's-V floor (large-sample guard) *)
-  stat_scale : float;  (** design-effect deflation for non-iid samples *)
   kx : int;            (** cardinality of the first variable *)
   ky : int;            (** cardinality of the second variable *)
 }
@@ -21,12 +20,11 @@ type spec = {
 (** Smart constructor; validates ranges and raises [Invalid_argument]
     on a spec no test could honour (alpha outside (0, 1), non-positive
     cardinalities, ...). Defaults: [Chi_square], [max_strata = 4096],
-    [min_effect = 0.0], [stat_scale = 1.0]. *)
+    [min_effect = 0.0]. *)
 val make :
   ?kind:statistic ->
   ?max_strata:int ->
   ?min_effect:float ->
-  ?stat_scale:float ->
   alpha:float ->
   kx:int ->
   ky:int ->
@@ -40,20 +38,22 @@ val table_stat : statistic -> Contingency.table -> float * int
 (** Cramér's-V-style effect size of a summed statistic. *)
 val effect_size : kx:int -> ky:int -> n:int -> float -> float
 
-(** [test spec xs ys cond_codes cond_cards] is the stratified test of
-    [xs ⊥ ys | cond]. When the stratum space exceeds [spec.max_strata]
-    or carries no signal, reports independence (the PC algorithm then
-    drops the edge) — the failure mode of the identity sampler in
-    Table 8 of the paper. [groups] supplies a precomputed group index
-    over the conditioning columns (typically from a
-    {!Dataframe.Group.Cache} shared across the tests of one sample
-    matrix), skipping the per-call stratification. Pure and safe to
-    call concurrently from several domains. Increments the [ci.tests]
-    counter (and [ci.conservative] on the no-usable-signal path) in
+(** [evaluate spec tables] judges stratified tables of [xs ⊥ ys | cond]
+    (as {!Contingency.conditional} or {!Bits.conditional}
+    count them): statistics and dfs summed over the tables in list
+    order. [None] (the stratum space exceeded [spec.max_strata]) or
+    tables without signal report independence (the PC algorithm then
+    drops the edge) — the failure mode of the identity sampler in Table
+    8 of the paper. Increments the [ci.tests] counter (and
+    [ci.conservative] on the no-usable-signal path) in
     [Obs.Metric.default]. *)
+val evaluate : spec -> Contingency.table list option -> result
+
+(** [test spec xs ys cond_codes cond_cards] is [evaluate] of the
+    {!Contingency.conditional} tables of int codes. Pure and safe to
+    call concurrently from several domains. *)
 val test :
   spec ->
-  ?groups:Dataframe.Group.t ->
   int array ->
   int array ->
   int array list ->

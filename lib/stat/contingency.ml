@@ -4,10 +4,9 @@
    structure learning and the FD baselines' violation counting.
 
    Stratification is delegated to the shared group-by kernel
-   [Dataframe.Group]: [strata] is a thin wrapper over its mixed-radix
-   encoder, and [conditional] counts each stratum's two-way table off a
-   dense CSR group index — which callers that test many conditioning
-   sets over one sample matrix can precompute and cache. *)
+   [Dataframe.Group]: [conditional] counts each stratum's two-way table
+   off a dense group index. [Bits.conditional] counts the same tables
+   for bit-packed 0/1 columns. *)
 
 module Group = Dataframe.Group
 
@@ -57,30 +56,20 @@ let extend t ~kx ~ky xs ys ~base =
   done;
   { counts; kx; ky; total = n }
 
-(* Mixed-radix stratum identifier for a conditioning set: the group-by
-   kernel's encoder with the historical [max_strata] product-cap
-   semantics ([None] when exceeded, so tests can declare themselves
-   underpowered instead of allocating huge tables). *)
-let strata = Group.strata
+(* Cap on distinct strata x kx x ky: very high-cardinality variables
+   would otherwise demand gigabytes — the practical reason
+   identity-sampled CI tests collapse on such data (paper Table 8). *)
+let max_cells = 4_000_000
 
 (* Stratified two-way tables: one per non-empty stratum of the conditioning
-   set, in first-occurrence order of the strata. [max_cells] bounds the
-   total allocation (distinct strata x kx x ky): very high-cardinality
-   variables would otherwise demand gigabytes — the practical reason
-   identity-sampled CI tests collapse on such data (paper Table 8).
-   [groups] short-circuits the grouping with a precomputed (typically
-   cached) index over the conditioning columns. *)
-let conditional ~kx ~ky ~max_strata ?(max_cells = 4_000_000) ?groups xs ys
-    cond_codes cond_cards =
+   set, in first-occurrence order of the strata; [None] past the
+   [max_strata] or [max_cells] cap. *)
+let conditional ~kx ~ky ~max_strata xs ys cond_codes cond_cards =
   let n = Array.length xs in
   match Group.strata_count ~cap:max_strata cond_cards with
   | None -> None
   | Some _ ->
-    let g =
-      match groups with
-      | Some g -> g
-      | None -> Group.make cond_codes cond_cards n
-    in
+    let g = Group.make cond_codes cond_cards n in
     let n_groups = Group.n_groups g in
     if n_groups * kx * ky > max_cells then None
     else begin

@@ -20,24 +20,17 @@ val two_way : kx:int -> ky:int -> int array -> int array -> table
 val extend :
   table -> kx:int -> ky:int -> int array -> int array -> base:int -> table
 
-(** Per-row stratum ids of a conditioning set (mixed radix), or [None] when
-    the stratum count would exceed [max_strata]. A thin wrapper over
-    {!Dataframe.Group.strata}. *)
-val strata :
-  max_strata:int -> int array list -> int list -> int -> (int array * int) option
+(** Cap on the cells (distinct strata x kx x ky) of one {!conditional}
+    call: 4e6. *)
+val max_cells : int
 
 (** One two-way table per non-empty stratum of the conditioning set (in
     first-occurrence order), or [None] when the stratum space exceeds
-    [max_strata] or the total cell allocation exceeds [max_cells]
-    (default 4e6). [groups] supplies a precomputed group index over the
-    conditioning columns (e.g. from a {!Dataframe.Group.Cache}),
-    skipping the per-call grouping. *)
+    [max_strata] or the total cell allocation exceeds {!max_cells}. *)
 val conditional :
   kx:int ->
   ky:int ->
   max_strata:int ->
-  ?max_cells:int ->
-  ?groups:Dataframe.Group.t ->
   int array ->
   int array ->
   int array list ->

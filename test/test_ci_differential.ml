@@ -1,0 +1,218 @@
+(* Differential suite for the bit-packed CI path.
+
+   - Kernel: [Stat.Bits.conditional] on packed 0/1 columns must count
+     exactly the tables [Stat.Contingency.conditional] counts on the
+     unpacked columns (same strata, same order, [None] in the same
+     cases), and [Stat.Ci.evaluate] of them must equal [Stat.Ci.test]:
+     the whole result, floats compared by bits, and the same
+     [ci.tests] / [ci.conservative] deltas.
+   - Sampler: [Guardrail.Auxdist.circular_shift] must unpack to the
+     int-per-sample [Oracle.Auxdist] sampler, and [Auxdist.ci_oracle]
+     must answer as [Stat.Ci.test] on the unpacked columns.
+
+   Generated cases hold n on and around word edges (1, 61, 62, 63,
+   124, 125) or random up to 2,000; 2-6 columns, some constant, some
+   duplicating or noisily copying an earlier one; conditioning sets of
+   0-3 columns in any order (repeats allowed); max_strata 1-8; both
+   statistics; random alpha and effect floors. The 12 benchmark
+   datasets are pinned at 300 rows. *)
+
+module Frame = Dataframe.Frame
+module Bits = Stat.Bits
+module Ci = Stat.Ci
+module Contingency = Stat.Contingency
+module Rng = Stat.Rng
+module Auxdist = Guardrail.Auxdist
+
+let failf fmt = Printf.ksprintf failwith fmt
+
+let counter name =
+  Obs.Metric.counter_value (Obs.Metric.counter Obs.Metric.default name)
+
+(* [f ()] and its ([ci.tests], [ci.conservative]) deltas *)
+let counted f =
+  let t0 = counter "ci.tests" and c0 = counter "ci.conservative" in
+  let r = f () in
+  (r, (counter "ci.tests" - t0, counter "ci.conservative" - c0))
+
+let pack col = Bits.init (Array.length col) (fun i -> col.(i) = 1)
+
+let same_result (a : Ci.result) (b : Ci.result) =
+  Int64.bits_of_float a.stat = Int64.bits_of_float b.stat
+  && a.df = b.df
+  && Int64.bits_of_float a.p_value = Int64.bits_of_float b.p_value
+  && a.independent = b.independent
+
+let pp_result (r : Ci.result) =
+  Printf.sprintf "{stat %h; df %d; p %h; independent %b}" r.stat r.df r.p_value
+    r.independent
+
+(* Verdicts the generator reached: the stratum cap, no usable signal,
+   dependent, independent with signal. *)
+let reached = Array.make 4 0
+
+(* ---------------------------------------------------------------- *)
+(* Kernel *)
+
+let check_test spec ~n cols i j cond =
+  let xs = cols.(i) and ys = cols.(j) in
+  let zs = List.map (fun k -> cols.(k)) cond in
+  let packed = Array.map pack cols in
+  let pzs = List.map (fun k -> packed.(k)) cond in
+  let max_strata = spec.Ci.max_strata in
+  let tables =
+    Contingency.conditional ~kx:2 ~ky:2 ~max_strata xs ys zs
+      (List.map (fun _ -> 2) zs)
+  in
+  let ptables = Bits.conditional ~max_strata ~n packed.(i) packed.(j) pzs in
+  if ptables <> tables then failf "tables differ";
+  let expected, expected_counts =
+    counted (fun () -> Ci.test spec xs ys zs (List.map (fun _ -> 2) zs))
+  in
+  let r, r_counts = counted (fun () -> Ci.evaluate spec ptables) in
+  if not (same_result r expected) then
+    failf "result %s, Ci.test %s" (pp_result r) (pp_result expected);
+  if r_counts <> expected_counts then
+    failf "ci.tests / ci.conservative deltas differ";
+  let verdict =
+    match tables with
+    | None -> 0
+    | Some _ when r.df = 0 -> 1
+    | Some _ -> if r.independent then 3 else 2
+  in
+  reached.(verdict) <- reached.(verdict) + 1
+
+let edge_sizes = [| 1; 61; 62; 63; 124; 125 |]
+
+let random_columns rng =
+  let n =
+    if Rng.bool rng then edge_sizes.(Rng.int rng (Array.length edge_sizes))
+    else 1 + Rng.int rng 2000
+  in
+  let m = 2 + Rng.int rng 5 in
+  let cols = Array.make m [||] in
+  for k = 0 to m - 1 do
+    cols.(k) <-
+      (match Rng.int rng 5 with
+      | 0 -> Array.make n (Rng.int rng 2)
+      | 1 when k > 0 -> Array.copy cols.(Rng.int rng k)
+      | 2 when k > 0 ->
+        let src = cols.(Rng.int rng k) and flip = Rng.float rng *. 0.3 in
+        Array.map (fun v -> if Rng.float rng < flip then 1 - v else v) src
+      | _ ->
+        let p = Rng.float rng in
+        Array.init n (fun _ -> if Rng.float rng < p then 1 else 0))
+  done;
+  (n, cols)
+
+let qcheck_kernel =
+  QCheck.Test.make ~name:"packed kernel = Ci.test" ~count:1000 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n, cols = random_columns rng in
+      let m = Array.length cols in
+      let kind = if Rng.bool rng then Ci.Chi_square else Ci.G_test in
+      let spec =
+        Ci.make ~kind
+          ~max_strata:(1 + Rng.int rng 8)
+          ~min_effect:(if Rng.bool rng then 0.0 else Rng.float rng *. 0.3)
+          ~alpha:(0.001 +. (Rng.float rng *. 0.998))
+          ~kx:2 ~ky:2 ()
+      in
+      for _ = 1 to 4 do
+        let i = Rng.int rng m and j = Rng.int rng m in
+        let cond = List.init (Rng.int rng 4) (fun _ -> Rng.int rng m) in
+        check_test spec ~n cols i j cond
+      done;
+      true)
+
+let test_generator_reaches_verdicts () =
+  Array.iteri
+    (fun v c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "verdict %d reached" v) true (c > 0))
+    reached
+
+let test_bits_layout () =
+  List.iter
+    (fun n ->
+      let rng = Rng.create n in
+      let col = Array.init n (fun _ -> Rng.int rng 2) in
+      let ws = pack col in
+      Alcotest.(check int) "words" ((n + 61) / 62) (Array.length ws);
+      Alcotest.(check (array int)) "unpack . pack" col (Bits.unpack n ws);
+      Array.iteri
+        (fun w word ->
+          let bits = List.init (min 62 (n - (w * 62))) (fun b -> col.((w * 62) + b)) in
+          Alcotest.(check int) "word = samples, low bit first"
+            (List.fold_right (fun b acc -> (2 * acc) + b) bits 0) word;
+          Alcotest.(check int) "popcount" (List.fold_left ( + ) 0 bits) (Bits.popcount word))
+        ws)
+    [ 0; 1; 61; 62; 63; 124; 125; 1000 ];
+  Alcotest.(check int) "full word" max_int (pack (Array.make 62 1)).(0);
+  Alcotest.(check int) "popcount full" 62 (Bits.popcount max_int)
+
+(* ---------------------------------------------------------------- *)
+(* Sampler and oracle on the benchmark datasets *)
+
+let dataset spec =
+  let _, frame = Datagen.Generate.dataset ~n_rows:300 spec in
+  let frame = Frame.ensure_domains ~bins:8 frame in
+  (frame, Guardrail.Synthesize.eligible_columns frame)
+
+let check_sampler ~max_shifts ~max_samples frame cols =
+  let samples = Auxdist.circular_shift ~max_shifts ~max_samples frame cols in
+  let expected = Oracle.Auxdist.circular_shift ~max_shifts ~max_samples frame cols in
+  Alcotest.(check int) "n_samples" (Array.length expected.(0)) samples.Auxdist.n_samples;
+  Alcotest.(check (list int)) "cards" (List.map (fun _ -> 2) cols) samples.Auxdist.cards;
+  Alcotest.(check (array (array int))) "indicators" expected (Auxdist.columns samples)
+
+let test_sampler_datasets () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let frame, cols = dataset spec in
+      if cols = [] then Alcotest.failf "%s: no eligible columns" spec.Datagen.Spec.name;
+      check_sampler ~max_shifts:11 ~max_samples:120_000 frame cols;
+      (* stop two shifts and 137 samples in: mid-shift and mid-word *)
+      let n = Frame.nrows frame in
+      check_sampler ~max_shifts:7 ~max_samples:((2 * n) + 137) frame cols)
+    Datagen.Spec.all
+
+let test_oracle_datasets () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let frame, cols = dataset spec in
+      let m = List.length cols in
+      let rng = Rng.create spec.Datagen.Spec.id in
+      let name = spec.Datagen.Spec.name in
+      let check samples =
+        let oracle = Auxdist.ci_oracle samples in
+        let columns = Auxdist.columns samples in
+        let cards = Array.of_list samples.Auxdist.cards in
+        for _ = 1 to 100 do
+          let i = Rng.int rng m and j = Rng.int rng m in
+          let cond = List.init (Rng.int rng 3) (fun _ -> Rng.int rng m) in
+          let ci = Ci.make ~alpha:0.01 ~kx:cards.(i) ~ky:cards.(j) () in
+          let expected =
+            Ci.test ci columns.(i) columns.(j)
+              (List.map (fun k -> columns.(k)) cond)
+              (List.map (fun k -> cards.(k)) cond)
+          in
+          if oracle i j cond <> expected.Ci.independent then
+            Alcotest.failf "%s: ci_oracle %d %d differs from Ci.test" name i j
+        done
+      in
+      check (Auxdist.circular_shift ~max_shifts:11 ~max_samples:120_000 frame cols);
+      check (Auxdist.identity frame cols))
+    Datagen.Spec.all
+
+let () =
+  Alcotest.run "ci_differential"
+    [ ( "kernel",
+        [ Alcotest.test_case "bit layout" `Quick test_bits_layout ]
+        @ List.map QCheck_alcotest.to_alcotest [ qcheck_kernel ]
+        @ [ Alcotest.test_case "generator reaches every verdict" `Quick
+              test_generator_reaches_verdicts ] );
+      ( "datasets",
+        [ Alcotest.test_case "sampler = oracle sampler" `Quick test_sampler_datasets;
+          Alcotest.test_case "ci_oracle = Ci.test" `Quick test_oracle_datasets ] ) ]

@@ -315,13 +315,13 @@ let test_composite_codes () =
 let test_auxdist_binary () =
   let frame = postal_frame () in
   let samples = Auxdist.circular_shift ~max_shifts:3 frame [ 0; 1; 2; 3 ] in
-  Alcotest.(check int) "4 columns" 4 (Array.length samples.Auxdist.columns);
+  Alcotest.(check int) "4 columns" 4 (Array.length (Auxdist.columns samples));
   Array.iter
     (fun col ->
       Array.iter
         (fun v -> Alcotest.(check bool) "binary" true (v = 0 || v = 1))
         col)
-    samples.Auxdist.columns;
+    (Auxdist.columns samples);
   Alcotest.(check (list int)) "cards all 2" [ 2; 2; 2; 2 ] samples.Auxdist.cards
 
 let test_auxdist_equality_semantics () =
@@ -331,7 +331,7 @@ let test_auxdist_equality_semantics () =
   in
   let samples = Auxdist.circular_shift ~max_shifts:2 ~max_samples:8 frame [ 0 ] in
   (* shift 1 pairs x/y (all different), shift 2 pairs x/x and y/y *)
-  let col = samples.Auxdist.columns.(0) in
+  let col = (Auxdist.columns samples).(0) in
   Alcotest.(check int) "shift 1 all differ" 0 (col.(0) + col.(1) + col.(2) + col.(3));
   Alcotest.(check int) "shift 2 all equal" 4 (col.(4) + col.(5) + col.(6) + col.(7))
 
@@ -484,6 +484,59 @@ let test_synthesize_identity_vs_auxiliary () =
     (aux.Synthesize.coverage > 0.0);
   Alcotest.(check bool) "identity sampler is weaker" true
     (ident.Synthesize.coverage <= aux.Synthesize.coverage)
+
+(* A frame too small to pair rows: [run] and [learn_cpdag] both fall
+   back to the identity sampler instead of raising. *)
+let test_synthesize_one_row () =
+  let schema = Schema.make [ Schema.categorical "a"; Schema.categorical "b" ] in
+  let frame = Frame.of_rows schema [ [| s "x"; s "y" |] ] in
+  let r = Synthesize.run frame in
+  Alcotest.(check int) "no statements" 0 (Dsl.stmt_count r.Synthesize.program);
+  let cpdag = Synthesize.learn_cpdag frame [ 0; 1 ] in
+  Alcotest.(check bool) "no edge" false (Pgm.Pdag.adjacent cpdag 0 1)
+
+(* ------------------------------------------------------------------ *)
+(* Golden synthesis output *)
+
+(* MD5 of everything that identifies a synthesis result bit for bit
+   (the program's text, coverage bits, DAG count, truncation and
+   statement-cache hits and misses) for each benchmark dataset at 2,000
+   rows, seed offset 1. Any changed CI decision, MEC, fill or tie-break
+   moves a digest; re-record them only with a change meant to alter
+   synthesized programs. *)
+let golden =
+  [
+    (1, "c9f2989d2472ac76dc4ffbb160d3b4e2");
+    (2, "ed7f3e47fb4e4cbe3d1761a515c79f11");
+    (3, "31bd74d92dfe2b21914e620f67894706");
+    (4, "b60274e71b3d026ab13bf9d7f35ab26c");
+    (5, "7b315a59796c4ff2494d5d813ecf1299");
+    (6, "e157686e9566c90c80b75fbada1e422f");
+    (7, "469b795e173db51f4698ff3e883d7acf");
+    (8, "2750c05c1fc6e78144a5a9e9accbf8b4");
+    (9, "70006b5698f078c7d16bbc4c10435492");
+    (10, "df486b2c165b9824b896a2a9d5aa34ca");
+    (11, "41b62a6d531e7153f93f44677e5274d5");
+    (12, "99f1f8cfdc589fc85b69156f0d3e5d54");
+  ]
+
+let test_golden_programs () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let _, frame = Datagen.Generate.dataset ~n_rows:2000 ~seed_offset:1 spec in
+      let r = Synthesize.run frame in
+      let fingerprint =
+        Printf.sprintf "%s\ncoverage %Lx dags %d truncated %b hits %d misses %d"
+          (Pretty.prog_to_string r.Synthesize.program)
+          (Int64.bits_of_float r.Synthesize.coverage)
+          r.Synthesize.dag_count r.Synthesize.truncated r.Synthesize.cache_hits
+          r.Synthesize.cache_misses
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "dataset %d" spec.Datagen.Spec.id)
+        (List.assoc spec.Datagen.Spec.id golden)
+        (Digest.to_hex (Digest.string fingerprint)))
+    Datagen.Spec.all
 
 (* ------------------------------------------------------------------ *)
 (* Report *)
@@ -778,7 +831,10 @@ let () =
           Alcotest.test_case "statement cache" `Quick test_synthesize_cache_effective;
           Alcotest.test_case "independent data" `Quick test_synthesize_empty_on_independent_data;
           Alcotest.test_case "identity vs auxiliary" `Quick test_synthesize_identity_vs_auxiliary;
+          Alcotest.test_case "one-row frame" `Quick test_synthesize_one_row;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "12 datasets" `Quick test_golden_programs ] );
       ( "report",
         [
           Alcotest.test_case "clean data" `Quick test_report;

@@ -220,7 +220,6 @@ let test_ci_make_validates () =
   raises (fun () -> Ci.make ~alpha:1.5 ~kx:2 ~ky:2 ());
   raises (fun () -> Ci.make ~alpha:0.01 ~kx:0 ~ky:2 ());
   raises (fun () -> Ci.make ~alpha:0.01 ~max_strata:0 ~kx:2 ~ky:2 ());
-  raises (fun () -> Ci.make ~alpha:0.01 ~stat_scale:0.0 ~kx:2 ~ky:2 ());
   raises (fun () -> Ci.make ~alpha:0.01 ~min_effect:(-0.1) ~kx:2 ~ky:2 ())
 
 (* Ci.test is a pure function of the spec and the data: the same call
