@@ -17,9 +17,12 @@
      optsmt  OptSMT clause blow-up and budgeted solve (§8.3)
      micro   bechamel micro-benchmarks
      serve   daemon throughput: concurrent clients vs pool size
-     groupby group-by kernel vs the retired ad-hoc Hashtbl paths
+     groupby group-by kernel: groups per column set, cold time
      ingest  streaming appends: throughput, incremental maintenance,
              refresh latency
+
+   Regression gate (see README "Benchmarking"):
+     record / compare / report  over bench/history.jsonl
 
    Scale note: ML-dependent experiments subsample the largest datasets
    (documented in EXPERIMENTS.md); structure-learning experiments run at
@@ -43,62 +46,37 @@ let fmt_score v = if Float.is_nan v then "  NaN" else Printf.sprintf "%5.3f" v
 let jobs = ref Guardrail.Config.default.Guardrail.Config.jobs
 
 (* ------------------------------------------------------------------ *)
-(* Workload knobs: CLI flag > env var > default. The env vars are the
-   historical interface and stay as fallbacks; the flags are the
-   documented one. Every resolved value lands in the run fingerprint
-   (Perf.Result.fingerprint), so a run under moved knobs can never be
-   silently compared against a baseline recorded under the defaults. *)
+(* The gate profile: the one workload shape [bench record] and
+   [bench compare] run, locally and in CI alike. *)
 
-let flag_validate_sizes : int list option ref = ref None
-let flag_serve_clients : int option ref = ref None
-let flag_serve_seconds : float option ref = ref None
-let flag_serve_rows : int option ref = ref None
-let flag_serve_batch : int option ref = ref None
-let flag_groupby_reps : int option ref = ref None
-let flag_synth_reps : int option ref = ref None
-let flag_numeric_bins : int option ref = ref None
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s ->
-    (match int_of_string_opt s with Some v when v >= 1 -> v | _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s ->
-    (match float_of_string_opt s with Some v when v > 0.0 -> v | _ -> default)
-  | None -> default
-
-let knob_int flag env default =
-  match !flag with Some v -> v | None -> env_int env default
-
-let knob_float flag env default =
-  match !flag with Some v -> v | None -> env_float env default
-
-let parse_sizes s = List.filter_map int_of_string_opt (String.split_on_char ',' s)
-
-let validate_sizes ~default () =
-  match !flag_validate_sizes with
-  | Some sizes -> sizes
-  | None -> (
-    match Sys.getenv_opt "VALIDATE_SIZES" with
-    | Some s -> (match parse_sizes s with [] -> default | sizes -> sizes)
-    | None -> default)
-
-let serve_clients () = knob_int flag_serve_clients "SERVE_CLIENTS" 100
-let serve_seconds ~default () = knob_float flag_serve_seconds "SERVE_SECONDS" default
-let serve_rows () = knob_int flag_serve_rows "SERVE_ROWS" 100
-let serve_batch () = knob_int flag_serve_batch "SERVE_BATCH" 8
-let groupby_reps () = knob_int flag_groupby_reps "GROUPBY_REPS" 10
-let synth_reps () = knob_int flag_synth_reps "SYNTH_REPS" 3
-let numeric_bins () = knob_int flag_numeric_bins "NUMERIC_BINS" 8
-
-(* the gate profile: what [bench record] / [bench compare] run with no
-   flags, locally and in CI alike *)
 let gate_validate_sizes = [ 10_000; 50_000 ]
 let gate_serve_seconds = 1.5
 let gate_synth_datasets = [ 2; 5; 7 ]
+
+(* [counted names f] runs [f ()] and returns its result together with
+   the change of each named [Obs.Metric.default] counter across the
+   call; an absent counter reads 0. These deltas are the gated work
+   counts: deterministic at any job count, so they must match the
+   baseline exactly. *)
+let counted names f =
+  let read () =
+    let counters =
+      (Obs.Metric.snapshot Obs.Metric.default).Obs.Metric.counters
+    in
+    List.map (fun n -> Option.value ~default:0 (List.assoc_opt n counters)) names
+  in
+  let before = read () in
+  let r = f () in
+  (r, List.combine names (List.map2 (fun b a -> a - b) before (read ())))
+
+(* A gated metric: a deterministic output that must equal the baseline. *)
+let exact ~suite ~workload ?(unit_ = "n") name value =
+  Perf.Result.metric ~suite ~workload ~name ~value ~unit_ ~gated:true ()
+
+let exact_counts ~suite ~workload counts =
+  List.map
+    (fun (name, v) -> exact ~suite ~workload name (float_of_int v))
+    counts
 
 let header title =
   Printf.printf "\n=== %s %s\n%!" title
@@ -910,12 +888,13 @@ let micro () =
    Every client keeps a batch of pipelined DETECTs in flight
    (Client.pipeline: one write, replies in order), so the event loop's
    amortised syscalls and admission control are what is measured, not
-   accept latency. Results go to BENCH_serve.json for the CI gate.
+   accept latency. Error replies per pool are gated (they must stay at
+   the baseline's count), a pool that serves nothing exits 1, and
+   throughput and latency are trend only.
 
-   Knobs: SERVE_CLIENTS (100), SERVE_SECONDS (2.0), SERVE_ROWS (1000),
-   SERVE_BATCH (8). The row count is chosen so one DETECT costs tens of
-   microseconds — long enough to be real work, short enough that
-   per-request syscall overhead is visible. *)
+   100 clients, batches of 8, over a 100-row table: one DETECT costs
+   tens of microseconds — long enough to be real work, short enough
+   that per-request syscall overhead is visible. *)
 
 type serve_run = {
   pool : int;
@@ -993,7 +972,7 @@ let drive_clients ~addr ~n_clients ~seconds ~batch =
 let event_design ~pool_size ~registry ~n_clients ~seconds ~batch =
   let config =
     (* budgets sized so a well-behaved client is never refused; the
-       shed counters still surface any overload in BENCH_serve.json *)
+       shed counts still surface any overload in the printed report *)
     Service.Server.Config.make ~pool_size ~max_connections:(2 * n_clients)
       ~max_inflight:(2 * batch)
       ~max_inflight_global:(max 256 (2 * n_clients * batch))
@@ -1014,16 +993,13 @@ let event_design ~pool_size ~registry ~n_clients ~seconds ~batch =
 
 let serve_bench ?(seconds_default = 2.0) () =
   header "Serving throughput (guardrail daemon)";
-  let n_clients = serve_clients () in
-  let seconds = serve_seconds ~default:seconds_default () in
+  let n_clients = 100 and seconds = seconds_default and batch = 8 in
   (* Small table on purpose: this bench measures the serving stack
      (framing, scheduling, admission, syscalls), so per-request
      constraint evaluation must stay cheap — validation compute has its
-     own sections above. Raise --serve-rows to shift the mix. *)
-  let rows_wanted = serve_rows () in
-  let batch = serve_batch () in
+     own sections above. *)
   let p = prepare 2 in
-  let rows = min rows_wanted (Frame.nrows p.full) in
+  let rows = min 100 (Frame.nrows p.full) in
   let frame = Frame.take p.full (Array.init rows (fun i -> i)) in
   let synth = Synthesize.run frame in
   let program = Guardrail.Pretty.prog_to_string synth.Synthesize.program in
@@ -1041,207 +1017,97 @@ let serve_bench ?(seconds_default = 2.0) () =
     in
     registry
   in
-  let report r =
-    Printf.printf
-      "  event    pool %d: %6d ok %6d shed %4d err in %5.2fs -> %8.1f req/s  \
-       p50 %6.2fms  p99 %6.2fms\n%!"
-      r.pool r.ok r.shed r.errors r.elapsed_s
-      (float_of_int r.ok /. r.elapsed_s)
-      r.p50_ms r.p99_ms
-  in
-  let runs = ref [] in
-  List.iter
+  List.concat_map
     (fun pool_size ->
       let r =
         event_design ~pool_size ~registry:(fresh_registry ()) ~n_clients
           ~seconds ~batch
       in
-      report r;
-      runs := r :: !runs)
-    [ 1; 2; 4; 8 ];
-  let num v = Obs.Json.Num v in
-  let run_json r =
-    let total = r.ok + r.shed + r.errors in
-    Obs.Json.Obj
-      [ ("design", Obs.Json.Str "event");
-        ("pool", num (float_of_int r.pool));
-        ("requests_ok", num (float_of_int r.ok));
-        ("shed", num (float_of_int r.shed));
-        ("errors", num (float_of_int r.errors));
-        ("elapsed_s", num r.elapsed_s);
-        ("rps", num (float_of_int r.ok /. r.elapsed_s));
-        ("p50_ms", num r.p50_ms);
-        ("p99_ms", num r.p99_ms);
-        ("shed_rate",
-         num
-           (if total = 0 then 0.0
-            else float_of_int r.shed /. float_of_int total)) ]
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("clients", num (float_of_int n_clients));
-            ("seconds", num seconds);
-            ("batch", num (float_of_int batch));
-            ("rows", num (float_of_int rows));
-            ("runs", Obs.Json.List (List.rev_map run_json !runs)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "serving results written to BENCH_serve.json\n%!";
-  (* unified metrics. Raw throughput is machine-dependent, so its gate
-     is a generous relative tolerance plus a serve-something floor; the
-     hard liveness gate rides on nonshed_rate (the retired inline smoke
-     assert: an event run must not shed its whole load). *)
-  let metric = Perf.Result.metric ~suite:"serve" in
-  List.concat_map
-    (fun r ->
+      let rps = float_of_int r.ok /. r.elapsed_s in
+      Printf.printf
+        "  event    pool %d: %6d ok %6d shed %4d err in %5.2fs -> %8.1f req/s  \
+         p50 %6.2fms  p99 %6.2fms\n%!"
+        r.pool r.ok r.shed r.errors r.elapsed_s rps r.p50_ms r.p99_ms;
+      (* liveness: refused connections and timeouts score no error *)
+      if r.ok = 0 then begin
+        Printf.eprintf "serve pool %d: no request served\n" r.pool;
+        exit 1
+      end;
       let workload = Printf.sprintf "event-pool%d" r.pool in
-      let metric = metric ~workload in
-      let total = r.ok + r.shed + r.errors in
-      let shed_rate =
-        if total = 0 then 1.0 else float_of_int r.shed /. float_of_int total
-      in
-      [ metric ~name:"rps"
-          ~value:(float_of_int r.ok /. r.elapsed_s)
-          ~unit_:"req/s" ~direction:Perf.Result.Higher_better ~gated:true
-          ~tolerance:0.95 ~bound:1.0 ();
-        metric ~name:"nonshed_rate" ~value:(1.0 -. shed_rate) ~unit_:"rate"
-          ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:1.0
-          ~bound:0.01 ();
+      let metric = Perf.Result.metric ~suite:"serve" ~workload in
+      [ exact ~suite:"serve" ~workload "errors" (float_of_int r.errors);
+        metric ~name:"rps" ~value:rps ~unit_:"req/s"
+          ~direction:Perf.Result.Higher_better ();
         metric ~name:"p50_ms" ~value:r.p50_ms ~unit_:"ms" ();
         metric ~name:"p99_ms" ~value:r.p99_ms ~unit_:"ms" () ])
-    (List.rev !runs)
+    [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Group-by kernel: retired ad-hoc Hashtbl grouping vs Dataframe.Group *)
+(* Group-by kernel over adjacent categorical column pairs (the shape
+   the HAVING fill groups by). Gated: groups per column set and the
+   memo cache's hits and misses; the cold kernel time is trend. *)
 
 let groupby_bench () =
-  header "Group-by kernel: ad-hoc Hashtbl vs kernel (cold / cached)";
-  let reps = groupby_reps () in
-  (* min-of-N; the cached path is a lookup in the hundreds of
-     nanoseconds, so it is batched behind the clock reads *)
-  let time ?(inner = 1) f =
-    (Perf.Measure.run ~warmup:2 ~reps ~inner f).Perf.Measure.min_s
-  in
-  (* the grouping style this kernel replaced: a Hashtbl from the row's
-     composite key to its accumulated row list (Fill/Auxdist pre-kernel) *)
-  let adhoc codes cols n () =
-    let tbl : (int list, int list ref) Hashtbl.t = Hashtbl.create 256 in
-    for i = 0 to n - 1 do
-      let key = List.map (fun j -> codes.(j).(i)) cols in
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r := i :: !r
-      | None -> Hashtbl.add tbl key (ref [ i ])
-    done;
-    Hashtbl.length tbl
-  in
-  Printf.printf "  %-18s %-14s %7s %10s %10s %10s %8s\n" "dataset" "columns"
-    "groups" "adhoc(ms)" "cold(ms)" "cached(ms)" "speedup";
-  let records = ref [] in
-  let metrics = ref [] in
-  List.iter
+  header "Group-by kernel: groups per column set, cold time";
+  Printf.printf "  %-4s %-14s %7s %10s\n" "ID" "columns" "groups" "cold(ms)";
+  List.concat_map
     (fun id ->
-      let p = prepare id in
-      let frame = p.full in
+      let frame = (prepare id).full in
       let n = Frame.nrows frame in
       let codes = Frame.code_matrix frame in
       let cards = Frame.cardinalities frame in
-      let cats = Frame.categorical_indices frame in
-      (* adjacent categorical pairs: the shape Fill groups by *)
       let rec pairs = function
         | a :: (b :: _ as rest) -> [ a; b ] :: pairs rest
         | _ -> []
       in
-      let col_sets = pairs cats in
+      let col_sets = pairs (Frame.categorical_indices frame) in
       let cache = Dataframe.Group.Cache.of_frame frame in
-      (* warm the cache once: steady-state synthesis re-requests sets *)
-      List.iter
-        (fun cols -> ignore (Dataframe.Group.Cache.get cache cols))
-        col_sets;
-      let adhoc_total = ref 0.0 and cold_total = ref 0.0 in
-      let cached_total = ref 0.0 and min_speedup = ref Float.infinity in
-      let log_speedup_sum = ref 0.0 and n_workloads = ref 0 in
-      List.iter
-        (fun cols ->
-          let col_list = List.map (fun j -> codes.(j)) cols in
-          let card_list = List.map (fun j -> cards.(j)) cols in
-          let adhoc_s = time (adhoc codes cols n) in
-          let cold_s =
-            time (fun () -> Dataframe.Group.make col_list card_list n)
-          in
-          let cached_s =
-            time ~inner:100 (fun () -> Dataframe.Group.Cache.get cache cols)
-          in
-          adhoc_total := !adhoc_total +. adhoc_s;
-          cold_total := !cold_total +. cold_s;
-          cached_total := !cached_total +. cached_s;
-          (if cached_s > 0.0 then begin
-             let sp = adhoc_s /. cached_s in
-             min_speedup := Float.min !min_speedup sp;
-             log_speedup_sum := !log_speedup_sum +. Float.log sp;
-             incr n_workloads
-           end);
-          let g = Dataframe.Group.Cache.get cache cols in
-          let label =
-            String.concat "," (List.map string_of_int cols)
-          in
-          Printf.printf "  %-18s %-14s %7d %10.3f %10.3f %10.4f %7.1fx\n%!"
-            p.spec.Spec.name label
-            (Dataframe.Group.n_groups g)
-            (adhoc_s *. 1e3) (cold_s *. 1e3) (cached_s *. 1e3)
-            (if cached_s > 0.0 then adhoc_s /. cached_s else Float.infinity);
-          records :=
-            Obs.Json.Obj
-              [ ("id", Obs.Json.Num (float_of_int id));
-                ("name", Obs.Json.Str p.spec.Spec.name);
-                ("columns", Obs.Json.Str label);
-                ("n_rows", Obs.Json.Num (float_of_int n));
-                ( "n_groups",
-                  Obs.Json.Num (float_of_int (Dataframe.Group.n_groups g)) );
-                ("adhoc_s", Obs.Json.Num adhoc_s);
-                ("kernel_cold_s", Obs.Json.Num cold_s);
-                ("kernel_cached_s", Obs.Json.Num cached_s) ]
-            :: !records)
-        col_sets;
-      (* unified per-dataset metrics; the gated one is the retired
-         smoke assert (every cached workload beats ad-hoc, bound 1.0)
-         made baseline-relative on top *)
-      let metric = Perf.Result.metric ~suite:"groupby"
-          ~workload:(Printf.sprintf "ds%d" id) in
-      metrics :=
-        [ metric ~name:"adhoc_total_s" ~value:!adhoc_total ~unit_:"s" ();
-          metric ~name:"kernel_cold_total_s" ~value:!cold_total ~unit_:"s" ();
-          metric ~name:"kernel_cached_total_s" ~value:!cached_total ~unit_:"s" ();
-          metric ~name:"min_cached_speedup"
-            ~value:(if !n_workloads = 0 then 0.0 else !min_speedup) ~unit_:"x"
-            ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.9
-            ~bound:1.0 ();
-          metric ~name:"geomean_cached_speedup"
-            ~value:
-              (if !n_workloads = 0 then 0.0
-               else Float.exp (!log_speedup_sum /. float_of_int !n_workloads))
-            ~unit_:"x" ~direction:Perf.Result.Higher_better () ]
-        @ !metrics)
-    [ 2; 5; 7 ];
-  let oc = open_out "BENCH_group.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("reps", Obs.Json.Num (float_of_int reps));
-            ("workloads", Obs.Json.List (List.rev !records)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "group-by timings written to BENCH_group.json\n%!";
-  List.rev !metrics
+      (* each set twice: the miss computes it, the hit reuses it *)
+      let groups, counts =
+        counted [ "group.cache.hits"; "group.cache.misses" ] (fun () ->
+            List.map
+              (fun cols ->
+                ignore (Dataframe.Group.Cache.get cache cols);
+                Dataframe.Group.n_groups (Dataframe.Group.Cache.get cache cols))
+              col_sets)
+      in
+      let workload = Printf.sprintf "ds%d" id in
+      let cold_total = ref 0.0 in
+      let group_metrics =
+        List.map2
+          (fun cols n_groups ->
+            let cold_s =
+              (Perf.Measure.run ~warmup:2 ~reps:10 (fun () ->
+                   Dataframe.Group.make
+                     (List.map (fun j -> codes.(j)) cols)
+                     (List.map (fun j -> cards.(j)) cols)
+                     n))
+                .Perf.Measure.min_s
+            in
+            cold_total := !cold_total +. cold_s;
+            let label = String.concat "," (List.map string_of_int cols) in
+            Printf.printf "  %-4d %-14s %7d %10.3f\n%!" id label n_groups
+              (cold_s *. 1e3);
+            exact ~suite:"groupby" ~workload
+              (Printf.sprintf "groups(%s)" label)
+              (float_of_int n_groups))
+          col_sets groups
+      in
+      Perf.Result.metric ~suite:"groupby" ~workload ~name:"kernel_cold_total_s"
+        ~value:!cold_total ~unit_:"s" ()
+      :: group_metrics
+      @ exact_counts ~suite:"groupby" ~workload counts)
+    [ 2; 5; 7 ]
 
 (* ------------------------------------------------------------------ *)
-(* Validator: row-at-a-time interpreter vs the predicate-bytecode VM,
-   cold (compile + lower + execute) and cached (bytecode reused), at
-   10k / 100k / 1M rows. Writes BENCH_validate.json for the CI gate. *)
+(* Validator: the predicate-bytecode VM cold (compile + lower +
+   execute), cached (bytecode reused) and repairing, at 10k / 100k / 1M
+   rows. Gated: violating rows, cells Rectify repairs, rows validated
+   and lowered-program cache hits/misses of one counted pass; the
+   times are trend. *)
 
 let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
-  header "Validator: row interpreter vs predicate-bytecode VM";
+  header "Validator: predicate-bytecode VM";
   (* postal-style determinacy chain with controllable cardinality: zip
      decides city, city decides state, (zip, city) decides country. The
      pair cardinality product exceeds the mixed-radix cap, so the third
@@ -1311,137 +1177,78 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
     in
     Guardrail.Dsl.prog ~schema [ zip_city; city_state; pair_country ]
   in
-  let sizes = validate_sizes ~default:sizes_default () in
   let time reps f =
     (Perf.Measure.run ~warmup:1 ~reps f).Perf.Measure.min_s
   in
-  Printf.printf
-    "  %-9s %9s %11s %11s %11s %8s | %11s %11s %8s\n" "rows" "viol"
-    "rows(ms)" "vm-cold(ms)" "vm-hot(ms)" "speedup" "h-rows(ms)" "h-vm(ms)"
-    "speedup";
-  let records = ref [] in
-  let metrics = ref [] in
-  List.iter
+  Printf.printf "  %-9s %9s %9s %11s %11s %11s\n" "rows" "viol" "repaired"
+    "vm-cold(ms)" "vm-hot(ms)" "handle(ms)";
+  List.concat_map
     (fun n ->
       let reps = if n >= 1_000_000 then 1 else if n >= 100_000 then 3 else 5 in
       let frame = make_frame n in
       let compiled = Validator.compile prog in
-      (* correctness first: the bitmap path must equal the reference *)
-      let flags_rows = Oracle.Validator.detect compiled frame in
-      let flags_vm = Validator.detect compiled frame in
-      if flags_rows <> flags_vm then begin
-        Printf.eprintf "VM/row-interpreter divergence at %d rows\n" n;
-        exit 1
-      end;
-      let n_viol =
-        Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags_rows
+      (* the hot path validates on the frame's own group cache, as the
+         daemon does on a registered table *)
+      let groups = Dataframe.Group.Cache.of_frame frame in
+      (* the counted pass: a first detect lowers the bytecode, the
+         Rectify repair reuses it *)
+      let (n_viol, n_repaired), counts =
+        counted [ "vm.rows.validated"; "vm.cache.hits"; "vm.cache.misses" ]
+          (fun () ->
+            let flags = Validator.detect compiled frame in
+            let _, vs =
+              Validator.handle ~strategy:Validator.Rectify ~groups compiled
+                frame
+            in
+            ( Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags,
+              List.length
+                (List.sort_uniq compare
+                   (List.map
+                      (fun (v : Validator.violation) ->
+                        (v.Validator.row, v.Validator.stmt.Guardrail.Dsl.on))
+                      vs)) ))
       in
-      let rows_s = time reps (fun () -> Oracle.Validator.detect compiled frame) in
       let cold_s =
         time reps (fun () ->
             (* a fresh compilation lowers the bytecode from scratch *)
             Validator.detect (Validator.compile prog) frame)
       in
-      (* the hot path validates on the frame's own group cache, as the
-         daemon does on a registered table *)
-      let groups = Dataframe.Group.Cache.of_frame frame in
       let hot_s = time reps (fun () -> Validator.detect ~groups compiled frame) in
-      (* batch repair: the row path folds one whole-frame copy per
-         violation, so it is only measured at the smaller sizes *)
-      let handle_rows_s, handle_vm_s =
-        if n > 100_000 then (Float.nan, Float.nan)
-        else
-          ( time reps (fun () ->
-                Oracle.Validator.handle ~strategy:Validator.Rectify compiled frame),
-            time reps (fun () ->
-                Validator.handle ~strategy:Validator.Rectify ~groups compiled
-                  frame) )
+      let handle_s =
+        time reps (fun () ->
+            Validator.handle ~strategy:Validator.Rectify ~groups compiled frame)
       in
-      let speedup a b = if b > 0.0 then a /. b else Float.infinity in
-      let handle_cells =
-        if Float.is_nan handle_rows_s then
-          Printf.sprintf "%11s %11s %8s" "-" "-" "-"
-        else
-          Printf.sprintf "%11.2f %11.2f %7.1fx" (handle_rows_s *. 1e3)
-            (handle_vm_s *. 1e3)
-            (speedup handle_rows_s handle_vm_s)
-      in
-      Printf.printf "  %-9d %9d %11.2f %11.2f %11.2f %7.1fx | %s\n%!" n n_viol
-        (rows_s *. 1e3) (cold_s *. 1e3) (hot_s *. 1e3) (speedup rows_s hot_s)
-        handle_cells;
-      let num v = Obs.Json.Num v in
-      records :=
-        Obs.Json.Obj
-          ([ ("n_rows", num (float_of_int n));
-             ("reps", num (float_of_int reps));
-             ("violating_rows", num (float_of_int n_viol));
-             ("detect_rows_s", num rows_s);
-             ("detect_vm_cold_s", num cold_s);
-             ("detect_vm_cached_s", num hot_s);
-             ("detect_speedup", num (speedup rows_s hot_s)) ]
-          @
-          if Float.is_nan handle_rows_s then []
-          else
-            [ ("handle_rows_s", num handle_rows_s);
-              ("handle_vm_s", num handle_vm_s);
-              ("handle_speedup", num (speedup handle_rows_s handle_vm_s)) ])
-        :: !records;
-      (* unified metrics: raw timings ride along ungated; the
-         dimensionless VM-vs-interpreter speedups are the gates
-         (bound 1.0 = the retired "VM must not lose" smoke assert) *)
-      let metric = Perf.Result.metric ~suite:"validate"
-          ~workload:(Printf.sprintf "rows=%d" n) in
-      metrics :=
-        [ metric ~name:"detect_rows_s" ~value:rows_s ~unit_:"s" ();
-          metric ~name:"detect_vm_cold_s" ~value:cold_s ~unit_:"s" ();
+      Printf.printf "  %-9d %9d %9d %11.2f %11.2f %11.2f\n%!" n n_viol
+        n_repaired (cold_s *. 1e3) (hot_s *. 1e3) (handle_s *. 1e3);
+      let suite = "validate" and workload = Printf.sprintf "rows=%d" n in
+      let metric = Perf.Result.metric ~suite ~workload in
+      [ exact ~suite ~workload "violating_rows" (float_of_int n_viol);
+        exact ~suite ~workload "rectified_cells" (float_of_int n_repaired) ]
+      @ exact_counts ~suite ~workload counts
+      @ [ metric ~name:"detect_vm_cold_s" ~value:cold_s ~unit_:"s" ();
           metric ~name:"detect_vm_cached_s" ~value:hot_s ~unit_:"s" ();
-          metric ~name:"detect_speedup" ~value:(speedup rows_s hot_s)
-            ~unit_:"x" ~direction:Perf.Result.Higher_better ~gated:true
-            ~tolerance:0.85 ~bound:1.0 () ]
-        @ (if Float.is_nan handle_rows_s then []
-           else
-             [ metric ~name:"handle_rows_s" ~value:handle_rows_s ~unit_:"s" ();
-               metric ~name:"handle_vm_s" ~value:handle_vm_s ~unit_:"s" ();
-               metric ~name:"handle_speedup"
-                 ~value:(speedup handle_rows_s handle_vm_s) ~unit_:"x"
-                 ~direction:Perf.Result.Higher_better ~gated:true
-                 ~tolerance:0.85 ~bound:1.0 () ])
-        @ !metrics)
-    sizes;
-  let oc = open_out "BENCH_validate.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj [ ("sizes", Obs.Json.List (List.rev !records)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "validator timings written to BENCH_validate.json\n%!";
-  List.rev !metrics
+          metric ~name:"handle_vm_s" ~value:handle_s ~unit_:"s" () ])
+    sizes_default
 
 (* ------------------------------------------------------------------ *)
 (* Numeric/typed-domain suite: range constraints over the mixed
-   categorical/numeric dataset. Two halves:
+   categorical/numeric dataset, 8 learned bins. Two halves:
 
    - range validation at 50k rows against a ground-truth range program
-     (one BETWEEN/Le/Ge branch per category), row interpreter vs the
-     VM's RANGE ops over the raw float image. The gated speedup (bound
-     1.0) is the point of the range bytecode path: falling under 1.0
-     means the VM lost to the interpreter on its own workload;
+     (one BETWEEN/Le/Ge branch per category) through the VM's RANGE ops
+     over the raw float image: the violating-row count is gated (and
+     must equal the planted count), the time is trend;
    - end-to-end synthesis on a smaller replica, gating the
-     deterministic outputs — a BETWEEN assignment covering a planted
-     clean range must be emitted, and coverage must hold. Zero
-     measurement noise on either, so any drift is a real change.
-
-   The learned-bin count is a knob (--numeric-bins / NUMERIC_BINS) and
-   lands in the gate fingerprint like every other workload shaper. *)
+     deterministic outputs — coverage, and whether a BETWEEN assignment
+     covering a planted clean range is emitted. *)
 
 let numeric_bench () =
   header "Numeric domains: range validation + BETWEEN synthesis";
-  let bins = numeric_bins () in
+  let bins = 8 in
   let n_validate = 50_000 and n_synth = 1_500 in
-  (* many categories on the validation half: the interpreter scans the
-     branch list per row while the VM dispatches on the key codes, so
-     this is the workload the range bytecode exists for (and, past
-     max_range_rules, it exercises the probe-table path) *)
+  (* many categories on the validation half: the VM dispatches on the
+     key codes, and past max_range_rules it exercises the probe-table
+     path *)
   let n_validate_categories = 24 and n_synth_categories = 4 in
   let frame, truth =
     Datagen.Numeric.mixed ~n_rows:n_validate ~n_categories:n_validate_categories
@@ -1464,29 +1271,25 @@ let numeric_bench () =
       [ Guardrail.Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ]
   in
   let compiled = Validator.compile prog in
-  let flags_rows = Oracle.Validator.detect compiled frame in
-  let flags_vm = Validator.detect compiled frame in
-  if flags_rows <> flags_vm then begin
-    Printf.eprintf "range VM/row-interpreter divergence at %d rows\n" n_validate;
-    exit 1
-  end;
+  let groups = Dataframe.Group.Cache.of_frame frame in
   let n_viol =
-    Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags_vm
+    Array.fold_left
+      (fun acc f -> if f then acc + 1 else acc)
+      0
+      (Validator.detect ~groups compiled frame)
   in
   if n_viol <> Datagen.Numeric.violation_count truth then begin
     Printf.eprintf "range detection missed planted violations (%d vs %d)\n"
       n_viol (Datagen.Numeric.violation_count truth);
     exit 1
   end;
-  let time reps f = (Perf.Measure.run ~warmup:1 ~reps f).Perf.Measure.min_s in
-  let rows_s = time 5 (fun () -> Oracle.Validator.detect compiled frame) in
-  let groups = Dataframe.Group.Cache.of_frame frame in
-  let vm_s = time 5 (fun () -> Validator.detect ~groups compiled frame) in
-  let speedup = if vm_s > 0.0 then rows_s /. vm_s else Float.infinity in
-  Printf.printf "  %-9s %9s %11s %11s %8s\n" "rows" "viol" "rows(ms)"
-    "vm(ms)" "speedup";
-  Printf.printf "  %-9d %9d %11.2f %11.2f %7.1fx\n%!" n_validate n_viol
-    (rows_s *. 1e3) (vm_s *. 1e3) speedup;
+  let vm_s =
+    (Perf.Measure.run ~warmup:1 ~reps:5 (fun () ->
+         Validator.detect ~groups compiled frame))
+      .Perf.Measure.min_s
+  in
+  Printf.printf "  %-9s %9s %11s\n" "rows" "viol" "vm(ms)";
+  Printf.printf "  %-9d %9d %11.2f\n%!" n_validate n_viol (vm_s *. 1e3);
   (* synthesis half: deterministic outputs on the small replica *)
   let sframe, struth =
     Datagen.Numeric.mixed ~n_rows:n_synth ~n_categories:n_synth_categories
@@ -1512,84 +1315,73 @@ let numeric_bench () =
   in
   Printf.printf "  synth: coverage=%.3f between_covering=%b\n%!"
     r.Synthesize.coverage covering;
-  let num v = Obs.Json.Num v in
-  let oc = open_out "BENCH_numeric.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("n_rows", num (float_of_int n_validate));
-            ("bins", num (float_of_int bins));
-            ("violating_rows", num (float_of_int n_viol));
-            ("range_detect_rows_s", num rows_s);
-            ("range_detect_vm_s", num vm_s);
-            ("range_detect_speedup", num speedup);
-            ("synth_coverage", num r.Synthesize.coverage);
-            ("between_covering", num (if covering then 1.0 else 0.0)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "numeric timings written to BENCH_numeric.json\n%!";
-  let metric = Perf.Result.metric ~suite:"numeric"
-      ~workload:(Printf.sprintf "rows=%d" n_validate) in
-  [ metric ~name:"range_detect_rows_s" ~value:rows_s ~unit_:"s" ();
-    metric ~name:"range_detect_vm_s" ~value:vm_s ~unit_:"s" ();
-    metric ~name:"range_detect_speedup" ~value:speedup ~unit_:"x"
-      ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.85
-      ~bound:1.0 ();
-    metric ~name:"synth_coverage" ~value:r.Synthesize.coverage ~unit_:"cov"
-      ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.01 ();
-    metric ~name:"between_covering" ~value:(if covering then 1.0 else 0.0)
-      ~unit_:"n" ~direction:Perf.Result.Higher_better ~gated:true
-      ~tolerance:0.0 ~bound:1.0 () ]
+  let suite = "numeric" and workload = Printf.sprintf "rows=%d" n_validate in
+  [ Perf.Result.metric ~suite ~workload ~name:"range_detect_vm_s" ~value:vm_s
+      ~unit_:"s" ();
+    exact ~suite ~workload "violating_rows" (float_of_int n_viol);
+    exact ~suite ~workload ~unit_:"cov" "synth_coverage" r.Synthesize.coverage;
+    exact ~suite ~workload "between_covering" (if covering then 1.0 else 0.0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Gated synthesis suite: a deterministic slice of table4 sized for
-   CI. Wall time is min-of-N with GC compaction between reps; work
-   seconds come from the run's Obs spans, so the parallel phases are
-   tracked as work, not wall luck. The gated metrics are the
-   deterministic algorithmic outputs (coverage, CI-cache hit rate):
-   they carry zero measurement noise, so any drift is a real change. *)
+   CI. Gated: the algorithmic outputs (coverage, DAGs enumerated,
+   statement-cache hits/misses) and the CI-test work counts. Trend:
+   wall and span-derived phase times. Every number of a dataset comes
+   from one run — the fastest of 3 by its root span — so the phases
+   can be checked against that run's total. *)
 
 let synth_suite () =
-  header "Synthesis suite: min-of-N wall + span-derived work seconds";
-  let reps = synth_reps () in
-  Printf.printf "  %-4s %9s %11s %11s %9s %9s %8s\n" "ID" "total(s)"
-    "struct-w(s)" "fill-w(s)" "cov" "hit-rate" "#DAGs";
+  header "Synthesis suite: fastest of 3 runs, its phases and work counts";
+  Printf.printf "  %-4s %9s %9s %11s %9s %8s %9s\n" "ID" "total(s)"
+    "phases(s)" "struct-w(s)" "cov" "#DAGs" "ci.tests";
   List.concat_map
     (fun id ->
-      let p = prepare id in
-      let frame = p.full in
-      (* one unmeasured run for the deterministic outputs and the
-         span-derived phase/work breakdown *)
-      let r = Synthesize.run frame in
-      let sample =
-        Perf.Measure.run ~warmup:0 ~reps (fun () -> Synthesize.run frame)
+      let frame = (prepare id).full in
+      let scored () =
+        Gc.compact ();
+        counted [ "ci.tests"; "ci.cache.hits"; "ci.cache.misses" ] (fun () ->
+            Synthesize.run frame)
+      in
+      let total (r, _) = r.Synthesize.timing.Synthesize.total_s in
+      let runs = List.init 3 (fun _ -> scored ()) in
+      let r, counts =
+        List.fold_left
+          (fun best run -> if total run < total best then run else best)
+          (List.hd runs) (List.tl runs)
       in
       let t = r.Synthesize.timing in
-      let hit_rate =
-        let total = r.Synthesize.cache_hits + r.Synthesize.cache_misses in
-        if total = 0 then 0.0
-        else float_of_int r.Synthesize.cache_hits /. float_of_int total
+      let phases =
+        t.Synthesize.sampling_s +. t.Synthesize.structure_s
+        +. t.Synthesize.enumeration_s +. t.Synthesize.fill_s
       in
-      Printf.printf "  %-4d %9.3f %11.3f %11.3f %9.3f %9.3f %8d\n%!" id
-        sample.Perf.Measure.min_s t.Synthesize.structure_work_s
-        t.Synthesize.fill_work_s r.Synthesize.coverage hit_rate
-        r.Synthesize.dag_count;
-      let metric = Perf.Result.metric ~suite:"synth"
-          ~workload:(Printf.sprintf "ds%d" id) in
-      let sec name value = metric ~name ~value ~unit_:"s" () in
-      [ metric ~name:"total_s" ~value:sample.Perf.Measure.min_s ~unit_:"s" ();
+      Printf.printf "  %-4d %9.4f %9.4f %11.4f %9.3f %8d %9d\n%!" id
+        t.Synthesize.total_s phases t.Synthesize.structure_work_s
+        r.Synthesize.coverage r.Synthesize.dag_count
+        (List.assoc "ci.tests" counts);
+      if phases > t.Synthesize.total_s then begin
+        Printf.eprintf "synth ds%d: phases sum to %gs, more than total_s %gs\n"
+          id phases t.Synthesize.total_s;
+        exit 1
+      end;
+      let suite = "synth" and workload = Printf.sprintf "ds%d" id in
+      let sec name value =
+        Perf.Result.metric ~suite ~workload ~name ~value ~unit_:"s" ()
+      in
+      [ sec "total_s" t.Synthesize.total_s;
         sec "sampling_s" t.Synthesize.sampling_s;
         sec "structure_s" t.Synthesize.structure_s;
         sec "enumeration_s" t.Synthesize.enumeration_s;
         sec "fill_s" t.Synthesize.fill_s;
         sec "structure_work_s" t.Synthesize.structure_work_s;
         sec "fill_work_s" t.Synthesize.fill_work_s;
-        metric ~name:"coverage" ~value:r.Synthesize.coverage ~unit_:"cov"
-          ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.01 ();
-        metric ~name:"cache_hit_rate" ~value:hit_rate ~unit_:"rate"
-          ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.02 ();
-        metric ~name:"dag_count" ~value:(float_of_int r.Synthesize.dag_count)
-          ~unit_:"n" ~direction:Perf.Result.Higher_better () ])
+        exact ~suite ~workload ~unit_:"cov" "coverage" r.Synthesize.coverage;
+        exact ~suite ~workload "dag_count"
+          (float_of_int r.Synthesize.dag_count);
+        exact ~suite ~workload "stmt_cache_hits"
+          (float_of_int r.Synthesize.cache_hits);
+        exact ~suite ~workload "stmt_cache_misses"
+          (float_of_int r.Synthesize.cache_misses) ]
+      @ exact_counts ~suite ~workload counts)
     gate_synth_datasets
 
 (* ------------------------------------------------------------------ *)
@@ -1599,16 +1391,13 @@ let synth_suite () =
    through the registry (frame extend + bytecode re-lower + group /
    contingency / drift maintenance). Three measurements:
 
-   - append throughput through [Registry.append_rows] (ungated — raw
-     rows/s is machine-dependent);
-   - incremental [Ingest.advance] over one batch vs recomputing the
-     same statistics from scratch on the grown frame: the gated ratio
-     (bound 1.0) is the point of incremental maintenance — falling
-     under 1.0 means the delta path got slower than a full rebuild;
-   - REFRESH latency after a corrupted batch drives constraints stale
-     (ungated).
-
-   Writes BENCH_ingest.json for the CI artifact. *)
+   - append throughput through [Registry.append_rows]; the group-cache
+     extensions and rebuilds of one such stream are gated;
+   - incremental [Ingest.advance] over one batch and recomputing the
+     same statistics from scratch on the grown frame (both trend);
+   - REFRESH after a corrupted batch drives constraints stale: the
+     stale keys and statements refreshed are gated, the latency is
+     trend. *)
 
 let gate_ingest_batches = 8
 let gate_ingest_batch_rows = 500
@@ -1642,6 +1431,9 @@ let ingest_bench () =
       ignore (Service.Registry.append_rows registry ~name:"data" (batch k))
     done
   in
+  let (), counts =
+    counted [ "group.cache.extended"; "group.cache.rebuilt" ] append_stream
+  in
   let append_sample = Perf.Measure.run ~warmup:1 ~reps append_stream in
   let append_s = append_sample.Perf.Measure.min_s in
   let rows_per_s = float_of_int streamed /. append_s in
@@ -1660,10 +1452,8 @@ let ingest_bench () =
          Service.Ingest.create compiled grown))
       .Perf.Measure.min_s
   in
-  let ratio = if incr_s > 0.0 then rebuild_s /. incr_s else Float.infinity in
-  Printf.printf
-    "  maintenance: incremental %.3fms vs rebuild %.3fms -> %.2fx\n%!"
-    (incr_s *. 1e3) (rebuild_s *. 1e3) ratio;
+  Printf.printf "  maintenance: incremental %.3fms, rebuild %.3fms\n%!"
+    (incr_s *. 1e3) (rebuild_s *. 1e3);
   (* 3. refresh latency: a heavily corrupted tail drives the drift
      monitor stale, then REFRESH re-fills exactly the flagged sets *)
   let ons =
@@ -1698,91 +1488,40 @@ let ingest_bench () =
   done;
   Printf.printf "  refresh: %d stale key(s), %d re-filled, %.2fms\n%!"
     !stale_count !refilled (!refresh_min *. 1e3);
-  let oc = open_out "BENCH_ingest.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("base_rows", Obs.Json.Num (float_of_int base_rows));
-            ("appended_rows", Obs.Json.Num (float_of_int streamed));
-            ("batches", Obs.Json.Num (float_of_int gate_ingest_batches));
-            ("append_s", Obs.Json.Num append_s);
-            ("append_rows_per_s", Obs.Json.Num rows_per_s);
-            ("incremental_s", Obs.Json.Num incr_s);
-            ("rebuild_s", Obs.Json.Num rebuild_s);
-            ("incremental_vs_rebuild", Obs.Json.Num ratio);
-            ("refresh_s", Obs.Json.Num !refresh_min);
-            ("stale_keys", Obs.Json.Num (float_of_int !stale_count)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "ingest timings written to BENCH_ingest.json\n%!";
-  let metric = Perf.Result.metric ~suite:"ingest" ~workload:"ds2" in
+  let suite = "ingest" and workload = "ds2" in
+  let metric = Perf.Result.metric ~suite ~workload in
   [ metric ~name:"append_rows_per_s" ~value:rows_per_s ~unit_:"rows/s"
       ~direction:Perf.Result.Higher_better ();
     metric ~name:"append_total_s" ~value:append_s ~unit_:"s" ();
     metric ~name:"incremental_s" ~value:incr_s ~unit_:"s" ();
     metric ~name:"rebuild_s" ~value:rebuild_s ~unit_:"s" ();
-    metric ~name:"incremental_vs_rebuild" ~value:ratio ~unit_:"x"
-      ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.9
-      ~bound:1.0 ();
     metric ~name:"refresh_ms" ~value:(!refresh_min *. 1e3) ~unit_:"ms" ();
-    metric ~name:"stale_keys" ~value:(float_of_int !stale_count) ~unit_:"n" () ]
+    exact ~suite ~workload "stale_keys" (float_of_int !stale_count);
+    exact ~suite ~workload "refreshed" (float_of_int !refilled) ]
+  @ exact_counts ~suite ~workload counts
 
 (* ------------------------------------------------------------------ *)
 (* The regression harness: record / compare / report.
 
-   The six gated suites run under one workload fingerprint; a run is
-   one line of bench/history.jsonl whose last line is the blessed
-   baseline CI gates against. *)
-
-let all_suites =
-  [ ("synth", synth_suite);
-    ("groupby", (fun () -> groupby_bench ()));
-    ("validate", (fun () -> validate_bench ~sizes_default:gate_validate_sizes ()));
-    ("serve", (fun () -> serve_bench ~seconds_default:gate_serve_seconds ()));
-    ("ingest", (fun () -> ingest_bench ()));
-    ("numeric", (fun () -> numeric_bench ())) ]
-
-let flag_suites : string list option ref = ref None
-
-let selected_suites () =
-  match !flag_suites with
-  | None -> all_suites
-  | Some names ->
-    List.map
-      (fun n ->
-        match List.assoc_opt n all_suites with
-        | Some f -> (n, f)
-        | None ->
-          Printf.eprintf "unknown suite %S; available: %s\n" n
-            (String.concat ", " (List.map fst all_suites));
-          exit 2)
-      names
-
-(* every knob that shapes the gated workloads, in canonical form; two
-   runs compare only when these agree *)
-let gate_knobs suites =
-  [ ("suites", String.concat "," (List.map fst suites));
-    ( "validate_sizes",
-      String.concat ","
-        (List.map string_of_int (validate_sizes ~default:gate_validate_sizes ())) );
-    ("serve_clients", string_of_int (serve_clients ()));
-    ( "serve_seconds",
-      Printf.sprintf "%g" (serve_seconds ~default:gate_serve_seconds ()) );
-    ("serve_rows", string_of_int (serve_rows ()));
-    ("serve_batch", string_of_int (serve_batch ()));
-    ("groupby_reps", string_of_int (groupby_reps ()));
-    ("synth_reps", string_of_int (synth_reps ()));
-    ("numeric_bins", string_of_int (numeric_bins ()));
-    ( "synth_datasets",
-      String.concat "," (List.map string_of_int gate_synth_datasets) ) ]
+   The six gated suites run under the one gate profile; a run is one
+   line of bench/history.jsonl whose last line is the blessed baseline
+   CI gates against. *)
 
 let fresh_run () =
-  let suites = selected_suites () in
-  let results = List.concat_map (fun (_, f) -> f ()) suites in
+  (* sequenced: list elements would be evaluated right to left *)
+  let results =
+    List.concat_map
+      (fun suite -> suite ())
+      [ synth_suite;
+        groupby_bench;
+        (fun () -> validate_bench ~sizes_default:gate_validate_sizes ());
+        (fun () -> serve_bench ~seconds_default:gate_serve_seconds ());
+        ingest_bench;
+        numeric_bench ]
+  in
   Perf.Result.make_run
     ~rev:(Perf.Result.current_rev ())
     ~unix_time:(Unix.gettimeofday ())
-    ~fingerprint:(Perf.Result.fingerprint (gate_knobs suites))
     results
 
 let default_history = "bench/history.jsonl"
@@ -1850,10 +1589,9 @@ let load_baseline arg =
 let cmd_record ~out () =
   let run = fresh_run () in
   Perf.History.append out run;
-  Printf.printf
-    "\nrecorded %d metrics (rev %s, fingerprint %s) -> %s\n%!"
+  Printf.printf "\nrecorded %d metrics (rev %s) -> %s\n%!"
     (List.length run.Perf.Result.results)
-    run.Perf.Result.rev run.Perf.Result.fingerprint out
+    run.Perf.Result.rev out
 
 let cmd_compare ~baseline ~current ~save () =
   let current_run =
@@ -1871,37 +1609,27 @@ let cmd_compare ~baseline ~current ~save () =
   in
   header "Comparison against baseline";
   (match baseline_run with
-   | None ->
-     print_string (Perf.Compare.render
-                     (Perf.Compare.compare_runs ~baseline:None
-                        ~current:current_run));
-     Printf.printf
-       "\nno baseline recorded yet: all metrics are new, only hard bounds \
-        were enforced\n%!"
-   | Some b -> Printf.printf "baseline: rev %s\ncurrent:  rev %s\n\n%!"
-                 b.Perf.Result.rev current_run.Perf.Result.rev);
-  match baseline_run with
-  | None -> ()
-  | Some _ ->
-    let rows =
-      try Perf.Compare.compare_runs ~baseline:baseline_run ~current:current_run
-      with Perf.Compare.Fingerprint_mismatch { baseline; current } ->
-        Printf.eprintf
-          "error: workload fingerprint mismatch (baseline %s, current %s).\n\
-           The baseline was recorded under different bench knobs; re-record \
-           it with `bench record` using the current knobs, or drop the \
-           overriding flags/env vars.\n"
-          baseline current;
-        exit 3
-    in
-    print_string (Perf.Compare.render rows);
-    match Perf.Compare.failures rows with
-    | [] -> Printf.printf "\nall %d gated metrics within tolerance\n%!"
-              (List.length (List.filter (fun r -> r.Perf.Compare.gated) rows))
-    | fails ->
-      Printf.printf "\n%d gated metric(s) FAILED:\n%s%!" (List.length fails)
-        (Perf.Compare.render fails);
-      exit 1
+   | None -> ()
+   | Some b ->
+     Printf.printf "baseline: rev %s\ncurrent:  rev %s\n\n%!"
+       b.Perf.Result.rev current_run.Perf.Result.rev);
+  let rows =
+    Perf.Compare.compare_runs ~baseline:baseline_run ~current:current_run
+  in
+  print_string (Perf.Compare.render rows);
+  let gated = List.filter (fun r -> r.Perf.Compare.gated) rows in
+  let n v =
+    List.length (List.filter (fun r -> r.Perf.Compare.verdict = v) gated)
+  in
+  Printf.printf "\n%d gated metrics: %d same, %d CHANGED, %d MISSING, %d added\n%!"
+    (List.length gated) (n Perf.Compare.Same) (n Perf.Compare.Changed)
+    (n Perf.Compare.Missing) (n Perf.Compare.Added);
+  match Perf.Compare.failures rows with
+  | [] -> ()
+  | fails ->
+    Printf.printf "\n%d gated metric(s) FAILED:\n%s%!" (List.length fails)
+      (Perf.Compare.render fails);
+    exit 1
 
 let cmd_report ~history ~current () =
   let runs = load_history_or_die history in
@@ -1947,21 +1675,10 @@ let flag_history = ref default_history
 
 let usage () =
   prerr_endline
-    "usage: bench [--jobs N] [workload flags] <experiments...>\n\
-    \       bench record  [--suites a,b] [--out FILE] [workload flags]\n\
-    \       bench compare [--baseline FILE|REV] [--current FILE]\n\
-    \                     [--save FILE] [--suites a,b] [workload flags]\n\
-    \       bench report  [--history FILE] [--current FILE]\n\
-     \n\
-     Workload flags (env fallback in parentheses):\n\
-    \  --validate-sizes N,N,..  rows per validate workload (VALIDATE_SIZES)\n\
-    \  --serve-clients N        pipelining clients (SERVE_CLIENTS, 100)\n\
-    \  --serve-seconds F        seconds per serving run (SERVE_SECONDS)\n\
-    \  --serve-rows N           rows in the served table (SERVE_ROWS, 100)\n\
-    \  --serve-batch N          pipelined requests per batch (SERVE_BATCH, 8)\n\
-    \  --groupby-reps N         min-of-N reps, groupby (GROUPBY_REPS, 10)\n\
-    \  --synth-reps N           min-of-N reps, synth (SYNTH_REPS, 3)\n\
-    \  --numeric-bins N         learned bins, numeric suite (NUMERIC_BINS, 8)";
+    "usage: bench [--jobs N] <experiments...>\n\
+    \       bench record  [--out FILE]\n\
+    \       bench compare [--baseline FILE|REV] [--current FILE] [--save FILE]\n\
+    \       bench report  [--history FILE] [--current FILE]";
   exit 2
 
 let () =
@@ -1969,38 +1686,12 @@ let () =
     Printf.eprintf "bad value %S for %s\n" v flag;
     exit 2
   in
-  let set_int r flag v =
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> r := Some n
-    | _ -> bad flag v
-  in
-  let set_float r flag v =
-    match float_of_string_opt v with
-    | Some f when f > 0.0 -> r := Some f
-    | _ -> bad flag v
-  in
   let flags : (string * (string -> unit)) list =
     [ ( "--jobs",
         fun v ->
           match int_of_string_opt v with
           | Some j when j >= 1 -> jobs := j
           | _ -> bad "--jobs" v );
-      ( "--validate-sizes",
-        fun v ->
-          match parse_sizes v with
-          | [] -> bad "--validate-sizes" v
-          | sizes -> flag_validate_sizes := Some sizes );
-      ("--serve-clients", set_int flag_serve_clients "--serve-clients");
-      ("--serve-seconds", set_float flag_serve_seconds "--serve-seconds");
-      ("--serve-rows", set_int flag_serve_rows "--serve-rows");
-      ("--serve-batch", set_int flag_serve_batch "--serve-batch");
-      ("--groupby-reps", set_int flag_groupby_reps "--groupby-reps");
-      ("--synth-reps", set_int flag_synth_reps "--synth-reps");
-      ("--numeric-bins", set_int flag_numeric_bins "--numeric-bins");
-      ( "--suites",
-        fun v ->
-          flag_suites :=
-            Some (List.filter (fun s -> s <> "") (String.split_on_char ',' v)) );
       ("--out", fun v -> flag_out := v);
       ("--baseline", fun v -> flag_baseline := Some v);
       ("--current", fun v -> flag_current := Some v);

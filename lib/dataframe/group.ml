@@ -49,15 +49,6 @@ let raw_ids codes cards n =
     codes cards;
   ids
 
-(* Exactly the historical [Contingency.strata]: per-row mixed-radix
-   stratum ids plus the stratum-space size, or [None] past the cap. *)
-let strata ~max_strata cond_codes cond_cards n =
-  if cond_codes = [] then Some (Array.make n 0, 1)
-  else
-    match strata_count ~cap:max_strata cond_cards with
-    | None -> None
-    | Some prod -> Some (raw_ids cond_codes cond_cards n, prod)
-
 (* Densify raw ids bounded by [space] via a flat remap array; dense ids
    are assigned in order of first occurrence. *)
 let densify ids space =
@@ -219,15 +210,15 @@ let histograms t codes ~card =
   h
 
 (* ------------------------------------------------------------------ *)
-(* Per-source memo cache *)
+(* Per-snapshot memo cache *)
 
-(* One cache per code matrix (a frame's columns, an auxiliary sample
-   set): repeated groupings over the same column-index set — thousands
-   of enumerated sketches sharing a GIVEN set, stable-PC revisiting a
-   conditioning set across levels — are computed once. Lookups and the
-   compute itself run under one mutex, so (a) the cache is safe under
-   [Runtime.Pool.parmap] and (b) each distinct key is computed exactly
-   once, keeping the hit/miss counters schedule-independent. *)
+(* One cache per frame snapshot: repeated groupings over the same
+   column-index set — thousands of enumerated sketches sharing a GIVEN
+   set, a table's validations across requests — are computed once.
+   Lookups and the compute itself run under one mutex, so (a) the cache
+   is safe under [Runtime.Pool.parmap] and (b) each distinct key is
+   computed exactly once, keeping the hit/miss counters
+   schedule-independent. *)
 module Cache = struct
   type group = t
 
@@ -236,50 +227,26 @@ module Cache = struct
     cards : int array;
     n : int;
     cap : int;
-    (* [Frame.Snapshot.key] of the frame the codes came from; [None]
-       for raw code-matrix sources (auxiliary sample sets). This is the
-       only cache identity — there is no physical-frame keying. *)
-    frame_key : (int * int) option;
+    (* [Frame.Snapshot.key] of the frame the codes came from: the only
+       cache identity — there is no physical-frame keying. *)
+    frame_key : int * int;
     table : (int list, group) Hashtbl.t;
     mutex : Mutex.t;
   }
 
-  (* Registered lazily so merely linking dataframe doesn't populate the
-     default registry. *)
-  let hits = lazy (Obs.Metric.counter Obs.Metric.default "group.cache.hits")
-
-  let misses =
-    lazy (Obs.Metric.counter Obs.Metric.default "group.cache.misses")
-
-  let extended =
-    lazy (Obs.Metric.counter Obs.Metric.default "group.cache.extended")
-
-  let rebuilt =
-    lazy (Obs.Metric.counter Obs.Metric.default "group.cache.rebuilt")
-
-  let create ?(cap = default_cap) ?frame_key ~codes ~cards () =
-    if Array.length codes <> Array.length cards then
-      invalid_arg "Group.Cache.create: codes/cards mismatch";
-    let n = if Array.length codes = 0 then 0 else Array.length codes.(0) in
-    {
-      codes;
-      cards;
-      n;
-      cap;
-      frame_key;
-      table = Hashtbl.create 64;
-      mutex = Mutex.create ();
-    }
-
   (* Frames group over their *attribute* view: dict codes for categorical
      columns, learned bin codes for binned ones. For frames without
      domains this is exactly the code matrix. *)
-  let of_frame ?cap frame =
-    create ?cap
-      ~frame_key:(Frame.Snapshot.key frame)
-      ~codes:(Frame.attr_code_matrix frame)
-      ~cards:(Frame.attr_cardinalities frame)
-      ()
+  let of_frame ?(cap = default_cap) frame =
+    {
+      codes = Frame.attr_code_matrix frame;
+      cards = Frame.attr_cardinalities frame;
+      n = Frame.nrows frame;
+      cap;
+      frame_key = Frame.Snapshot.key frame;
+      table = Hashtbl.create 64;
+      mutex = Mutex.create ();
+    }
 
   let frame_key c = c.frame_key
 
@@ -304,11 +271,11 @@ module Cache = struct
      the new frame ([group.cache.rebuilt]). *)
   let advance ?(rebuild_threshold = default_rebuild_threshold) c frame =
     let rebuild () =
-      Obs.Metric.incr (Lazy.force rebuilt);
+      Obs.Metric.count "group.cache.rebuilt";
       of_frame ~cap:c.cap frame
     in
     match c.frame_key with
-    | Some (id, epoch) when id = Frame.Snapshot.id frame -> (
+    | id, epoch when id = Frame.Snapshot.id frame -> (
       if epoch = Frame.Snapshot.epoch frame then c
       else
         match Frame.Delta.since frame ~epoch with
@@ -321,7 +288,7 @@ module Cache = struct
             (fun (key, g) ->
               let cols = List.map (fun i -> next.codes.(i)) key in
               Hashtbl.replace next.table key (extend g cols next.n);
-              Obs.Metric.incr (Lazy.force extended))
+              Obs.Metric.count "group.cache.extended")
             (snapshot_entries c);
           next
         | _ -> rebuild ())
@@ -343,10 +310,10 @@ module Cache = struct
     Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) @@ fun () ->
     match Hashtbl.find_opt c.table key with
     | Some g ->
-      Obs.Metric.incr (Lazy.force hits);
+      Obs.Metric.count "group.cache.hits";
       g
     | None ->
-      Obs.Metric.incr (Lazy.force misses);
+      Obs.Metric.count "group.cache.misses";
       let g =
         Obs.Span.with_ "group.key"
           ~attrs:(fun () ->

@@ -15,13 +15,6 @@ type t
     [cap]. *)
 val strata_count : cap:int -> int list -> int option
 
-(** Per-row mixed-radix stratum ids of a conditioning set plus the
-    stratum-space size, or [None] when the space exceeds [max_strata].
-    Exactly the historical [Stat.Contingency.strata] (ids are raw, not
-    densified; the empty set yields one stratum). *)
-val strata :
-  max_strata:int -> int array list -> int list -> int -> (int array * int) option
-
 (** Mixed-radix path chosen when the cardinality product is at most
     this (the {!make} default cap). *)
 val default_cap : int
@@ -81,38 +74,25 @@ val iter_rows : t -> int -> (int -> unit) -> unit
     [g] with [codes.(row) = c]. *)
 val histograms : t -> int array -> card:int -> int array array
 
-(** Per-source memo cache: one per code matrix (a frame's columns, an
-    auxiliary sample set), keyed by column-index sets, so repeated
-    groupings are computed once per synthesis run. Lookup and compute
-    run under a mutex — safe to share across [Runtime.Pool] domains,
-    and each distinct key is computed exactly once, keeping the
-    [group.cache.hits]/[group.cache.misses] counters in
-    [Obs.Metric.default] schedule-independent. Computing a missing
+(** Per-snapshot memo cache over a frame's columns, keyed by
+    column-index sets, so repeated groupings are computed once. Lookup
+    and compute run under a mutex — safe to share across
+    [Runtime.Pool] domains, and each distinct key is computed exactly
+    once, keeping the [group.cache.hits]/[group.cache.misses] counters
+    in [Obs.Metric.default] schedule-independent. Computing a missing
     entry is wrapped in a [group.key] span. *)
 module Cache : sig
   type group := t
   type t
 
-  (** [create ~codes ~cards ()] caches groupings of a raw code matrix
-      (e.g. an auxiliary sample set); [cap] is forwarded to {!make}.
-      [frame_key] records the snapshot identity when the codes came
-      from a frame — prefer {!of_frame} for that. *)
-  val create :
-    ?cap:int ->
-    ?frame_key:int * int ->
-    codes:int array array ->
-    cards:int array ->
-    unit ->
-    t
-
   (** Cache over a frame's columns, keyed by [Frame.Snapshot.key] — the
       only cache identity (caches are never matched on physical frame
-      identity). *)
+      identity). [cap] is forwarded to {!make}. *)
   val of_frame : ?cap:int -> Frame.t -> t
 
-  (** [Some (id, epoch)] for frame-backed caches, [None] for raw code
-      matrices. *)
-  val frame_key : t -> (int * int) option
+  (** The [(id, epoch)] snapshot key of the frame the cache was built
+      over. *)
+  val frame_key : t -> int * int
 
   (** Grouping by the given column indices (order-insensitive; the key
       is the sorted set). *)

@@ -52,6 +52,8 @@ let counter reg name =
 
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
 
+let count ?by name = incr ?by (counter default name)
+
 let counter_value c = Atomic.get c
 
 let gauge reg name =

@@ -16,6 +16,13 @@ val default : registry
 
 val counter : registry -> string -> counter
 val incr : ?by:int -> counter -> unit
+
+(** [count name] increments counter [name] of {!default}, looking it up
+    on every call. Pipeline code counts this way rather than holding a
+    handle in a global [lazy]: get-or-create is domain-safe, whereas
+    two domains forcing one [lazy] at once raise
+    [CamlinternalLazy.Undefined]. *)
+val count : ?by:int -> string -> unit
 val counter_value : counter -> int
 
 val gauge : registry -> string -> gauge

@@ -1,10 +1,4 @@
-type verdict =
-  | Improved
-  | Within
-  | Regressed
-  | Bound_violated
-  | Missing
-  | Added
+type verdict = Same | Changed | Missing | Added
 
 type row = {
   key : string;
@@ -13,60 +7,26 @@ type row = {
   baseline : float option;
   current : float option;
   delta : float option;
-  tolerance : float;
   verdict : verdict;
 }
 
-exception Fingerprint_mismatch of { baseline : string; current : string }
-
-(* Signed relative change where positive is always an improvement,
-   whatever the metric's direction. A zero baseline only compares
-   equal-to-zero; any other current value counts as an infinite move. *)
-let relative_delta ~(direction : Result.direction) ~baseline ~current =
-  let raw =
-    if Float.abs baseline > 0.0 then (current -. baseline) /. Float.abs baseline
-    else if current = baseline then 0.0
-    else if current > baseline then Float.infinity
-    else Float.neg_infinity
-  in
-  match direction with
-  | Result.Higher_better -> raw
-  | Result.Lower_better -> -.raw
-
-let bound_ok (m : Result.metric) =
-  match m.Result.bound with
-  | None -> true
-  | Some b -> (
-    match m.Result.direction with
-    | Result.Higher_better -> m.Result.value >= b
-    | Result.Lower_better -> m.Result.value <= b)
+(* Signed relative change of the current value. A zero baseline only
+   compares equal-to-zero; any other current value counts as an
+   infinite move. *)
+let relative_delta ~baseline ~current =
+  if Float.abs baseline > 0.0 then (current -. baseline) /. Float.abs baseline
+  else if current = baseline then 0.0
+  else if current > baseline then Float.infinity
+  else Float.neg_infinity
 
 let judge ~baseline (m : Result.metric) =
-  if not (bound_ok m) then (None, Bound_violated)
-  else
-    match baseline with
-    | None -> (None, Added)
-    | Some b ->
-      let delta =
-        relative_delta ~direction:m.Result.direction ~baseline:b
-          ~current:m.Result.value
-      in
-      let verdict =
-        if delta < -.m.Result.tolerance then Regressed
-        else if delta > 0.0 then Improved
-        else Within
-      in
-      (Some delta, verdict)
+  match baseline with
+  | None -> (None, Added)
+  | Some b ->
+    ( Some (relative_delta ~baseline:b ~current:m.Result.value),
+      if Float.equal b m.Result.value then Same else Changed )
 
 let compare_runs ~baseline ~current =
-  (match baseline with
-   | Some b
-     when b.Result.fingerprint <> current.Result.fingerprint ->
-     raise
-       (Fingerprint_mismatch
-          { baseline = b.Result.fingerprint;
-            current = current.Result.fingerprint })
-   | _ -> ());
   let base_tbl = Hashtbl.create 64 in
   Option.iter
     (fun b ->
@@ -90,7 +50,6 @@ let compare_runs ~baseline ~current =
           baseline = Option.map (fun b -> b.Result.value) base;
           current = Some m.Result.value;
           delta;
-          tolerance = m.Result.tolerance;
           verdict;
         })
       current.Result.results
@@ -107,7 +66,6 @@ let compare_runs ~baseline ~current =
           baseline = Some m.Result.value;
           current = None;
           delta = None;
-          tolerance = m.Result.tolerance;
           verdict = Missing;
         }
         :: acc)
@@ -120,15 +78,15 @@ let failures rows =
     (fun r ->
       r.gated
       && match r.verdict with
-         | Regressed | Bound_violated | Missing -> true
-         | Improved | Within | Added -> false)
+         | Changed | Missing -> true
+         | Same | Added -> false)
     rows
 
-let verdict_label = function
-  | Improved -> "improved"
-  | Within -> "within"
-  | Regressed -> "REGRESSED"
-  | Bound_violated -> "BOUND VIOLATED"
+let verdict_label r =
+  match r.verdict with
+  | (Same | Changed) when not r.gated -> "trend"
+  | Same -> "same"
+  | Changed -> "CHANGED"
   | Missing -> "MISSING"
   | Added -> "added"
 
@@ -156,9 +114,7 @@ let render ?(only_gated = false) rows =
       Buffer.add_string b
         (Printf.sprintf "%-52s %-7s %12s %12s %9s  %s%s\n" r.key r.unit_
            (fmt_value r.baseline) (fmt_value r.current) (fmt_delta r.delta)
-           (verdict_label r.verdict)
-           (if r.gated then Printf.sprintf " (gated, tol %.0f%%)"
-                             (100.0 *. r.tolerance)
-            else "")))
+           (verdict_label r)
+           (if r.gated then " (gated)" else "")))
     rows;
   Buffer.contents b

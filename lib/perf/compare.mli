@@ -1,17 +1,16 @@
 (** Baseline comparison and the regression gate.
 
-    Metrics are aligned by {!Result.key}. The gate policy (gated
-    flag, tolerance, direction, bound) is always taken from the
-    {e current} run, so thresholds travel with the code under test
-    rather than being frozen into old history lines. *)
+    Metrics are aligned by {!Result.key}. A gated metric fails unless
+    it equals its baseline exactly; an ungated one is trend only. The
+    gated flag is taken from the {e current} run, so the policy
+    travels with the code under test rather than being frozen into old
+    history lines. *)
 
 type verdict =
-  | Improved         (** moved in the good direction *)
-  | Within           (** inside the metric's tolerance *)
-  | Regressed        (** worse than baseline by more than tolerance *)
-  | Bound_violated   (** current value breaks its hard bound *)
-  | Missing          (** in baseline, absent from current run *)
-  | Added            (** in current only (includes first runs) *)
+  | Same      (** equal to the baseline *)
+  | Changed   (** differs from the baseline *)
+  | Missing   (** in baseline, absent from current run *)
+  | Added     (** in current only (includes first runs) *)
 
 type row = {
   key : string;
@@ -20,24 +19,19 @@ type row = {
   baseline : float option;
   current : float option;
   delta : float option;
-      (** signed relative change, positive = better, per direction *)
-  tolerance : float;
+      (** signed relative change of the current value *)
   verdict : verdict;
 }
 
-exception Fingerprint_mismatch of { baseline : string; current : string }
-
 (** Align and judge. [baseline = None] is the first-run case: every
-    current metric is [Added] (bounds are still enforced).
-    @raise Fingerprint_mismatch when both runs exist but were
-    produced under different workload knobs — comparing them would
-    be meaningless; re-bless the baseline instead. *)
+    current metric is [Added]. *)
 val compare_runs :
   baseline:Result.run option -> current:Result.run -> row list
 
-(** Rows that fail the gate: gated and [Regressed], [Bound_violated]
-    or [Missing]. Empty means exit 0. *)
+(** Rows that fail the gate: gated and [Changed] or [Missing]. Empty
+    means exit 0. *)
 val failures : row list -> row list
 
-(** Plain-text delta table; [only_gated] defaults to false. *)
+(** Plain-text delta table; ungated rows read [trend] in place of a
+    verdict. [only_gated] defaults to false. *)
 val render : ?only_gated:bool -> row list -> string

@@ -12,8 +12,6 @@ type sample = {
   reps : int;
 }
 
-let spread s = if s.min_s > 0.0 then (s.median_s -. s.min_s) /. s.min_s else 0.0
-
 let run ?(warmup = 1) ?(reps = 5) ?(inner = 1) ?(gc_compact = true) f =
   let reps = max 1 reps in
   let inner = max 1 inner in

@@ -44,9 +44,9 @@ let markdown runs =
      in
      Buffer.add_string b
        (Printf.sprintf
-          "%d run(s); current: rev `%s` (%s), fingerprint `%s`%s\n\n"
+          "%d run(s); current: rev `%s` (%s)%s\n\n"
           (List.length runs) current.Result.rev
-          (utc_date current.Result.unix_time) current.Result.fingerprint
+          (utc_date current.Result.unix_time)
           (match baseline with
            | Some p -> Printf.sprintf "; baseline: rev `%s`" p.Result.rev
            | None -> ""));

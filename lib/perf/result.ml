@@ -8,13 +8,11 @@ type metric = {
   unit_ : string;
   direction : direction;
   gated : bool;
-  tolerance : float;
-  bound : float option;
 }
 
 let metric ~suite ~workload ~name ~value ~unit_ ?(direction = Lower_better)
-    ?(gated = false) ?(tolerance = 0.25) ?bound () =
-  { suite; workload; name; value; unit_; direction; gated; tolerance; bound }
+    ?(gated = false) () =
+  { suite; workload; name; value; unit_; direction; gated }
 
 let key m = Printf.sprintf "%s/%s/%s" m.suite m.workload m.name
 
@@ -22,31 +20,13 @@ type run = {
   schema_version : int;
   rev : string;
   unix_time : float;
-  fingerprint : string;
   results : metric list;
 }
 
 let schema_version = 1
 
-let make_run ~rev ~unix_time ~fingerprint results =
-  { schema_version; rev; unix_time; fingerprint; results }
-
-(* 64-bit FNV-1a; stable across ocaml versions and word sizes, unlike
-   Hashtbl.hash. Knobs are sorted so fingerprints ignore flag order. *)
-let fingerprint knobs =
-  let canonical =
-    knobs
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (k, v) -> k ^ "=" ^ v)
-    |> String.concat ";"
-  in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    canonical;
-  Printf.sprintf "%016Lx" !h
+let make_run ~rev ~unix_time results =
+  { schema_version; rev; unix_time; results }
 
 let current_rev () =
   match Sys.getenv_opt "GUARDRAIL_BENCH_REV" with
@@ -75,15 +55,13 @@ let direction_of_string = function
 let metric_to_json m =
   let open Obs.Json in
   Obj
-    ([ ("suite", Str m.suite);
-       ("workload", Str m.workload);
-       ("metric", Str m.name);
-       ("value", Num m.value);
-       ("unit", Str m.unit_);
-       ("direction", Str (direction_to_string m.direction));
-       ("gated", Bool m.gated);
-       ("tolerance", Num m.tolerance) ]
-    @ match m.bound with None -> [] | Some b -> [ ("bound", Num b) ])
+    [ ("suite", Str m.suite);
+      ("workload", Str m.workload);
+      ("metric", Str m.name);
+      ("value", Num m.value);
+      ("unit", Str m.unit_);
+      ("direction", Str (direction_to_string m.direction));
+      ("gated", Bool m.gated) ]
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -101,9 +79,7 @@ let metric_of_json j =
   let* dir = field "direction" Obs.Json.to_str j in
   let* direction = direction_of_string dir in
   let* gated = field "gated" Obs.Json.to_bool j in
-  let* tolerance = field "tolerance" Obs.Json.to_float j in
-  let bound = Option.bind (Obs.Json.member "bound" j) Obs.Json.to_float in
-  Ok { suite; workload; name; value; unit_; direction; gated; tolerance; bound }
+  Ok { suite; workload; name; value; unit_; direction; gated }
 
 let run_to_json r =
   let open Obs.Json in
@@ -111,7 +87,6 @@ let run_to_json r =
     [ ("schema_version", Num (float_of_int r.schema_version));
       ("rev", Str r.rev);
       ("unix_time", Num r.unix_time);
-      ("fingerprint", Str r.fingerprint);
       ("results", List (List.map metric_to_json r.results)) ]
 
 let run_of_json j =
@@ -121,7 +96,6 @@ let run_of_json j =
   else
     let* rev = field "rev" Obs.Json.to_str j in
     let* unix_time = field "unix_time" Obs.Json.to_float j in
-    let* fingerprint = field "fingerprint" Obs.Json.to_str j in
     let* results = field "results" Obs.Json.to_list j in
     let* results =
       List.fold_left
@@ -131,5 +105,4 @@ let run_of_json j =
           Ok (m :: acc))
         (Ok []) results
     in
-    Ok { schema_version = version; rev; unix_time; fingerprint;
-         results = List.rev results }
+    Ok { schema_version = version; rev; unix_time; results = List.rev results }

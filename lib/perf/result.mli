@@ -1,31 +1,23 @@
 (** The one result schema every benchmark suite emits.
 
-    A {!metric} is a single measured number plus the policy for
-    gating it: direction, relative tolerance against a baseline, and
-    an optional machine-independent hard bound. A {!run} bundles one
-    harness invocation's metrics with the repo revision and a
-    fingerprint of every knob that shaped the workload, so runs are
-    only ever compared like-for-like. *)
+    A {!metric} is a single measured number plus its gate policy: a
+    gated metric must equal its baseline exactly (deterministic work
+    counts), an ungated one is trend only (wall times). A {!run}
+    bundles one harness invocation's metrics with the repo revision. *)
 
 type direction = Higher_better | Lower_better
 
 type metric = {
   suite : string;        (** e.g. ["validate"] *)
   workload : string;     (** e.g. ["rows=50000"] *)
-  name : string;         (** e.g. ["detect_speedup"] *)
+  name : string;         (** e.g. ["vm.cache.misses"] *)
   value : float;
-  unit_ : string;        (** ["s"], ["x"], ["req/s"], ["rate"], ... *)
-  direction : direction;
-  gated : bool;          (** participates in [compare]'s exit code *)
-  tolerance : float;     (** allowed relative regression vs baseline *)
-  bound : float option;
-      (** hard floor (higher-better) or cap (lower-better) enforced
-          even without a baseline; e.g. a speedup that must stay
-          >= 1.0 for the optimised path to be worth keeping *)
+  unit_ : string;        (** ["s"], ["n"], ["req/s"], ["cov"], ... *)
+  direction : direction; (** which way is better, for the trend report *)
+  gated : bool;          (** must equal the baseline exactly *)
 }
 
-(** Smart constructor; defaults: [Lower_better] (a time),
-    ungated, tolerance 0.25, no bound. *)
+(** Smart constructor; defaults: [Lower_better] (a time), ungated. *)
 val metric :
   suite:string ->
   workload:string ->
@@ -34,8 +26,6 @@ val metric :
   unit_:string ->
   ?direction:direction ->
   ?gated:bool ->
-  ?tolerance:float ->
-  ?bound:float ->
   unit ->
   metric
 
@@ -46,22 +36,20 @@ type run = {
   schema_version : int;
   rev : string;           (** repo revision the run measured *)
   unix_time : float;      (** seconds since epoch, for the report *)
-  fingerprint : string;   (** hash of every workload knob; see {!fingerprint} *)
   results : metric list;
 }
 
 val schema_version : int
 
-val make_run :
-  rev:string -> unix_time:float -> fingerprint:string -> metric list -> run
-
-(** FNV-1a over the canonical [key=value] rendering of the knobs.
-    Two runs compare only if their fingerprints agree. *)
-val fingerprint : (string * string) list -> string
+val make_run : rev:string -> unix_time:float -> metric list -> run
 
 (** Current repo revision: [$GUARDRAIL_BENCH_REV], else
     [git rev-parse --short HEAD], else ["unknown"]. *)
 val current_rev : unit -> string
 
 val run_to_json : run -> Obs.Json.t
+
+(** Parses lines written by {!run_to_json}, and older lines that also
+    carry [fingerprint], [tolerance] and [bound] fields (ignored), so
+    the whole history keeps rendering. *)
 val run_of_json : Obs.Json.t -> (run, string) result

@@ -141,9 +141,7 @@ let advance t compiled frame =
   | Frame.Delta.Unchanged -> t
   | Frame.Delta.Rows_appended { base_rows }
     when base_rows = t.nrows
-         && Group.Cache.frame_key t.groups <> None
-         && fst (Option.get (Group.Cache.frame_key t.groups))
-            = Frame.Snapshot.id frame ->
+         && fst (Group.Cache.frame_key t.groups) = Frame.Snapshot.id frame ->
     let n = Frame.nrows frame in
     let groups = Group.Cache.advance t.groups frame in
     let delta_frame =

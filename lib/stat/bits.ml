@@ -69,7 +69,8 @@ let conditional ~max_strata ~n xs ys zs =
       if first.(s) = max_int then
         first.(s) <- (w * width) + lowest_bit m
     in
-    (* stratum ids are mixed radix, like [Group.strata]: s = fold (s * 2 + z) *)
+    (* stratum ids are radix 2, one digit per conditioning column:
+       s = fold (s * 2 + z) *)
     let rec split w s m d =
       if d = k then count w s m
       else begin

@@ -76,17 +76,11 @@ let effect_size ~kx ~ky ~n stat =
 
 let independent_result = { stat = 0.0; df = 0; p_value = 1.0; independent = true }
 
-(* [tests] counts every test; [conservative] counts the
+(* [ci.tests] counts every test; [ci.conservative] counts the
    no-usable-signal returns (stratum cap hit or all-degenerate tables)
-   where independence is declared without evidence. Both are looked up
-   on use, so merely linking stat doesn't populate the default registry:
-   the registry's get-or-create is domain-safe, whereas two domains
-   forcing one [lazy] at once (the parallel PC skeleton) raise
-   [CamlinternalLazy.Undefined]. *)
-let count name = Obs.Metric.incr (Obs.Metric.counter Obs.Metric.default name)
-
+   where independence is declared without evidence. *)
 let conservative () =
-  count "ci.conservative";
+  Obs.Metric.count "ci.conservative";
   independent_result
 
 (* Judge stratified tables: sum per-stratum statistics and dfs. When
@@ -96,7 +90,7 @@ let conservative () =
    mirrors the "identity sampler becomes unusable on high-cardinality
    data" failure mode of the paper's ablation (Table 8). *)
 let evaluate spec tables =
-  count "ci.tests";
+  Obs.Metric.count "ci.tests";
   match tables with
   | None -> conservative ()
   | Some tables ->

@@ -16,9 +16,6 @@ type t = {
   mutable programs : Program.t list;  (* most recently used first *)
 }
 
-let hits = lazy (Obs.Metric.counter Obs.Metric.default "vm.cache.hits")
-let misses = lazy (Obs.Metric.counter Obs.Metric.default "vm.cache.misses")
-
 (* Distinct dictionary sets retained per compilation. *)
 let max_programs = 8
 
@@ -28,11 +25,11 @@ let get t frame =
   Mutex.protect t.mutex @@ fun () ->
   match List.find_opt (fun p -> Program.compatible p frame) t.programs with
   | Some p ->
-    Obs.Metric.incr (Lazy.force hits);
+    Obs.Metric.count "vm.cache.hits";
     t.programs <- p :: List.filter (fun q -> q != p) t.programs;
     p
   | None ->
-    Obs.Metric.incr (Lazy.force misses);
+    Obs.Metric.count "vm.cache.misses";
     let p = Lower.lower frame t.rules in
     t.programs <- List.filteri (fun i _ -> i < max_programs) (p :: t.programs);
     p

@@ -14,9 +14,6 @@ module Group = Dataframe.Group
 
 type verdicts = { n : int; any : Bitmap.t; per_stmt : Bitmap.t array }
 
-let rows_validated =
-  lazy (Obs.Metric.counter Obs.Metric.default "vm.rows.validated")
-
 (* no-rule marker in the per-group expect array *)
 let no_rule = min_int
 
@@ -265,7 +262,7 @@ let run ?groups (p : Program.t) frame =
   if not (Program.compatible p frame) then
     invalid_arg "Vm.Exec.run: frame incompatible with program (stale dictionaries)";
   (match groups with
-   | Some c when Group.Cache.frame_key c <> Some (Frame.Snapshot.key frame) ->
+   | Some c when Group.Cache.frame_key c <> Frame.Snapshot.key frame ->
      invalid_arg "Vm.Exec.run: group cache belongs to another snapshot"
    | _ -> ());
   let n = Frame.nrows frame in
@@ -278,7 +275,7 @@ let run ?groups (p : Program.t) frame =
   let per_stmt = Array.map (fun r -> regs.(r)) p.stmt_reg in
   let any = Bitmap.create n in
   Array.iter (fun bm -> Bitmap.or_in any bm) per_stmt;
-  Obs.Metric.incr ~by:n (Lazy.force rows_validated);
+  Obs.Metric.count ~by:n "vm.rows.validated";
   { n; any; per_stmt }
 
 (* Scalar path: the 1-row entry point. One key-array allocation per

@@ -353,31 +353,15 @@ let test_group_histograms () =
   Alcotest.(check (array int)) "group 1 hist" [| 2; 0; 0 |] h.(1)
 
 let test_group_strata () =
-  (* mixed-radix ids match the historical Contingency.strata formula *)
-  let c0 = [| 0; 1; 1 |] and c1 = [| 2; 0; 2 |] in
-  (match Group.strata ~max_strata:100 [ c0; c1 ] [ 2; 3 ] 3 with
-  | None -> Alcotest.fail "strata gave up unexpectedly"
-  | Some (ids, k) ->
-    Alcotest.(check int) "stratum space" 6 k;
-    (* id = c0 * 3 + c1 *)
-    Alcotest.(check (array int)) "mixed-radix ids" [| 2; 3; 5 |] ids);
-  (* empty conditioning set: one stratum *)
-  (match Group.strata ~max_strata:100 [] [] 3 with
-  | None -> Alcotest.fail "empty set gave up"
-  | Some (ids, k) ->
-    Alcotest.(check int) "one stratum" 1 k;
-    Alcotest.(check (array int)) "zero ids" [| 0; 0; 0 |] ids);
-  (* the product cap gives up exactly as before *)
-  Alcotest.(check bool) "give-up over cap" true
-    (Group.strata ~max_strata:4096 [ c0; c1 ] [ 100; 100 ] 3 = None);
+  (* the cardinality product with the historical max_strata give-up *)
   Alcotest.(check (option int)) "strata_count under cap" (Some 6)
     (Group.strata_count ~cap:100 [ 2; 3 ]);
   Alcotest.(check (option int)) "strata_count over cap" None
     (Group.strata_count ~cap:5 [ 2; 3 ])
 
 let test_group_cache () =
-  let codes = [| [| 0; 1; 0; 1 |]; [| 0; 0; 1; 1 |]; [| 1; 1; 1; 0 |] |] in
-  let cache = Group.Cache.create ~codes ~cards:[| 2; 2; 2 |] () in
+  let frame = Csv.of_string "a,b,c\nx,p,u\ny,p,u\nx,q,u\ny,q,v\n" in
+  let cache = Group.Cache.of_frame frame in
   let before =
     let snap = Obs.Metric.snapshot Obs.Metric.default in
     (List.assoc_opt "group.cache.hits" snap.Obs.Metric.counters,

@@ -1,6 +1,6 @@
-(* Tests for lib/perf: the comparator's threshold math (improvement,
-   within-tolerance, regression, hard bounds, missing metrics, first
-   runs), fingerprint discipline, run JSON round-trips, the JSONL
+(* Tests for lib/perf: the comparator's exact gate (same, changed,
+   missing, added, first runs; ungated metrics as trend only), run
+   JSON round-trips including pre-exact-gate history lines, the JSONL
    history file, the stable-measurement runner, and the markdown
    report. *)
 
@@ -8,12 +8,10 @@ module R = Perf.Result
 module C = Perf.Compare
 
 let m ?(suite = "s") ?(workload = "w") ?(direction = R.Lower_better)
-    ?(gated = true) ?(tolerance = 0.10) ?bound ~name ~value () =
-  R.metric ~suite ~workload ~name ~value ~unit_:"u" ~direction ~gated
-    ~tolerance ?bound ()
+    ?(gated = true) ~name ~value () =
+  R.metric ~suite ~workload ~name ~value ~unit_:"u" ~direction ~gated ()
 
-let run ?(fingerprint = "fp") metrics =
-  R.make_run ~rev:"r0" ~unix_time:0.0 ~fingerprint metrics
+let run metrics = R.make_run ~rev:"r0" ~unix_time:0.0 metrics
 
 let compare_single ~baseline ~current =
   match
@@ -27,36 +25,50 @@ let verdict =
     (fun ppf v ->
       Format.pp_print_string ppf
         (match v with
-         | C.Improved -> "improved"
-         | C.Within -> "within"
-         | C.Regressed -> "regressed"
-         | C.Bound_violated -> "bound_violated"
+         | C.Same -> "same"
+         | C.Changed -> "changed"
          | C.Missing -> "missing"
          | C.Added -> "added"))
     ( = )
 
-(* ------------------------------------------------------------------ *)
-(* Threshold math *)
+let contains hay needle =
+  let len = String.length needle in
+  let rec scan i =
+    i + len <= String.length hay && (String.sub hay i len = needle || scan (i + 1))
+  in
+  scan 0
 
-let test_within_tolerance () =
-  (* lower-better time moves 5% worse under a 10% tolerance *)
+let check_delta label expected row =
+  match row.C.delta with
+  | Some d ->
+    Alcotest.(check bool) label true (Float.abs (d -. expected) < 1e-9)
+  | None -> Alcotest.fail "delta expected"
+
+(* ------------------------------------------------------------------ *)
+(* The exact gate *)
+
+let test_exact_match () =
   let row =
     compare_single
-      ~baseline:(m ~name:"t" ~value:1.00 ())
-      ~current:(m ~name:"t" ~value:1.05 ())
+      ~baseline:(m ~name:"ci.tests" ~value:2628.0 ())
+      ~current:(m ~name:"ci.tests" ~value:2628.0 ())
   in
-  Alcotest.check verdict "within" C.Within row.C.verdict;
-  (match row.C.delta with
-   | Some d -> Alcotest.(check bool) "delta is -5%" true (Float.abs (d +. 0.05) < 1e-9)
-   | None -> Alcotest.fail "delta expected");
-  (* and exactly at the threshold (binary-exact values) is still
-     within, not a regression *)
-  let row =
-    compare_single
-      ~baseline:(m ~tolerance:0.5 ~name:"t" ~value:1.0 ())
-      ~current:(m ~tolerance:0.5 ~name:"t" ~value:1.5 ())
-  in
-  Alcotest.check verdict "at threshold" C.Within row.C.verdict
+  Alcotest.check verdict "same" C.Same row.C.verdict;
+  check_delta "zero delta" 0.0 row;
+  Alcotest.(check int) "no failures" 0 (List.length (C.failures [ row ]))
+
+let test_count_off_by_one () =
+  (* the smallest move of a work count, either way, fails *)
+  List.iter
+    (fun value ->
+      let row =
+        compare_single
+          ~baseline:(m ~name:"ci.tests" ~value:2628.0 ())
+          ~current:(m ~name:"ci.tests" ~value ())
+      in
+      Alcotest.check verdict "changed" C.Changed row.C.verdict;
+      Alcotest.(check int) "fails" 1 (List.length (C.failures [ row ])))
+    [ 2627.0; 2629.0 ]
 
 let test_regression_lower_better () =
   let row =
@@ -64,55 +76,37 @@ let test_regression_lower_better () =
       ~baseline:(m ~name:"t" ~value:1.00 ())
       ~current:(m ~name:"t" ~value:1.25 ())
   in
-  Alcotest.check verdict "regressed" C.Regressed row.C.verdict
+  Alcotest.check verdict "changed" C.Changed row.C.verdict;
+  check_delta "delta is +25%" 0.25 row
 
 let test_regression_higher_better () =
   let row =
     compare_single
-      ~baseline:(m ~direction:R.Higher_better ~name:"speedup" ~value:20.0 ())
-      ~current:(m ~direction:R.Higher_better ~name:"speedup" ~value:17.0 ())
+      ~baseline:(m ~direction:R.Higher_better ~name:"cov" ~value:0.5 ())
+      ~current:(m ~direction:R.Higher_better ~name:"cov" ~value:0.25 ())
   in
-  Alcotest.check verdict "regressed" C.Regressed row.C.verdict;
+  Alcotest.check verdict "changed" C.Changed row.C.verdict;
+  check_delta "delta is -50%" (-0.5) row;
+  (* a gated metric that moves the good way fails too: a changed count
+     is re-blessed, not forgiven *)
   let row =
     compare_single
-      ~baseline:(m ~direction:R.Higher_better ~name:"speedup" ~value:20.0 ())
-      ~current:(m ~direction:R.Higher_better ~name:"speedup" ~value:25.0 ())
+      ~baseline:(m ~direction:R.Higher_better ~name:"cov" ~value:0.5 ())
+      ~current:(m ~direction:R.Higher_better ~name:"cov" ~value:0.75 ())
   in
-  Alcotest.check verdict "improved" C.Improved row.C.verdict
+  Alcotest.check verdict "changed" C.Changed row.C.verdict;
+  check_delta "delta is +50%" 0.5 row;
+  Alcotest.(check int) "fails" 1 (List.length (C.failures [ row ]))
 
 let test_improvement_never_fails () =
-  (* a big improvement on a lower-better metric is not a regression *)
+  (* an ungated time that improves tenfold is trend, never a failure *)
   let rows =
     C.compare_runs
-      ~baseline:(Some (run [ m ~name:"t" ~value:1.0 () ]))
-      ~current:(run [ m ~name:"t" ~value:0.1 () ])
+      ~baseline:(Some (run [ m ~gated:false ~name:"t" ~value:1.0 () ]))
+      ~current:(run [ m ~gated:false ~name:"t" ~value:0.1 () ])
   in
   Alcotest.(check int) "no failures" 0 (List.length (C.failures rows));
-  Alcotest.check verdict "improved" C.Improved (List.hd rows).C.verdict
-
-let test_bound_violation () =
-  (* a speedup that collapses below its hard floor fails even when the
-     baseline-relative tolerance would forgive it *)
-  let row =
-    compare_single
-      ~baseline:
-        (m ~direction:R.Higher_better ~tolerance:0.99 ~bound:1.0
-           ~name:"speedup" ~value:1.4 ())
-      ~current:
-        (m ~direction:R.Higher_better ~tolerance:0.99 ~bound:1.0
-           ~name:"speedup" ~value:0.8 ())
-  in
-  Alcotest.check verdict "bound violated" C.Bound_violated row.C.verdict;
-  (* bounds bind without any baseline too *)
-  let rows =
-    C.compare_runs ~baseline:None
-      ~current:
-        (run
-           [ m ~direction:R.Higher_better ~bound:1.0 ~name:"speedup"
-               ~value:0.5 () ])
-  in
-  Alcotest.(check int) "first-run bound failure" 1
-    (List.length (C.failures rows))
+  check_delta "delta is -90%" (-0.9) (List.hd rows)
 
 let test_missing_metric_fails () =
   let rows =
@@ -151,56 +145,53 @@ let test_added_metric_passes () =
   Alcotest.check verdict "added" C.Added added.C.verdict
 
 let test_ungated_regression_passes () =
+  (* a wall time that gets ten times slower is trend only *)
   let rows =
     C.compare_runs
       ~baseline:(Some (run [ m ~gated:false ~name:"t" ~value:1.0 () ]))
-      ~current:(run [ m ~gated:false ~name:"t" ~value:100.0 () ])
+      ~current:(run [ m ~gated:false ~name:"t" ~value:10.0 () ])
   in
-  Alcotest.check verdict "still judged" C.Regressed (List.hd rows).C.verdict;
-  Alcotest.(check int) "but not a failure" 0 (List.length (C.failures rows))
+  Alcotest.check verdict "still judged" C.Changed (List.hd rows).C.verdict;
+  Alcotest.(check int) "but not a failure" 0 (List.length (C.failures rows));
+  Alcotest.(check bool) "rendered as trend" true
+    (contains (C.render rows) "trend")
 
 let test_thresholds_come_from_current () =
-  (* the current run's tolerance governs, not the baseline's frozen one *)
-  let rows =
-    C.compare_runs
-      ~baseline:(Some (run [ m ~tolerance:0.01 ~name:"t" ~value:1.0 () ]))
-      ~current:(run [ m ~tolerance:0.50 ~name:"t" ~value:1.3 () ])
+  (* the current run's gated flag governs, not the baseline's *)
+  let fails ~was ~now =
+    List.length
+      (C.failures
+         (C.compare_runs
+            ~baseline:(Some (run [ m ~gated:was ~name:"t" ~value:1.0 () ]))
+            ~current:(run [ m ~gated:now ~name:"t" ~value:1.5 () ])))
   in
-  Alcotest.check verdict "current tolerance wins" C.Within
-    (List.hd rows).C.verdict
-
-let test_fingerprint_mismatch () =
-  Alcotest.check_raises "mismatch raises"
-    (C.Fingerprint_mismatch { baseline = "a"; current = "b" })
-    (fun () ->
-      ignore
-        (C.compare_runs
-           ~baseline:(Some (run ~fingerprint:"a" []))
-           ~current:(run ~fingerprint:"b" [])))
+  Alcotest.(check int) "newly gated fails" 1 (fails ~was:false ~now:true);
+  Alcotest.(check int) "no longer gated passes" 0 (fails ~was:true ~now:false)
 
 let test_zero_baseline () =
-  (* identical zeros compare clean; a move off zero is judged by sign *)
+  (* identical zeros compare clean; a move off zero is a change *)
   let row =
     compare_single
       ~baseline:(m ~name:"z" ~value:0.0 ())
       ~current:(m ~name:"z" ~value:0.0 ())
   in
-  Alcotest.check verdict "zero vs zero" C.Within row.C.verdict;
+  Alcotest.check verdict "zero vs zero" C.Same row.C.verdict;
   let row =
     compare_single
       ~baseline:(m ~name:"z" ~value:0.0 ())
       ~current:(m ~name:"z" ~value:0.5 ())
   in
-  Alcotest.check verdict "worse off zero" C.Regressed row.C.verdict
+  Alcotest.check verdict "off zero" C.Changed row.C.verdict;
+  Alcotest.(check (option (float 0.0))) "infinite move"
+    (Some Float.infinity) row.C.delta
 
 (* ------------------------------------------------------------------ *)
-(* Schema round-trip, fingerprint, history *)
+(* Schema round-trip, history *)
 
 let sample_run () =
-  run ~fingerprint:"cafe"
+  run
     [ m ~name:"a" ~value:1.5 ();
-      m ~direction:R.Higher_better ~gated:true ~tolerance:0.85 ~bound:1.0
-        ~name:"b" ~value:19.25 ();
+      m ~direction:R.Higher_better ~gated:true ~name:"b" ~value:19.25 ();
       m ~gated:false ~name:"c" ~value:0.0 () ]
 
 let test_run_json_roundtrip () =
@@ -229,13 +220,37 @@ let test_run_json_rejects_bad_version () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "version 99 accepted"
 
-let test_fingerprint_order_independent () =
-  let a = R.fingerprint [ ("x", "1"); ("y", "2") ] in
-  let b = R.fingerprint [ ("y", "2"); ("x", "1") ] in
-  let c = R.fingerprint [ ("x", "1"); ("y", "3") ] in
-  Alcotest.(check string) "order-independent" a b;
-  Alcotest.(check bool) "value-sensitive" true (a <> c);
-  Alcotest.(check int) "16 hex chars" 16 (String.length a)
+(* a line as written before gates were exact: run fingerprint,
+   per-metric tolerance and optional bound *)
+let old_history_line =
+  {|{"schema_version":1,"rev":"6efa9b2","unix_time":1760000000,"fingerprint":"23924828bcca6e70","results":[|}
+  ^ {|{"suite":"synth","workload":"ds2","metric":"coverage","value":0.7173,"unit":"cov","direction":"higher","gated":true,"tolerance":0.01},|}
+  ^ {|{"suite":"groupby","workload":"ds2","metric":"min_cached_speedup","value":11800.3,"unit":"x","direction":"higher","gated":true,"tolerance":0.9,"bound":1},|}
+  ^ {|{"suite":"synth","workload":"ds2","metric":"total_s","value":0.0517,"unit":"s","direction":"lower","gated":false,"tolerance":0.25}]}|}
+
+let test_old_history_line () =
+  match R.run_of_json (Obs.Json.parse old_history_line) with
+  | Error msg -> Alcotest.fail msg
+  | Ok old ->
+    Alcotest.(check string) "rev" "6efa9b2" old.R.rev;
+    Alcotest.(check (list string)) "metrics"
+      [ "synth/ds2/coverage"; "groupby/ds2/min_cached_speedup";
+        "synth/ds2/total_s" ]
+      (List.map R.key old.R.results);
+    let current =
+      { (run [ m ~name:"coverage" ~suite:"synth" ~workload:"ds2" ~value:0.7173 () ])
+        with R.rev = "r1" }
+    in
+    let md = Perf.Report.markdown [ old; current ] in
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
+          (contains md needle))
+      [ "**synth/ds2/coverage** (gated)"; "baseline: rev `6efa9b2`"; "`r1`" ];
+    (* against the old line, the retired gate is missing but ungated *)
+    let rows = C.compare_runs ~baseline:(Some old) ~current in
+    Alcotest.(check int) "coverage same, retired gate missing" 1
+      (List.length (C.failures rows))
 
 let test_history_roundtrip () =
   let path = Filename.temp_file "perf_history" ".jsonl" in
@@ -288,8 +303,7 @@ let test_measure_sample_invariants () =
   Alcotest.(check bool) "min <= median" true
     (s.Perf.Measure.min_s <= s.Perf.Measure.median_s);
   Alcotest.(check bool) "median <= max" true
-    (s.Perf.Measure.median_s <= s.Perf.Measure.max_s);
-  Alcotest.(check bool) "spread >= 0" true (Perf.Measure.spread s >= 0.0)
+    (s.Perf.Measure.median_s <= s.Perf.Measure.max_s)
 
 let test_measure_inner_batching () =
   let calls = ref 0 in
@@ -315,12 +329,7 @@ let test_report_markdown () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
-        (let len = String.length needle in
-         let rec scan i =
-           i + len <= String.length md
-           && (String.sub md i len = needle || scan (i + 1))
-         in
-         scan 0))
+        (contains md needle))
     [ "## Benchmark trajectory"; "| metric |"; "s/w/a"; "**s/w/b** (gated)";
       "`r1`" ];
   Alcotest.(check bool) "empty history renders stub" true
@@ -331,14 +340,15 @@ let () =
     [
       ( "compare",
         [
-          Alcotest.test_case "within tolerance" `Quick test_within_tolerance;
+          Alcotest.test_case "exact match is same" `Quick test_exact_match;
+          Alcotest.test_case "count off by one fails" `Quick
+            test_count_off_by_one;
           Alcotest.test_case "regression (lower better)" `Quick
             test_regression_lower_better;
           Alcotest.test_case "regression (higher better)" `Quick
             test_regression_higher_better;
           Alcotest.test_case "improvement never fails" `Quick
             test_improvement_never_fails;
-          Alcotest.test_case "hard bound violation" `Quick test_bound_violation;
           Alcotest.test_case "missing gated metric fails" `Quick
             test_missing_metric_fails;
           Alcotest.test_case "first run has no baseline" `Quick
@@ -349,8 +359,6 @@ let () =
             test_ungated_regression_passes;
           Alcotest.test_case "thresholds come from current" `Quick
             test_thresholds_come_from_current;
-          Alcotest.test_case "fingerprint mismatch raises" `Quick
-            test_fingerprint_mismatch;
           Alcotest.test_case "zero baseline" `Quick test_zero_baseline;
         ] );
       ( "schema",
@@ -359,8 +367,8 @@ let () =
             test_run_json_roundtrip;
           Alcotest.test_case "bad schema version rejected" `Quick
             test_run_json_rejects_bad_version;
-          Alcotest.test_case "fingerprint canonicalisation" `Quick
-            test_fingerprint_order_independent;
+          Alcotest.test_case "old history line parses and renders" `Quick
+            test_old_history_line;
         ] );
       ( "history",
         [
