@@ -1325,7 +1325,8 @@ let numeric_bench () =
 (* ------------------------------------------------------------------ *)
 (* Gated synthesis suite: a deterministic slice of table4 sized for
    CI. Gated: the algorithmic outputs (coverage, DAGs enumerated,
-   statement-cache hits/misses) and the CI-test work counts. Trend:
+   statement-cache hits/misses), the CI-test work counts and the Meek
+   closures MEC enumeration ran. Trend:
    wall and span-derived phase times. Every number of a dataset comes
    from one run — the fastest of 3 by its root span — so the phases
    can be checked against that run's total. *)
@@ -1339,8 +1340,9 @@ let synth_suite () =
       let frame = (prepare id).full in
       let scored () =
         Gc.compact ();
-        counted [ "ci.tests"; "ci.cache.hits"; "ci.cache.misses" ] (fun () ->
-            Synthesize.run frame)
+        counted
+          [ "ci.tests"; "ci.cache.hits"; "ci.cache.misses"; "pgm.enum.closures" ]
+          (fun () -> Synthesize.run frame)
       in
       let total (r, _) = r.Synthesize.timing.Synthesize.total_s in
       let runs = List.init 3 (fun _ -> scored ()) in

@@ -24,9 +24,12 @@ let children t v =
 
 let has_edge t u v = Int_set.mem u t.parents.(v)
 
-let add_edge t u v =
+let check_edge n u v =
   if u = v then invalid_arg "Dag.add_edge: self loop";
-  if u < 0 || v < 0 || u >= t.n || v >= t.n then invalid_arg "Dag.add_edge: out of range";
+  if u < 0 || v < 0 || u >= n || v >= n then invalid_arg "Dag.add_edge: out of range"
+
+let add_edge t u v =
+  check_edge t.n u v;
   let parents = Array.copy t.parents in
   parents.(v) <- Int_set.add u parents.(v);
   { t with parents }
@@ -36,8 +39,17 @@ let remove_edge t u v =
   parents.(v) <- Int_set.remove u parents.(v);
   { t with parents }
 
+(* One parents array for the whole list: the same sets, built by the
+   same insertions in the same order, as folding [add_edge], without
+   copying the array per edge. *)
 let of_edges n edges =
-  List.fold_left (fun g (u, v) -> add_edge g u v) (create n) edges
+  let t = create n in
+  List.iter
+    (fun (u, v) ->
+      check_edge n u v;
+      t.parents.(v) <- Int_set.add u t.parents.(v))
+    edges;
+  t
 
 let edges t =
   let acc = ref [] in

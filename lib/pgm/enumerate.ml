@@ -17,12 +17,29 @@
    of the CPDAG, i.e. is a member of the MEC, and that each member is
    produced exactly once (each recursion step splits on the orientation of
    one fixed edge). [max_dags] implements the paper's "maximal enumeration
-   of DAGs" cut-off. *)
+   of DAGs" cut-off.
 
-let creates_new_collider g u v =
-  (* would orienting u -> v create a collider x -> v <- u with x
-     non-adjacent to u? *)
-  List.exists (fun x -> x <> u && not (Pdag.adjacent g x u)) (Pdag.parents g v)
+   Every step works on the graph's bit-set rows: a branch copies 3n
+   words, the split edge and the collider test are a few word scans, and
+   a leaf is checked for cycles on its rows and turned into a [Dag.t] in
+   one pass. The order of the DAGs is Alg. 2's tie-break order, so the
+   split edge is always the first of [Pdag.undirected_edges] and
+   [u -> v] is tried before [v -> u]. *)
+
+open Pdag
+
+(* would orienting u -> v create a collider x -> v <- u with x
+   non-adjacent to u? Checked from word [k] on. *)
+let rec new_collider g u v k =
+  let w = g.words in
+  k < w
+  &&
+  let i = (u * w) + k in
+  let others = g.children.(i) lor g.parents.(i) lor g.undirected.(i) in
+  g.parents.((v * w) + k) land lnot others land lnot (mask u k) <> 0
+  || new_collider g u v (k + 1)
+
+let creates_new_collider g u v = new_collider g u v 0
 
 let creates_cycle g u v =
   (* orienting u -> v closes a cycle iff a directed path v ~> u exists *)
@@ -32,42 +49,60 @@ let admissible g u v = not (creates_new_collider g u v) && not (creates_cycle g 
 
 exception Limit_reached
 
-(* All consistent DAG extensions, up to [max_dags]. Returns the list and a
-   flag saying whether the enumeration was truncated. *)
-let consistent_extensions ?(max_dags = 10_000) cpdag =
-  let out = ref [] in
-  let count = ref 0 in
-  let emit g =
-    match Pdag.to_dag g with
-    | Some dag ->
-      out := dag :: !out;
-      incr count;
-      if !count >= max_dags then raise Limit_reached
-    | None -> ()
+(* Depth-first search over orientations. [leaf g] is called on every
+   fully directed leaf and says whether it is a DAG; the search stops
+   once [max_dags] leaves have said so. Returns the DAG count and
+   whether the search stopped early, and adds the number of Meek
+   closures it ran to the [pgm.enum.closures] counter. *)
+let search ~max_dags ~leaf cpdag =
+  let count = ref 0 and closures = ref 0 in
+  let close g =
+    incr closures;
+    ignore (Meek.close g)
   in
   let rec go g =
-    match Pdag.undirected_edges g with
-    | [] -> emit g
-    | (u, v) :: _ ->
+    match Pdag.first_undirected g with
+    | None ->
+      if leaf g then begin
+        incr count;
+        if !count >= max_dags then raise Limit_reached
+      end
+    | Some (u, v) ->
       List.iter
         (fun (a, b) ->
           if admissible g a b then begin
             let g' = Pdag.copy g in
             Pdag.orient g' a b;
-            ignore (Meek.close g');
+            close g';
             go g'
           end)
         [ (u, v); (v, u) ]
   in
   let truncated =
     try
-      go (Meek.close (Pdag.copy cpdag));
+      let root = Pdag.copy cpdag in
+      close root;
+      go root;
       false
     with Limit_reached -> true
   in
+  Obs.Metric.count ~by:!closures "pgm.enum.closures";
+  (!count, truncated)
+
+(* All consistent DAG extensions, up to [max_dags]. Returns the list and a
+   flag saying whether the enumeration was truncated. *)
+let consistent_extensions ?(max_dags = 10_000) cpdag =
+  let out = ref [] in
+  let leaf g =
+    match Pdag.to_dag g with
+    | Some dag ->
+      out := dag :: !out;
+      true
+    | None -> false
+  in
+  let _, truncated = search ~max_dags ~leaf cpdag in
   (List.rev !out, truncated)
 
-(* Count only (same traversal, no DAG retention). *)
-let count_extensions ?max_dags cpdag =
-  let dags, truncated = consistent_extensions ?max_dags cpdag in
-  (List.length dags, truncated)
+(* The same search, counting the DAGs without building them. *)
+let count_extensions ?(max_dags = 10_000) cpdag =
+  search ~max_dags ~leaf:Pdag.acyclic cpdag

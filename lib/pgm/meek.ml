@@ -12,95 +12,141 @@
          b and d adjacent or a and d adjacent (we
          use the standard form: a - d, c -> d,
          d -> b, a - b, a - c, b and c non-adjacent) => a -> b
-*)
+
+   The rules run on the graph's bit-set rows. Each visits nodes and
+   neighbours in ascending order and takes the neighbour set it iterates
+   over when it reaches a node, as a list-based version would; every
+   other test reads the live rows. Orienting never changes adjacency, so
+   an adjacency row read once stays valid for a whole closure. *)
+
+open Pdag
+
+(* word [k] of node [x]'s adjacency row *)
+let[@inline] adj g x k =
+  let i = (x * g.words) + k in
+  g.children.(i) lor g.parents.(i) lor g.undirected.(i)
+
+(* is row [x] of [rows] empty? *)
+let rec empty w rows x k = k >= w || (rows.((x * w) + k) = 0 && empty w rows x (k + 1))
+
+(* do rows [i] of [xs] and [j] of [ys] share a node, from word [k] on? *)
+let rec intersects w xs i ys j k =
+  k < w && (xs.((i * w) + k) land ys.((j * w) + k) <> 0 || intersects w xs i ys j (k + 1))
+
+(* R3's test, from word [k] on: has a's undirected neighbour [c] with
+   c -> b another such neighbour it is not adjacent to? *)
+let rec r3_spouse g a b c k =
+  let w = g.words in
+  k < w
+  && (g.undirected.((a * w) + k) land g.parents.((b * w) + k)
+      land lnot (adj g c k) land lnot (mask c k)
+      <> 0
+     || r3_spouse g a b c (k + 1))
+
+(* R4's test, from word [k] on: has [d] a parent [c] adjacent to [a]
+   and not to [b]? *)
+let rec r4_parent g a b d k =
+  let w = g.words in
+  k < w
+  && (g.parents.((d * w) + k) land adj g a k land lnot (adj g b k) <> 0
+     || r4_parent g a b d (k + 1))
 
 let rule1 g =
-  let n = Pdag.size g in
+  let w = g.words in
   let changed = ref false in
-  for b = 0 to n - 1 do
-    List.iter
-      (fun a ->
-        (* a -> b *)
-        List.iter
-          (fun c ->
-            if c <> a && not (Pdag.adjacent g a c) then begin
-              Pdag.orient g b c;
+  (* b's parents as they were on reaching b: orienting b - c drops c
+     from them if c -> b was also set *)
+  let ps = Array.make w 0 in
+  for b = 0 to g.n - 1 do
+    (* nothing to orient without an undirected neighbour; orienting
+       never adds one *)
+    if not (empty w g.undirected b 0) then begin
+      Array.blit g.parents (b * w) ps 0 w;
+      for kp = 0 to w - 1 do
+        let m = ref ps.(kp) in
+        while !m <> 0 do
+          let a = node kp !m in
+          m := !m land (!m - 1);
+          (* a -> b: orient b - c for every c not adjacent to a.
+             Orienting b - c changes no other bit of b's undirected row
+             and no adjacency, so each word's targets can be taken at
+             once. *)
+          for k = 0 to w - 1 do
+            let targets =
+              g.undirected.((b * w) + k) land lnot (adj g a k) land lnot (mask a k)
+            in
+            if targets <> 0 then begin
+              let t = ref targets in
+              while !t <> 0 do
+                orient g b (node k !t);
+                t := !t land (!t - 1)
+              done;
               changed := true
-            end)
-          (Pdag.undirected_neighbors g b))
-      (Pdag.parents g b)
+            end
+          done
+        done
+      done
+    end
   done;
   !changed
 
-let rule2 g =
-  let n = Pdag.size g in
+(* [rule2] to [rule4]: for each undirected a - b, in ascending a then b,
+   orient a -> b when [fires]. Orienting a -> b drops only b from a's
+   undirected row, so reading the row a word at a time visits the row
+   as it was on reaching a. *)
+let orient_undirected g fires =
+  let w = g.words in
   let changed = ref false in
-  for a = 0 to n - 1 do
-    List.iter
-      (fun c ->
-        (* a - c; look for a -> b -> c *)
-        let exists_chain =
-          List.exists (fun b -> Pdag.has_directed g b c) (Pdag.children g a)
-        in
-        if exists_chain then begin
-          Pdag.orient g a c;
+  for a = 0 to g.n - 1 do
+    for k = 0 to w - 1 do
+      let m = ref g.undirected.((a * w) + k) in
+      while !m <> 0 do
+        let b = node k !m in
+        m := !m land (!m - 1);
+        if fires g a b then begin
+          orient g a b;
           changed := true
-        end)
-      (Pdag.undirected_neighbors g a)
+        end
+      done
+    done
   done;
   !changed
 
-let rule3 g =
-  let n = Pdag.size g in
-  let changed = ref false in
-  for a = 0 to n - 1 do
-    List.iter
-      (fun b ->
-        (* a - b; look for c, d with a - c, a - d, c -> b, d -> b,
-           c and d non-adjacent *)
-        let candidates =
-          List.filter (fun x -> Pdag.has_directed g x b) (Pdag.undirected_neighbors g a)
-        in
-        let rec pairs = function
-          | [] -> false
-          | c :: rest ->
-            List.exists (fun d -> not (Pdag.adjacent g c d)) rest || pairs rest
-        in
-        if pairs candidates then begin
-          Pdag.orient g a b;
-          changed := true
-        end)
-      (Pdag.undirected_neighbors g a)
-  done;
-  !changed
+(* a - b with a -> c -> b *)
+let r2 g a b = intersects g.words g.children a g.parents b 0
 
-let rule4 g =
-  let n = Pdag.size g in
-  let changed = ref false in
-  for a = 0 to n - 1 do
-    List.iter
-      (fun b ->
-        (* a - b; look for c, d: a - c (or adjacent), c -> d, d -> b, with
-           b and c non-adjacent and a adjacent to d *)
-        let found =
-          List.exists
-            (fun d ->
-              Pdag.has_directed g d b && Pdag.adjacent g a d
-              && List.exists
-                   (fun c ->
-                     Pdag.has_directed g c d
-                     && Pdag.adjacent g a c
-                     && not (Pdag.adjacent g b c))
-                   (Pdag.parents g d))
-            (Pdag.parents g b)
-        in
-        if found then begin
-          Pdag.orient g a b;
-          changed := true
-        end)
-      (Pdag.undirected_neighbors g a)
+(* a - b with a - c, a - d, c -> b, d -> b, c and d non-adjacent *)
+let r3 g a b =
+  let w = g.words in
+  let found = ref false in
+  for k = 0 to w - 1 do
+    let m = ref (g.undirected.((a * w) + k) land g.parents.((b * w) + k)) in
+    while (not !found) && !m <> 0 do
+      let c = node k !m in
+      m := !m land (!m - 1);
+      found := r3_spouse g a b c 0
+    done
   done;
-  !changed
+  !found
+
+(* a - b with d -> b, a adjacent to d, c -> d, a adjacent to c and b
+   non-adjacent to c *)
+let r4 g a b =
+  let w = g.words in
+  let found = ref false in
+  for k = 0 to w - 1 do
+    let m = ref (g.parents.((b * w) + k) land adj g a k) in
+    while (not !found) && !m <> 0 do
+      let d = node k !m in
+      m := !m land (!m - 1);
+      found := r4_parent g a b d 0
+    done
+  done;
+  !found
+
+let rule2 g = orient_undirected g r2
+let rule3 g = orient_undirected g r3
+let rule4 g = orient_undirected g r4
 
 (* Apply R1-R4 until no rule fires. Mutates [g]. *)
 let close g =

@@ -13,6 +13,9 @@ val unpack : int -> int array -> int array
 (** Set bits of a non-negative word. *)
 val popcount : int -> int
 
+(** Index of the lowest set bit of a non-zero, non-negative word. *)
+val lowest_bit : int -> int
+
 (** [conditional ~max_strata ~n xs ys zs] is
     [Contingency.conditional ~kx:2 ~ky:2 ~max_strata] of the unpacked
     [n]-sample columns, with cardinality 2 for every conditioning column

@@ -120,6 +120,35 @@ let test_meek_rule3 () =
   ignore (Meek.close g);
   Alcotest.(check bool) "R3 fires" true (Pdag.has_directed g 0 1)
 
+let test_meek_rule4 () =
+  (* 0 - 1, 0 - 2, 0 - 3, 2 -> 3 -> 1, 1 and 2 non-adjacent => 0 -> 1;
+     R1-R3 find nothing here, and nothing fires after R4 *)
+  let build_new () =
+    let g = Pdag.create 4 in
+    List.iter (fun (u, v) -> Pdag.add_undirected g u v) [ (0, 1); (0, 2); (0, 3) ];
+    Pdag.orient g 2 3;
+    Pdag.orient g 3 1;
+    g
+  in
+  let o = Oracle.Pgm.Pdag.create 4 in
+  List.iter (fun (u, v) -> Oracle.Pgm.Pdag.add_undirected o u v) [ (0, 1); (0, 2); (0, 3) ];
+  Oracle.Pgm.Pdag.orient o 2 3;
+  Oracle.Pgm.Pdag.orient o 3 1;
+  List.iter
+    (fun (name, rule) ->
+      Alcotest.(check bool) (name ^ " does not fire") false (rule (build_new ())))
+    [ ("R1", Meek.rule1); ("R2", Meek.rule2); ("R3", Meek.rule3) ];
+  Alcotest.(check bool) "R4 fires" true (Meek.rule4 (build_new ()));
+  let g = Meek.close (build_new ()) in
+  let o = Oracle.Pgm.Meek.close o in
+  let edges = Alcotest.(list (pair int int)) in
+  Alcotest.check edges "directed" [ (0, 1); (2, 3); (3, 1) ] (Pdag.directed_edges g);
+  Alcotest.check edges "undirected" [ (0, 2); (0, 3) ] (Pdag.undirected_edges g);
+  Alcotest.check edges "oracle directed" (Oracle.Pgm.Pdag.directed_edges o)
+    (Pdag.directed_edges g);
+  Alcotest.check edges "oracle undirected" (Oracle.Pgm.Pdag.undirected_edges o)
+    (Pdag.undirected_edges g)
+
 let test_meek_preserves_colliders () =
   (* collider already oriented: closure must not add or flip edges *)
   let g = Pdag.create 3 in
@@ -413,6 +442,16 @@ let qcheck_enumerate_same_v_structures =
       truncated
       || List.for_all (fun d -> Dag.v_structures d = Dag.v_structures g) dags)
 
+let qcheck_count_extensions =
+  QCheck.Test.make ~name:"count_extensions = length and flag of consistent_extensions"
+    ~count:60
+    QCheck.(pair (make random_dag_gen) (int_range 1 12))
+    (fun ((n, edges), max_dags) ->
+      let g = Dag.of_edges (max n 1) edges in
+      let cpdag = fst (Pc.cpdag ~n:(Dag.size g) ~max_cond:4 (Dsep.oracle g)) in
+      let dags, truncated = Enumerate.consistent_extensions ~max_dags cpdag in
+      Enumerate.count_extensions ~max_dags cpdag = (List.length dags, truncated))
+
 let () =
   Alcotest.run "pgm"
     [
@@ -435,6 +474,7 @@ let () =
           Alcotest.test_case "rule 1" `Quick test_meek_rule1;
           Alcotest.test_case "rule 2" `Quick test_meek_rule2;
           Alcotest.test_case "rule 3" `Quick test_meek_rule3;
+          Alcotest.test_case "rule 4" `Quick test_meek_rule4;
           Alcotest.test_case "preserves colliders" `Quick test_meek_preserves_colliders;
         ] );
       ( "dsep",
@@ -481,5 +521,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_pc_recovers_skeleton; qcheck_enumerate_contains_truth;
-            qcheck_enumerate_same_v_structures ] );
+            qcheck_enumerate_same_v_structures; qcheck_count_extensions ] );
     ]
