@@ -1,5 +1,5 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (§8), plus bechamel micro-benchmarks of the hot paths.
+   evaluation (§8), plus the gated benchmark suites.
 
      dune exec bench/main.exe              # everything
      dune exec bench/main.exe table3 fig7  # selected experiments
@@ -15,7 +15,6 @@
      fig6    query-error rectification over 48 queries (Fig. 6)
      fig7    epsilon sweep: coverage vs loss (Fig. 7)
      optsmt  OptSMT clause blow-up and budgeted solve (§8.3)
-     micro   bechamel micro-benchmarks
      serve   daemon throughput: concurrent clients vs pool size
      groupby group-by kernel: groups per column set, cold time
      ingest  streaming appends: throughput, incremental maintenance,
@@ -788,97 +787,6 @@ let case_study () =
     (dev corrupted) (dev rectified)
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: PC + MEC enumeration vs score-based hill climbing *)
-
-let structure () =
-  header "Ablation: sketch learning via PC+MEC vs BIC hill climbing";
-  Printf.printf "%-4s %14s %14s %12s %12s\n" "ID" "PC+MEC cover" "HC cover"
-    "PC+MEC (s)" "HC (s)";
-  List.iter
-    (fun spec ->
-      let p = prepare spec.Spec.id in
-      let frame =
-        if Frame.nrows p.full > 8000 then
-          Frame.take p.full (Array.init 8000 (fun i -> i))
-        else p.full
-      in
-      let time f = Perf.Measure.time1 f in
-      let pc, pc_t = time (fun () -> Synthesize.run frame) in
-      let hc, hc_t =
-        time (fun () ->
-            Synthesize.run
-              ~config:
-                (Guardrail.Config.make ~structure:Guardrail.Config.Hill_climb ())
-              frame)
-      in
-      Printf.printf "%-4d %14.3f %14.3f %12.3f %12.3f\n%!" spec.Spec.id
-        (normalized_coverage frame pc) (normalized_coverage frame hc) pc_t hc_t)
-    Spec.all
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel) *)
-
-let micro () =
-  header "Micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let p = prepare 2 in
-  let frame = Frame.take p.full (Array.init 4000 (fun i -> i)) in
-  let synth = Synthesize.run frame in
-  let program = synth.Synthesize.program in
-  let compiled = Validator.compile program in
-  let row = Frame.row frame 0 in
-  let col0 = Dataframe.Column.codes (Frame.column frame 0) in
-  let col1 = Dataframe.Column.codes (Frame.column frame 1) in
-  let tests =
-    [
-      Test.make ~name:"eval_prog (one row)"
-        (Staged.stage (fun () ->
-             ignore (Guardrail.Semantics.eval_prog program row)));
-      Test.make ~name:"check_values (one row)"
-        (Staged.stage (fun () -> ignore (Validator.check_values compiled row)));
-      Test.make ~name:"chi2 two-way (4k rows)"
-        (Staged.stage (fun () ->
-             ignore
-               (Stat.Independence.test_two_way ~alpha:0.01
-                  (Stat.Contingency.two_way ~kx:3 ~ky:2 col0 col1))));
-      Test.make ~name:"circular-shift sampling (4k rows)"
-        (Staged.stage (fun () ->
-             ignore
-               (Guardrail.Auxdist.circular_shift ~max_shifts:3 frame [ 0; 1; 2 ])));
-      Test.make ~name:"partition product (4k rows)"
-        (Staged.stage
-           (let pa = Baselines.Partition.of_codes 4000 col0 in
-            let pb = Baselines.Partition.of_codes 4000 col1 in
-            fun () -> ignore (Baselines.Partition.product pa pb)));
-      Test.make ~name:"fill postal statement"
-        (Staged.stage (fun () ->
-             ignore
-               (Guardrail.Fill.fill_stmt_sketch frame ~epsilon:0.05
-                  (Guardrail.Sketch.stmt_sketch ~given:[ 0; 1 ] ~on:2))));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    let raw = Benchmark.all cfg instances test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ]) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ t ] -> Printf.printf "  %-36s %12.1f ns/run\n%!" name t
-          | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Serving throughput: hundreds of concurrent pipelining clients
    hammering DETECT over a pre-loaded dataset.
 
@@ -1244,7 +1152,7 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
 
 let numeric_bench () =
   header "Numeric domains: range validation + BETWEEN synthesis";
-  let bins = 8 in
+  let bins = Guardrail.Config.bins in
   let n_validate = 50_000 and n_synth = 1_500 in
   (* many categories on the validation half: the VM dispatches on the
      key codes, and past max_range_rules it exercises the probe-table
@@ -1296,7 +1204,7 @@ let numeric_bench () =
       ~seed:3 ()
   in
   let r =
-    Synthesize.run ~config:(Guardrail.Config.make ~jobs:!jobs ~bins ()) sframe
+    Synthesize.run ~config:(Guardrail.Config.make ~jobs:!jobs ()) sframe
   in
   let covering =
     List.exists
@@ -1658,8 +1566,6 @@ let experiments =
     ("fig7", fig7);
     ("optsmt", optsmt);
     ("case_study", case_study);
-    ("structure", structure);
-    ("micro", micro);
     ("serve", fun () -> ignore (serve_bench ()));
     ("groupby", fun () -> ignore (groupby_bench ()));
     ("validate", fun () -> ignore (validate_bench ()));

@@ -470,13 +470,13 @@ let output_arg =
 let synthesize_cmd =
   let epsilon =
     Arg.(
-      value & opt float 0.05
+      value & opt float Guardrail.Config.default.Guardrail.Config.epsilon
       & info [ "epsilon" ] ~docv:"EPS"
           ~doc:"Noise tolerance for branch validity (paper recommends 0.01-0.05).")
   in
   let alpha =
     Arg.(
-      value & opt float 0.01
+      value & opt float Guardrail.Config.default.Guardrail.Config.alpha
       & info [ "alpha" ] ~docv:"ALPHA" ~doc:"CI-test significance level.")
   in
   let identity =
@@ -528,7 +528,7 @@ let rectify_cmd =
 let inspect_cmd =
   let epsilon =
     Arg.(
-      value & opt float 0.05
+      value & opt float Guardrail.Config.default.Guardrail.Config.epsilon
       & info [ "epsilon" ] ~docv:"EPS" ~doc:"Validity threshold for the report.")
   in
   Cmd.v

@@ -22,7 +22,7 @@ type data = Indicators of int array array | Codes of int array array
 type samples = { data : data; cards : int list; n_samples : int }
 
 (* Binary samples over the given columns of a frame. *)
-let circular_shift ?(max_shifts = 7) ?(max_samples = 60_000) frame cols =
+let circular_shift ~max_shifts ~max_samples frame cols =
   let n = Frame.nrows frame in
   if n < 2 then invalid_arg "Auxdist.circular_shift: need at least 2 rows";
   let m = List.length cols in
@@ -76,7 +76,7 @@ let columns samples =
    round-barrier schedule may revisit (i, j, S) across levels. The
    oracle is pure, so caching changes nothing observable except the
    work done; hit/miss counts land in [Obs.Metric.default]. *)
-let ci_oracle ?(alpha = 0.01) ?(max_strata = 4096) ?(min_effect = 0.0) samples =
+let ci_oracle ~alpha ~max_strata ~min_effect samples =
   let cards = Array.of_list samples.cards in
   (* one validated spec; the tests below are pure and safe to call from
      several domains at once (parallel PC skeleton) *)

@@ -12,10 +12,11 @@ type samples = {
   n_samples : int;
 }
 
-(** Binary indicator samples over the given columns; raises
+(** Binary indicator samples over the given columns: [max_shifts]
+    circular shifts of the rows, at most [max_samples] samples. Raises
     [Invalid_argument] on frames with fewer than two rows. *)
 val circular_shift :
-  ?max_shifts:int -> ?max_samples:int -> Dataframe.Frame.t -> int list -> samples
+  max_shifts:int -> max_samples:int -> Dataframe.Frame.t -> int list -> samples
 
 (** Raw dictionary codes (the Table 8 ablation baseline). *)
 val identity : Dataframe.Frame.t -> int list -> samples
@@ -24,11 +25,12 @@ val identity : Dataframe.Frame.t -> int list -> samples
     to 0/1, codes as stored. *)
 val columns : samples -> int array array
 
-(** Conditional-independence oracle over the samples, for {!Pgm.Pc}. *)
+(** Conditional-independence oracle over the samples, for {!Pgm.Pc}:
+    the {!Stat.Ci} test at [alpha], [max_strata] and [min_effect]. *)
 val ci_oracle :
-  ?alpha:float ->
-  ?max_strata:int ->
-  ?min_effect:float ->
+  alpha:float ->
+  max_strata:int ->
+  min_effect:float ->
   samples ->
   int ->
   int ->

@@ -70,7 +70,7 @@ let best_window hist nbins width =
 
 (* FillStmtSketch (Alg. 1, lines 7-20). Returns [None] when no branch
    survives the epsilon-validity check (line 20: ⊥). *)
-let fill_stmt_sketch ?(min_support = 1) ?groups frame ~epsilon
+let fill_stmt_sketch ?groups frame ~epsilon
     (sk : Sketch.stmt_sketch) =
   Obs.Span.with_ "fill.sketch"
     ~attrs:(fun () ->
@@ -118,7 +118,7 @@ let fill_stmt_sketch ?(min_support = 1) ?groups frame ~epsilon
       (* epsilon-validity (line 15) plus a support floor to keep
          singleton conditions from vacuously passing *)
       if
-        support >= min_support
+        support >= Config.min_support
         && float_of_int loss <= float_of_int support *. epsilon
       then begin
         let rep_row = Group.first_row g gid in
@@ -145,26 +145,3 @@ let fill_stmt_sketch ?(min_support = 1) ?groups frame ~epsilon
           support = !total_support;
         }
   end
-
-(* One grouping cache per frame snapshot, shared by every statement
-   fill of a run (safe across pool domains). *)
-let group_cache frame = Group.Cache.of_frame frame
-
-(* Fill a whole program sketch (Alg. 1, lines 1-6): statements whose
-   sketch yields no valid branch are dropped. Statement fills are
-   independent of one another, so with a pool they fan out across
-   domains; [parmap] preserves sketch order, keeping the result
-   identical at every pool size. *)
-let fill_prog_sketch ?min_support ?pool ?groups frame ~epsilon
-    (p : Sketch.prog_sketch) =
-  let groups =
-    match groups with Some c -> c | None -> group_cache frame
-  in
-  let filled =
-    List.filter_map Fun.id
-      (Runtime.Pool.parmap ?pool ~chunk:1
-         (fill_stmt_sketch ?min_support ~groups frame ~epsilon)
-         p)
-  in
-  let stmts = List.map (fun f -> f.stmt) filled in
-  (Dsl.prog ~schema:(Frame.schema frame) stmts, filled)

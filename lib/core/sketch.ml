@@ -42,10 +42,15 @@ let composite_codes frame cols =
   let g = Dataframe.Group.make code_arrays cards (Frame.nrows frame) in
   (Dataframe.Group.ids g, Dataframe.Group.n_groups g)
 
+(* LNT and GNT test at synthesis' significance level. Both are plain
+   significance tests, without the effect-size floor the synthesis CI
+   oracle adds. *)
+let alpha = Config.default.Config.alpha
+
 (* Local non-triviality (Def. 4.1): the dependent attribute must be
    statistically dependent on the joint determinant set. Tested with a
-   chi-square test at level [alpha]. *)
-let locally_non_trivial ?(alpha = 0.01) frame (s : stmt_sketch) =
+   chi-square test. *)
+let locally_non_trivial frame (s : stmt_sketch) =
   let xs, kx = composite_codes frame s.given in
   let table =
     Stat.Contingency.two_way ~kx ~ky:(Frame.attr_card frame s.on) xs
@@ -58,7 +63,7 @@ let locally_non_trivial ?(alpha = 0.01) frame (s : stmt_sketch) =
    dependent when conditioning on the determinant set of any other
    statement sketch. We test s against each other sketch s' by a
    conditional chi-square of (on ⊥ given | given'). *)
-let gnt_violations ?(alpha = 0.01) ?(max_strata = 4096) frame (p : prog_sketch) =
+let gnt_violations frame (p : prog_sketch) =
   let violations = ref [] in
   List.iteri
     (fun i s ->
@@ -79,7 +84,8 @@ let gnt_violations ?(alpha = 0.01) ?(max_strata = 4096) frame (p : prog_sketch) 
                 List.map (fun c -> Frame.attr_card frame c) cond_cols
               in
               let spec =
-                Stat.Ci.make ~max_strata ~alpha ~kx
+                Stat.Ci.make ~max_strata:Config.max_strata ~min_effect:0.0
+                  ~alpha ~kx
                   ~ky:(Frame.attr_card frame s.on) ()
               in
               let r =
@@ -94,9 +100,9 @@ let gnt_violations ?(alpha = 0.01) ?(max_strata = 4096) frame (p : prog_sketch) 
     p;
   List.rev !violations
 
-let globally_non_trivial ?alpha ?max_strata frame p =
-  List.for_all (fun s -> locally_non_trivial ?alpha frame s) p
-  && gnt_violations ?alpha ?max_strata frame p = []
+let globally_non_trivial frame p =
+  List.for_all (fun s -> locally_non_trivial frame s) p
+  && gnt_violations frame p = []
 
 let pp_stmt_sketch schema ppf (s : stmt_sketch) =
   Fmt.pf ppf "GIVEN %a ON %s HAVING []"

@@ -14,21 +14,16 @@ val of_dag : ?var_to_col:(int -> int) -> Pgm.Dag.t -> prog_sketch
     to [0 .. k-1]. Returns codes and [k]. *)
 val composite_codes : Dataframe.Frame.t -> int list -> int array * int
 
-(** Local non-triviality (Def. 4.1) via a chi-square dependence test. *)
-val locally_non_trivial :
-  ?alpha:float -> Dataframe.Frame.t -> stmt_sketch -> bool
+(** Local non-triviality (Def. 4.1) via a chi-square dependence test at
+    [Config.default.alpha]. *)
+val locally_non_trivial : Dataframe.Frame.t -> stmt_sketch -> bool
 
 (** Pairs [(s, s')] where s becomes independent of its determinants when
     conditioning on s''s determinant set — GNT violations (Def. 4.2). *)
 val gnt_violations :
-  ?alpha:float ->
-  ?max_strata:int ->
-  Dataframe.Frame.t ->
-  prog_sketch ->
-  (stmt_sketch * stmt_sketch) list
+  Dataframe.Frame.t -> prog_sketch -> (stmt_sketch * stmt_sketch) list
 
-val globally_non_trivial :
-  ?alpha:float -> ?max_strata:int -> Dataframe.Frame.t -> prog_sketch -> bool
+val globally_non_trivial : Dataframe.Frame.t -> prog_sketch -> bool
 
 val pp_stmt_sketch :
   Dataframe.Schema.t -> Format.formatter -> stmt_sketch -> unit

@@ -93,10 +93,9 @@ let eligible_columns frame =
       k >= 2 && k <= max 2 (Frame.nrows frame / 2))
     (List.sort_uniq Int.compare (categorical @ binned))
 
-(* Attach typed domains per the config (a no-op on frames that already
-   carry them or are all-categorical). *)
-let prepare_frame (config : Config.t) frame =
-  Frame.ensure_domains ~bins:config.Config.bins frame
+(* Attach typed domains (a no-op on frames that already carry them or
+   are all-categorical). *)
+let prepare_frame frame = Frame.ensure_domains ~bins:Config.bins frame
 
 (* The pool actually used for a run: an explicit [pool] wins; otherwise
    [config.jobs] > 1 spins up a transient pool torn down with the run. *)
@@ -111,34 +110,30 @@ let with_pool ?pool (config : Config.t) f =
           f (Some p))
     end
 
-(* The samples PC learns from and the memoized CI oracle over them. The
+(* The memoized CI oracle over the samples PC learns from. The
    auxiliary sampler pairs rows, so a frame with fewer than two rows
    falls back to the identity sampler. *)
-let samples_and_oracle (config : Config.t) frame cols =
+let ci_oracle (config : Config.t) frame cols =
   let samples =
     match config.Config.sampler with
     | Config.Auxiliary when Frame.nrows frame >= 2 ->
-      Auxdist.circular_shift ~max_shifts:config.Config.max_shifts
-        ~max_samples:config.Config.max_samples frame cols
+      Auxdist.circular_shift ~max_shifts:Config.max_shifts
+        ~max_samples:Config.max_samples frame cols
     | Config.Auxiliary | Config.Identity -> Auxdist.identity frame cols
   in
-  ( samples,
-    Auxdist.ci_oracle ~alpha:config.Config.alpha
-      ~max_strata:config.Config.max_strata
-      ~min_effect:config.Config.min_effect samples )
+  Auxdist.ci_oracle ~alpha:config.Config.alpha ~max_strata:Config.max_strata
+    ~min_effect:Config.min_effect samples
 
 let learn_cpdag ?(config = Config.default) ?pool frame cols =
-  let frame = prepare_frame config frame in
-  let _, oracle = samples_and_oracle config frame cols in
+  let frame = prepare_frame frame in
+  let oracle = ci_oracle config frame cols in
   with_pool ?pool config (fun pool ->
-      let cpdag, _sepsets =
-        Pgm.Pc.cpdag ~n:(List.length cols) ~max_cond:config.Config.max_cond
-          ?pool oracle
-      in
-      cpdag)
+      fst
+        (Pgm.Pc.cpdag ~n:(List.length cols) ~max_cond:Config.max_cond ?pool
+           oracle))
 
 let run ?(config = Config.default) ?pool frame =
-  let frame = prepare_frame config frame in
+  let frame = prepare_frame frame in
   with_pool ?pool config @@ fun pool ->
   (* Phase wall times are read back from the span events rather than a
      hand-kept accumulator: a phase that is re-entered (or whose work
@@ -162,44 +157,24 @@ let run ?(config = Config.default) ?pool frame =
         [ ("jobs", string_of_int n_jobs); ("vars", string_of_int n_vars) ])
     @@ fun () ->
     root_id := Obs.Span.current_id ();
-    let samples, base_oracle =
-      Obs.Span.with_ "sampling" @@ fun () ->
-      samples_and_oracle config frame cols
+    let base_oracle =
+      Obs.Span.with_ "sampling" @@ fun () -> ci_oracle config frame cols
     in
     let oracle i j cond =
       timed_task structure_work (fun () -> base_oracle i j cond) ()
     in
-    let cpdag, dags, truncated =
-      match config.Config.structure with
-      | Config.Pc_mec ->
-        let cpdag =
-          Obs.Span.with_ "structure" @@ fun () ->
-          fst
-            (Pgm.Pc.cpdag ~n:n_vars ~max_cond:config.Config.max_cond ?pool
-               oracle)
-        in
-        let dags, truncated =
-          Obs.Span.with_ "enumeration" @@ fun () ->
-          Pgm.Enumerate.consistent_extensions ~max_dags:config.Config.max_dags
-            cpdag
-        in
-        Log.debug (fun m ->
-            m "MEC: %d DAGs%s over %d variables" (List.length dags)
-              (if truncated then " (truncated)" else "")
-              n_vars);
-        (cpdag, dags, truncated)
-      | Config.Hill_climb ->
-        (* score-based alternative: a single BIC-optimal-ish DAG, no MEC *)
-        let dag =
-          Obs.Span.with_ "structure" @@ fun () ->
-          let data =
-            Pgm.Score.data_of ~cards:samples.Auxdist.cards
-              (Array.to_list (Auxdist.columns samples))
-          in
-          Pgm.Score.hill_climb data
-        in
-        (Pgm.Pdag.of_dag dag, [ dag ], false)
+    let cpdag =
+      Obs.Span.with_ "structure" @@ fun () ->
+      fst (Pgm.Pc.cpdag ~n:n_vars ~max_cond:Config.max_cond ?pool oracle)
     in
+    let dags, truncated =
+      Obs.Span.with_ "enumeration" @@ fun () ->
+      Pgm.Enumerate.consistent_extensions ~max_dags:Config.max_dags cpdag
+    in
+    Log.debug (fun m ->
+        m "MEC: %d DAGs%s over %d variables" (List.length dags)
+          (if truncated then " (truncated)" else "")
+          n_vars);
     (* Algorithm 2 main loop. The statement-level cache is made explicit:
        walk the per-DAG sketch key sequence once to (a) count the hits and
        misses the sequential memoized loop would have seen — a pure
@@ -230,12 +205,11 @@ let run ?(config = Config.default) ?pool frame =
        sharing a GIVEN set (and future runs over the same cache) group
        the frame once; the cache is mutex-guarded, so sharing it across
        the pool's domains is safe and the result schedule-independent *)
-    let groups = Fill.group_cache frame in
+    let groups = Dataframe.Group.Cache.of_frame frame in
     let filled_distinct =
       Runtime.Pool.parmap ?pool ~chunk:1
         (timed_task fill_work
-           (Fill.fill_stmt_sketch ~min_support:config.Config.min_support
-              ~groups frame ~epsilon:config.Config.epsilon))
+           (Fill.fill_stmt_sketch ~groups frame ~epsilon:config.Config.epsilon))
         distinct
     in
     let cache : (int list * int, Fill.filled option) Hashtbl.t =

@@ -14,7 +14,7 @@
 type timing = {
   total_s : float;           (** whole-run wall time (root span) *)
   sampling_s : float;        (** auxiliary-sampling wall time *)
-  structure_s : float;       (** PC / hill-climb wall time *)
+  structure_s : float;       (** PC structure-learning wall time *)
   enumeration_s : float;     (** MEC enumeration wall time *)
   fill_s : float;            (** HAVING-fill + scoring wall time *)
   structure_work_s : float;  (** summed CI-test time across workers *)
@@ -46,7 +46,7 @@ val fill_speedup : timing -> float
 (** Categorical, non-constant columns of tractable cardinality. *)
 val eligible_columns : Dataframe.Frame.t -> int list
 
-(** Structure-learning phase only (used by ablations). With [pool], the
+(** Structure-learning phase only (Table 7). With [pool], the
     PC skeleton's CI tests run across the pool's domains. *)
 val learn_cpdag :
   ?config:Config.t ->

@@ -214,7 +214,7 @@ let attach_domains t doms =
     domains = Some { doms; views = views_of_domains t.columns doms };
   }
 
-let learn_domains ?(bins = 8) t =
+let learn_domains ~bins t =
   let doms =
     Array.mapi
       (fun j col ->
@@ -243,7 +243,7 @@ let binning t j = Domain.binning (domain t j)
 
 (* Attach domains only when the schema has something to bin; a frame of
    categorical columns keeps its snapshot (and every cache keyed on it). *)
-let ensure_domains ?bins t =
+let ensure_domains ~bins t =
   if has_domains t then t
   else begin
     let needs = ref false in
@@ -252,7 +252,7 @@ let ensure_domains ?bins t =
       | Schema.Ordinal | Schema.Numeric -> needs := true
       | Schema.Categorical -> ()
     done;
-    if !needs then learn_domains ?bins t else t
+    if !needs then learn_domains ~bins t else t
   end
 
 let attr_codes t j =

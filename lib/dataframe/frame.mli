@@ -97,14 +97,14 @@ val cardinalities : t -> int array
 
 (** Learn domains for every [Ordinal]/[Numeric] schema column: [Distinct]
     binning for ordinals (falling back to quantiles past [bins] distinct
-    values), equi-width with [bins] (default 8) bins for numerics.
+    values), equi-width with [bins] bins for numerics.
     {!extend} re-learns them once more than a fifth of an append's
     values fall outside a column's learned envelope. *)
-val learn_domains : ?bins:int -> t -> t
+val learn_domains : bins:int -> t -> t
 
 (** {!learn_domains}, but a no-op (same snapshot) when the frame already
     has domains or the schema is all-categorical. *)
-val ensure_domains : ?bins:int -> t -> t
+val ensure_domains : bins:int -> t -> t
 
 val has_domains : t -> bool
 val domains : t -> Domain.t array option

@@ -50,10 +50,12 @@ let admissible g u v = not (creates_new_collider g u v) && not (creates_cycle g 
 exception Limit_reached
 
 (* Depth-first search over orientations. [leaf g] is called on every
-   fully directed leaf and says whether it is a DAG; the search stops
-   once [max_dags] leaves have said so. Returns the DAG count and
-   whether the search stopped early, and adds the number of Meek
-   closures it ran to the [pgm.enum.closures] counter. *)
+   fully directed leaf until [max_dags] of them have said they are DAGs;
+   the search then stops at the next acyclic leaf, so it reports
+   truncation only when the class has more than [max_dags] members.
+   Returns the DAG count and whether the search stopped early, and adds
+   the number of Meek closures it ran to the [pgm.enum.closures]
+   counter. *)
 let search ~max_dags ~leaf cpdag =
   let count = ref 0 and closures = ref 0 in
   let close g =
@@ -63,10 +65,8 @@ let search ~max_dags ~leaf cpdag =
   let rec go g =
     match Pdag.first_undirected g with
     | None ->
-      if leaf g then begin
-        incr count;
-        if !count >= max_dags then raise Limit_reached
-      end
+      if !count < max_dags then (if leaf g then incr count)
+      else if Pdag.acyclic g then raise Limit_reached
     | Some (u, v) ->
       List.iter
         (fun (a, b) ->
@@ -91,7 +91,7 @@ let search ~max_dags ~leaf cpdag =
 
 (* All consistent DAG extensions, up to [max_dags]. Returns the list and a
    flag saying whether the enumeration was truncated. *)
-let consistent_extensions ?(max_dags = 10_000) cpdag =
+let consistent_extensions ~max_dags cpdag =
   let out = ref [] in
   let leaf g =
     match Pdag.to_dag g with
@@ -104,5 +104,4 @@ let consistent_extensions ?(max_dags = 10_000) cpdag =
   (List.rev !out, truncated)
 
 (* The same search, counting the DAGs without building them. *)
-let count_extensions ?(max_dags = 10_000) cpdag =
-  search ~max_dags ~leaf:Pdag.acyclic cpdag
+let count_extensions ~max_dags cpdag = search ~max_dags ~leaf:Pdag.acyclic cpdag

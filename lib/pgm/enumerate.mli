@@ -8,12 +8,12 @@ val creates_cycle : Pdag.t -> int -> int -> bool
 
 val admissible : Pdag.t -> int -> int -> bool
 
-(** All consistent DAG extensions, capped at [max_dags] (default 10000);
-    the flag reports truncation (it is also set when the class has
-    exactly [max_dags] members). Adds the number of Meek closures run to
-    the [pgm.enum.closures] counter of {!Obs.Metric.default}. *)
-val consistent_extensions : ?max_dags:int -> Pdag.t -> Dag.t list * bool
+(** All consistent DAG extensions, capped at [max_dags]; the flag is set
+    when the class has more than [max_dags] members. Adds the number of
+    Meek closures run to the [pgm.enum.closures] counter of
+    {!Obs.Metric.default}. *)
+val consistent_extensions : max_dags:int -> Pdag.t -> Dag.t list * bool
 
 (** [(List.length dags, truncated)] of {!consistent_extensions} at the
     same cap, from the same search, without building the DAGs. *)
-val count_extensions : ?max_dags:int -> Pdag.t -> int * bool
+val count_extensions : max_dags:int -> Pdag.t -> int * bool

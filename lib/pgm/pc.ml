@@ -42,7 +42,7 @@ let rec subsets_of_size k items =
       let with_x = List.map (fun s -> x :: s) (subsets_of_size (k - 1) rest) in
       with_x @ subsets_of_size k rest
 
-let skeleton ~n ?(max_cond = 3) ?pool indep =
+let skeleton ~n ~max_cond ?pool indep =
   let g = Pdag.complete n in
   let sepsets : sepsets = Hashtbl.create 64 in
   let level = ref 0 in
@@ -113,8 +113,8 @@ let orient_v_structures g sepsets =
       nbrs
   done
 
-let cpdag ~n ?max_cond ?pool indep =
-  let g, sepsets = skeleton ~n ?max_cond ?pool indep in
+let cpdag ~n ~max_cond ?pool indep =
+  let g, sepsets = skeleton ~n ~max_cond ?pool indep in
   orient_v_structures g sepsets;
   ignore (Meek.close g);
   (g, sepsets)

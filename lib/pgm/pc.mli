@@ -19,7 +19,7 @@ val subsets_of_size : int -> 'a list -> 'a list list
     identical at every pool size. *)
 val skeleton :
   n:int ->
-  ?max_cond:int ->
+  max_cond:int ->
   ?pool:Runtime.Pool.t ->
   (int -> int -> int list -> bool) ->
   Pdag.t * sepsets
@@ -31,7 +31,7 @@ val orient_v_structures : Pdag.t -> sepsets -> unit
     the separating sets. *)
 val cpdag :
   n:int ->
-  ?max_cond:int ->
+  max_cond:int ->
   ?pool:Runtime.Pool.t ->
   (int -> int -> int list -> bool) ->
   Pdag.t * sepsets

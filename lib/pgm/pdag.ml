@@ -173,11 +173,6 @@ let to_dag t =
   if fully_directed t && acyclic t then Some (Dag.of_edges t.n (directed_edges t))
   else None
 
-let of_dag g =
-  let t = create (Dag.size g) in
-  List.iter (fun (u, v) -> set t t.children u v; set t t.parents v u) (Dag.edges g);
-  t
-
 (* Is there a path from u to v using only directed edges? Used for cycle
    avoidance during orientation. Depth first, each node stacked once. *)
 let directed_reaches t u v =

@@ -67,8 +67,6 @@ val acyclic : t -> bool
 (** [Some dag] when fully directed and acyclic. *)
 val to_dag : t -> Dag.t option
 
-val of_dag : Dag.t -> t
-
 (** Reachability along directed edges only. *)
 val directed_reaches : t -> int -> int -> bool
 

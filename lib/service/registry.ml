@@ -68,7 +68,7 @@ let load t ~name ?program ?model_label frame =
   (* numeric/ordinal columns get their binned attribute views now, so
      program parse/fill, ingest statistics and snapshot metadata all see
      the same learned bins (no-op on all-categorical schemas) *)
-  let frame = Frame.ensure_domains frame in
+  let frame = Frame.ensure_domains ~bins:Guardrail.Config.bins frame in
   let program = Option.map (compile_program frame) program in
   let model =
     Option.map
@@ -157,9 +157,6 @@ let refresh ?epsilon t ~name =
     | Some e -> e
     | None -> Guardrail.Config.default.Guardrail.Config.epsilon
   in
-  (* the support floor synthesis applies, so a refill keeps no branch a
-     full synthesis run would drop *)
-  let min_support = Guardrail.Config.default.Guardrail.Config.min_support in
   locked_rmw t ~name (fun entry ->
       match (entry.program, entry.ingest) with
       | None, _ | _, None ->
@@ -183,8 +180,8 @@ let refresh ?epsilon t ~name =
                     Guardrail.Sketch.stmt_sketch ~given:s.given ~on:s.on
                   in
                   match
-                    Guardrail.Fill.fill_stmt_sketch ~min_support ~groups
-                      entry.frame ~epsilon sketch
+                    Guardrail.Fill.fill_stmt_sketch ~groups entry.frame
+                      ~epsilon sketch
                   with
                   | Some filled ->
                     incr refreshed;

@@ -88,7 +88,7 @@ type refresh_report = {
     the drift monitor flagged stale, splice the results into the
     program (recompiling once), and rebaseline the monitor. [epsilon]
     defaults to [Guardrail.Config.default.epsilon]; the refill keeps
-    synthesis' support floor, [Guardrail.Config.default.min_support].
+    synthesis' support floor, [Guardrail.Config.min_support].
     Raises [Failure] if the table has no program. *)
 val refresh : ?epsilon:float -> t -> name:string -> entry * refresh_report
 

@@ -29,8 +29,7 @@ type spec = {
   ky : int;             (* cardinality of the second variable *)
 }
 
-let make ?(kind = Chi_square) ?(max_strata = 4096) ?(min_effect = 0.0)
-    ~alpha ~kx ~ky () =
+let make ?(kind = Chi_square) ~max_strata ~min_effect ~alpha ~kx ~ky () =
   if not (alpha > 0.0 && alpha < 1.0) then
     invalid_arg "Ci.make: alpha must be in (0, 1)";
   if max_strata < 1 then invalid_arg "Ci.make: max_strata must be >= 1";

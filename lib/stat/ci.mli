@@ -19,12 +19,11 @@ type spec = {
 
 (** Smart constructor; validates ranges and raises [Invalid_argument]
     on a spec no test could honour (alpha outside (0, 1), non-positive
-    cardinalities, ...). Defaults: [Chi_square], [max_strata = 4096],
-    [min_effect = 0.0]. *)
+    cardinalities, ...). [kind] defaults to [Chi_square]. *)
 val make :
   ?kind:statistic ->
-  ?max_strata:int ->
-  ?min_effect:float ->
+  max_strata:int ->
+  min_effect:float ->
   alpha:float ->
   kx:int ->
   ky:int ->

@@ -15,20 +15,13 @@ type result = Ci.result = {
 let table_stat = Ci.table_stat
 let effect_size = Ci.effect_size
 
-(* Unconditional test. [min_effect] is an effect-size floor: with very
-   large samples, negligible dependencies become statistically
-   significant; requiring a minimal Cramér's V keeps the skeleton
-   honest. *)
-let test_two_way ?(kind = Chi_square) ?(min_effect = 0.0) ~alpha table =
+(* Unconditional test. *)
+let test_two_way ?(kind = Chi_square) ~alpha table =
   let stat, df = table_stat kind table in
   if df = 0 then { stat = 0.0; df = 0; p_value = 1.0; independent = true }
   else begin
     let p_value = Special.chi2_sf ~df stat in
-    let effect =
-      effect_size ~kx:table.Contingency.kx ~ky:table.Contingency.ky
-        ~n:table.Contingency.total stat
-    in
-    { stat; df; p_value; independent = p_value > alpha || effect < min_effect }
+    { stat; df; p_value; independent = p_value > alpha }
   end
 
 (* Cramér's V effect size of a two-way table, in [0, 1]. *)

@@ -15,11 +15,8 @@ type result = Ci.result = {
 val effect_size : kx:int -> ky:int -> n:int -> float -> float
 
 (** Unconditional chi-square / G test of a two-way table. Degenerate tables
-    (no two non-empty rows and columns) report independence with p = 1.
-    [min_effect] is a Cramér's V floor guarding against negligible but
-    statistically significant dependence on large samples. *)
-val test_two_way :
-  ?kind:statistic -> ?min_effect:float -> alpha:float -> Contingency.table -> result
+    (no two non-empty rows and columns) report independence with p = 1. *)
+val test_two_way : ?kind:statistic -> alpha:float -> Contingency.table -> result
 
 (** Cramér's V effect size in [0, 1]. *)
 val cramers_v : Contingency.table -> float

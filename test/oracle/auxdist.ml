@@ -5,7 +5,7 @@
 
 module Frame = Dataframe.Frame
 
-let circular_shift ?(max_shifts = 7) ?(max_samples = 60_000) frame cols =
+let circular_shift ~max_shifts ~max_samples frame cols =
   let n = Frame.nrows frame in
   if n < 2 then invalid_arg "Oracle.Auxdist.circular_shift: need at least 2 rows";
   let m = List.length cols in

@@ -225,8 +225,9 @@ module Enumerate = struct
   exception Limit_reached
 
   (* The DAGs (as directed edge lists), the truncation flag and the
-     number of Meek closures run. *)
-  let consistent_extensions ?(max_dags = 10_000) cpdag =
+     number of Meek closures run. Truncated means a DAG past the first
+     [max_dags] exists. *)
+  let consistent_extensions ~max_dags cpdag =
     let out = ref [] in
     let count = ref 0 in
     let closures = ref 0 in
@@ -236,9 +237,9 @@ module Enumerate = struct
     in
     let emit g =
       if Pdag.acyclic g then begin
+        if !count = max_dags then raise Limit_reached;
         out := Pdag.directed_edges g :: !out;
-        incr count;
-        if !count >= max_dags then raise Limit_reached
+        incr count
       end
     in
     let rec go g =

@@ -15,7 +15,8 @@
    duplicating or noisily copying an earlier one; conditioning sets of
    0-3 columns in any order (repeats allowed); max_strata 1-8; both
    statistics; random alpha and effect floors. The 12 benchmark
-   datasets are pinned at 300 rows. *)
+   datasets are pinned at 300 rows and checked at synthesis' own
+   sampler and CI settings ([Guardrail.Config]). *)
 
 module Frame = Dataframe.Frame
 module Bits = Stat.Bits
@@ -23,6 +24,7 @@ module Ci = Stat.Ci
 module Contingency = Stat.Contingency
 module Rng = Stat.Rng
 module Auxdist = Guardrail.Auxdist
+module Config = Guardrail.Config
 
 let failf fmt = Printf.ksprintf failwith fmt
 
@@ -157,7 +159,7 @@ let test_bits_layout () =
 
 let dataset spec =
   let _, frame = Datagen.Generate.dataset ~n_rows:300 spec in
-  let frame = Frame.ensure_domains ~bins:8 frame in
+  let frame = Frame.ensure_domains ~bins:Config.bins frame in
   (frame, Guardrail.Synthesize.eligible_columns frame)
 
 let check_sampler ~max_shifts ~max_samples frame cols =
@@ -172,7 +174,8 @@ let test_sampler_datasets () =
     (fun (spec : Datagen.Spec.t) ->
       let frame, cols = dataset spec in
       if cols = [] then Alcotest.failf "%s: no eligible columns" spec.Datagen.Spec.name;
-      check_sampler ~max_shifts:11 ~max_samples:120_000 frame cols;
+      check_sampler ~max_shifts:Config.max_shifts ~max_samples:Config.max_samples
+        frame cols;
       (* stop two shifts and 137 samples in: mid-shift and mid-word *)
       let n = Frame.nrows frame in
       check_sampler ~max_shifts:7 ~max_samples:((2 * n) + 137) frame cols)
@@ -185,14 +188,21 @@ let test_oracle_datasets () =
       let m = List.length cols in
       let rng = Rng.create spec.Datagen.Spec.id in
       let name = spec.Datagen.Spec.name in
+      let alpha = Config.default.Config.alpha in
       let check samples =
-        let oracle = Auxdist.ci_oracle samples in
+        let oracle =
+          Auxdist.ci_oracle ~alpha ~max_strata:Config.max_strata
+            ~min_effect:Config.min_effect samples
+        in
         let columns = Auxdist.columns samples in
         let cards = Array.of_list samples.Auxdist.cards in
         for _ = 1 to 100 do
           let i = Rng.int rng m and j = Rng.int rng m in
           let cond = List.init (Rng.int rng 3) (fun _ -> Rng.int rng m) in
-          let ci = Ci.make ~alpha:0.01 ~kx:cards.(i) ~ky:cards.(j) () in
+          let ci =
+            Ci.make ~max_strata:Config.max_strata ~min_effect:Config.min_effect
+              ~alpha ~kx:cards.(i) ~ky:cards.(j) ()
+          in
           let expected =
             Ci.test ci columns.(i) columns.(j)
               (List.map (fun k -> columns.(k)) cond)
@@ -202,7 +212,9 @@ let test_oracle_datasets () =
             Alcotest.failf "%s: ci_oracle %d %d differs from Ci.test" name i j
         done
       in
-      check (Auxdist.circular_shift ~max_shifts:11 ~max_samples:120_000 frame cols);
+      check
+        (Auxdist.circular_shift ~max_shifts:Config.max_shifts
+           ~max_samples:Config.max_samples frame cols);
       check (Auxdist.identity frame cols))
     Datagen.Spec.all
 

@@ -226,10 +226,13 @@ let test_pc_subsets () =
 (* ------------------------------------------------------------------ *)
 (* MEC enumeration *)
 
+(* synthesis' cap; every class below is far smaller *)
+let max_dags = Guardrail.Config.max_dags
+
 let test_enumerate_chain () =
   (* MEC of a 3-chain = {0->1->2, 0<-1->2, 0<-1<-2} = 3 DAGs *)
   let cpdag = cpdag_of (chain3 ()) 2 in
-  let dags, truncated = Enumerate.consistent_extensions cpdag in
+  let dags, truncated = Enumerate.consistent_extensions ~max_dags cpdag in
   Alcotest.(check bool) "not truncated" false truncated;
   Alcotest.(check int) "3 members" 3 (List.length dags);
   (* all members share the chain's skeleton and have no v-structure *)
@@ -244,7 +247,7 @@ let test_enumerate_chain () =
 
 let test_enumerate_collider_singleton () =
   let cpdag = cpdag_of (collider3 ()) 2 in
-  let dags, _ = Enumerate.consistent_extensions cpdag in
+  let dags, _ = Enumerate.consistent_extensions ~max_dags cpdag in
   Alcotest.(check int) "collider MEC is singleton" 1 (List.length dags);
   Alcotest.(check bool) "it is the truth" true
     (Dag.equal (List.hd dags) (collider3 ()))
@@ -252,7 +255,7 @@ let test_enumerate_collider_singleton () =
 let test_enumerate_chain4 () =
   (* MEC of a 4-chain: orientations with no collider = 4 *)
   let cpdag = cpdag_of (chain4 ()) 2 in
-  let dags, _ = Enumerate.consistent_extensions cpdag in
+  let dags, _ = Enumerate.consistent_extensions ~max_dags cpdag in
   Alcotest.(check int) "4 members" 4 (List.length dags);
   let distinct =
     List.sort_uniq Dag.compare dags
@@ -265,6 +268,22 @@ let test_enumerate_cap () =
   let dags, truncated = Enumerate.consistent_extensions ~max_dags:3 g in
   Alcotest.(check bool) "truncated" true truncated;
   Alcotest.(check int) "capped" 3 (List.length dags)
+
+let test_enumerate_cap_exact () =
+  (* the complete graph on 3 nodes has 3! = 6 extensions: truncated only
+     when the cap is below 6 *)
+  List.iter
+    (fun (cap, expected) ->
+      let dags, truncated =
+        Enumerate.consistent_extensions ~max_dags:cap (Pdag.complete 3)
+      in
+      let name = Printf.sprintf "cap %d" cap in
+      Alcotest.(check bool) (name ^ " truncated") expected truncated;
+      Alcotest.(check int) (name ^ " DAGs") (min cap 6) (List.length dags);
+      Alcotest.(check (pair int bool)) (name ^ " count")
+        (min cap 6, expected)
+        (Enumerate.count_extensions ~max_dags:cap (Pdag.complete 3)))
+    [ (5, true); (6, false); (7, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* DAG counting *)
@@ -345,49 +364,6 @@ let test_bn_config_index () =
   Alcotest.(check int) "config mixed" 1 (Bn.config_index net 2 [| 0; 1; 0 |]);
   Alcotest.(check int) "config both" 3 (Bn.config_index net 2 [| 1; 1; 0 |]);
   Alcotest.(check int) "config count" 4 (Bn.config_count net 2)
-
-(* ------------------------------------------------------------------ *)
-(* Score-based structure learning *)
-
-let chain_data n =
-  (* x0 -> x1 (noisy copy), x2 independent *)
-  let rng = Stat.Rng.create 21 in
-  let x0 = Array.init n (fun _ -> Stat.Rng.int rng 3) in
-  let x1 =
-    Array.map
-      (fun v -> if Stat.Rng.float rng < 0.05 then Stat.Rng.int rng 3 else v)
-      x0
-  in
-  let x2 = Array.init n (fun _ -> Stat.Rng.int rng 3) in
-  Pgm.Score.data_of ~cards:[ 3; 3; 3 ] [ x0; x1; x2 ]
-
-let test_score_family_prefers_true_parent () =
-  let data = chain_data 2000 in
-  Alcotest.(check bool) "true parent scores higher" true
-    (Pgm.Score.family_score data 1 [ 0 ] > Pgm.Score.family_score data 1 []);
-  Alcotest.(check bool) "irrelevant parent penalized" true
-    (Pgm.Score.family_score data 2 [] > Pgm.Score.family_score data 2 [ 0 ])
-
-let test_score_hill_climb_recovers_edge () =
-  let data = chain_data 2000 in
-  let dag = Pgm.Score.hill_climb data in
-  Alcotest.(check bool) "0-1 edge found (either direction)" true
-    (Pgm.Dag.has_edge dag 0 1 || Pgm.Dag.has_edge dag 1 0);
-  Alcotest.(check bool) "2 isolated" true
-    (Pgm.Dag.parents dag 2 = [] && Pgm.Dag.children dag 2 = []);
-  Alcotest.(check bool) "acyclic" true (Pgm.Dag.is_acyclic dag)
-
-let test_score_total_improves () =
-  let data = chain_data 2000 in
-  let empty = Pgm.Dag.create 3 in
-  let learned = Pgm.Score.hill_climb data in
-  Alcotest.(check bool) "learned beats empty" true
-    (Pgm.Score.total_score data learned > Pgm.Score.total_score data empty)
-
-let test_score_max_parents () =
-  let data = chain_data 500 in
-  let dag = Pgm.Score.hill_climb ~max_parents:0 data in
-  Alcotest.(check int) "no edges with max_parents 0" 0 (Pgm.Dag.edge_count dag)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -497,6 +473,7 @@ let () =
           Alcotest.test_case "collider singleton" `Quick test_enumerate_collider_singleton;
           Alcotest.test_case "4-chain MEC" `Quick test_enumerate_chain4;
           Alcotest.test_case "cap respected" `Quick test_enumerate_cap;
+          Alcotest.test_case "cap equal to class size" `Quick test_enumerate_cap_exact;
         ] );
       ( "count",
         [
@@ -510,13 +487,6 @@ let () =
           Alcotest.test_case "to_dag" `Quick test_bn_to_dag;
           Alcotest.test_case "cyclic rejected" `Quick test_bn_validation;
           Alcotest.test_case "config index" `Quick test_bn_config_index;
-        ] );
-      ( "score",
-        [
-          Alcotest.test_case "family score" `Quick test_score_family_prefers_true_parent;
-          Alcotest.test_case "hill climb recovers edge" `Quick test_score_hill_climb_recovers_edge;
-          Alcotest.test_case "total score improves" `Quick test_score_total_improves;
-          Alcotest.test_case "max parents" `Quick test_score_max_parents;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -196,7 +196,9 @@ let test_conditional_independence () =
   let marginal = Independence.test_two_way ~alpha:0.01 t in
   Alcotest.(check bool) "marginally dependent" false marginal.Independence.independent;
   (* conditional independence given z *)
-  let r = Ci.test (Ci.make ~alpha:0.01 ~kx:2 ~ky:2 ()) xs ys [ zs ] [ 2 ] in
+  let r = Ci.test (Ci.make ~max_strata:4096 ~min_effect:0.0 ~alpha:0.01 ~kx:2 ~ky:2 ())
+      xs ys [ zs ] [ 2 ]
+  in
   Alcotest.(check bool) "conditionally independent" true r.Independence.independent
 
 let test_ci_test_max_strata () =
@@ -206,7 +208,9 @@ let test_ci_test_max_strata () =
   let ys = Array.copy xs in
   let big = Array.init n (fun i -> i) in
   let r =
-    Ci.test (Ci.make ~max_strata:10 ~alpha:0.01 ~kx:2 ~ky:2 ()) xs ys [ big ] [ n ]
+    Ci.test
+      (Ci.make ~max_strata:10 ~min_effect:0.0 ~alpha:0.01 ~kx:2 ~ky:2 ())
+      xs ys [ big ] [ n ]
   in
   Alcotest.(check bool) "underpowered -> independent" true r.Independence.independent
 
@@ -216,11 +220,14 @@ let test_ci_make_validates () =
     | (_ : Ci.spec) -> Alcotest.fail "expected Invalid_argument"
     | exception Invalid_argument _ -> ()
   in
-  raises (fun () -> Ci.make ~alpha:0.0 ~kx:2 ~ky:2 ());
-  raises (fun () -> Ci.make ~alpha:1.5 ~kx:2 ~ky:2 ());
-  raises (fun () -> Ci.make ~alpha:0.01 ~kx:0 ~ky:2 ());
-  raises (fun () -> Ci.make ~alpha:0.01 ~max_strata:0 ~kx:2 ~ky:2 ());
-  raises (fun () -> Ci.make ~alpha:0.01 ~min_effect:(-0.1) ~kx:2 ~ky:2 ())
+  let make ?(max_strata = 4096) ?(min_effect = 0.0) ~alpha ~kx () =
+    Ci.make ~max_strata ~min_effect ~alpha ~kx ~ky:2 ()
+  in
+  raises (fun () -> make ~alpha:0.0 ~kx:2 ());
+  raises (fun () -> make ~alpha:1.5 ~kx:2 ());
+  raises (fun () -> make ~alpha:0.01 ~kx:0 ());
+  raises (fun () -> make ~alpha:0.01 ~max_strata:0 ~kx:2 ());
+  raises (fun () -> make ~alpha:0.01 ~min_effect:(-0.1) ~kx:2 ())
 
 (* Ci.test is a pure function of the spec and the data: the same call
    must reproduce the same statistic bit-for-bit (the synthesis memo
@@ -231,7 +238,7 @@ let test_ci_test_deterministic () =
   let xs = Array.init n (fun _ -> Rng.int rng 2) in
   let ys = Array.init n (fun _ -> Rng.int rng 2) in
   let zs = Array.init n (fun _ -> Rng.int rng 3) in
-  let spec = Ci.make ~alpha:0.05 ~kx:2 ~ky:2 () in
+  let spec = Ci.make ~max_strata:4096 ~min_effect:0.0 ~alpha:0.05 ~kx:2 ~ky:2 () in
   let a = Ci.test spec xs ys [ zs ] [ 3 ] in
   let b = Ci.test spec xs ys [ zs ] [ 3 ] in
   Alcotest.(check (float 0.0)) "same statistic" a.Ci.stat b.Ci.stat;
