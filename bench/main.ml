@@ -19,6 +19,7 @@
      groupby group-by kernel: groups per column set, cold time
      ingest  streaming appends: throughput, incremental maintenance,
              refresh latency
+     detect  Table 3's protocol on #2, #4, #5, #6: confusion counts
 
    Regression gate (see README "Benchmarking"):
      record / compare / report  over bench/history.jsonl
@@ -215,6 +216,50 @@ let run_detector name f =
   | Baselines.Fdx.Ill_conditioned msg -> Failed (name ^ ": " ^ msg)
   | Invalid_argument msg -> Failed (name ^ ": " ^ msg)
 
+(* Table 3's protocol on one dataset: discover on a clean split at full
+   dataset scale, detect on the corrupted remainder at the 1% error
+   rate. One outcome per detector, in [table3_detectors] order. *)
+let table3_detectors = [ "Guardrail"; "TANE"; "CTANE"; "FDX" ]
+
+let table3_outcomes id =
+  let p = prepare id in
+  let train, test0 =
+    Dataframe.Split.train_test ~seed:(500 + id) ~train_fraction:0.5 p.full
+  in
+  let inj = Corrupt.inject_any ~seed:(61 + id) p.built test0 in
+  let test = inj.Corrupt.corrupted in
+  (* every column is a GUARDRAIL program checked by the one Validator;
+     train and test are splits of one frame, so a program's column
+     indices address the test split as they are *)
+  let detect prog =
+    Metrics.confusion
+      ~predicted:(Validator.detect (Validator.compile prog) test)
+      ~actual:inj.Corrupt.mask
+  in
+  let nonempty what (prog : Guardrail.Dsl.prog) =
+    if prog.Guardrail.Dsl.stmts = [] then
+      raise (Invalid_argument ("no " ^ what ^ " found"));
+    prog
+  in
+  let fd_program fds = nonempty "FDs" (Baselines.Fd.program train fds) in
+  let guardrail =
+    run_detector "Guardrail" (fun () ->
+        detect (Synthesize.run train).Synthesize.program)
+  in
+  let tane =
+    run_detector "TANE" (fun () ->
+        detect (fd_program (Baselines.Tane.discover train)))
+  in
+  let ctane =
+    run_detector "CTANE" (fun () ->
+        detect (nonempty "rules" (Baselines.Ctane.discover train)))
+  in
+  let fdx =
+    run_detector "FDX" (fun () ->
+        detect (fd_program (Baselines.Fdx.discover train)))
+  in
+  [ guardrail; tane; ctane; fdx ]
+
 let table3 () =
   header "Table 3: error detection F1 / MCC (— marks an execution failure)";
   Printf.printf "%-4s %-7s %10s %8s %8s %8s\n" "ID" "Metric" "Guardrail" "TANE"
@@ -222,46 +267,8 @@ let table3 () =
   let first_count = ref 0 and comparisons = ref 0 in
   List.iter
     (fun spec ->
-      let p = prepare spec.Spec.id in
-      (* Table 3 protocol: discover on a clean split at full dataset
-         scale, detect on the corrupted remainder at the 1% error rate *)
-      let train, test0 =
-        Dataframe.Split.train_test ~seed:(500 + spec.Spec.id)
-          ~train_fraction:0.5 p.full
-      in
-      let inj = Corrupt.inject_any ~seed:(61 + spec.Spec.id) p.built test0 in
-      let test = inj.Corrupt.corrupted in
-      let mask = inj.Corrupt.mask in
-      let score flags = Metrics.confusion ~predicted:flags ~actual:mask in
-      let guardrail =
-        run_detector "Guardrail" (fun () ->
-            let r = Synthesize.run train in
-            let prog =
-              Validator.compile
-                (Validator.rebind r.Synthesize.program (Frame.schema test))
-            in
-            score (Validator.detect prog test))
-      in
-      let tane =
-        run_detector "TANE" (fun () ->
-            let fds = Baselines.Tane.discover train in
-            if fds = [] then raise (Invalid_argument "no FDs found");
-            score
-              (Baselines.Fd.detect (List.map (Baselines.Fd.compile train) fds) test))
-      in
-      let ctane =
-        run_detector "CTANE" (fun () ->
-            let rules = Baselines.Ctane.discover train in
-            if rules = [] then raise (Invalid_argument "no rules found");
-            score (Baselines.Ctane.detect rules test))
-      in
-      let fdx =
-        run_detector "FDX" (fun () ->
-            let fds = Baselines.Fdx.discover train in
-            if fds = [] then raise (Invalid_argument "no FDs found");
-            score
-              (Baselines.Fd.detect (List.map (Baselines.Fd.compile train) fds) test))
-      in
+      let outcomes = table3_outcomes spec.Spec.id in
+      let guardrail, baselines = (List.hd outcomes, List.tl outcomes) in
       let cell metric outcome =
         match outcome with
         | Failed _ -> "    -"
@@ -283,19 +290,20 @@ let table3 () =
                   | Scores c ->
                     let v = metric c in
                     Float.is_nan v || mine >= v)
-                [ tane; ctane; fdx ]
+                baselines
             in
             if beaten then incr first_count
           end
       in
       rank_first Metrics.f1;
       rank_first Metrics.mcc;
-      Printf.printf "%-4d %-7s %10s %8s %8s %8s\n" spec.Spec.id "F1"
-        (cell Metrics.f1 guardrail) (cell Metrics.f1 tane) (cell Metrics.f1 ctane)
-        (cell Metrics.f1 fdx);
-      Printf.printf "%-4s %-7s %10s %8s %8s %8s\n%!" "" "MCC"
-        (cell Metrics.mcc guardrail) (cell Metrics.mcc tane)
-        (cell Metrics.mcc ctane) (cell Metrics.mcc fdx))
+      let row label name metric =
+        Printf.printf "%-4s %-7s %10s" label name (cell metric guardrail);
+        List.iter (fun o -> Printf.printf " %8s" (cell metric o)) baselines;
+        Printf.printf "\n%!"
+      in
+      row (string_of_int spec.Spec.id) "F1" Metrics.f1;
+      row "" "MCC" Metrics.mcc)
     Spec.all;
   Printf.printf "Guardrail ranks first in %d of %d comparisons\n" !first_count
     !comparisons
@@ -1294,6 +1302,37 @@ let synth_suite () =
       @ exact_counts ~suite ~workload counts)
     gate_synth_datasets
 
+(* Gated detection suite: Table 3 on the datasets where every column
+   runs in well under a second. Gated: each detector's confusion counts
+   and a 0/1 failure flag (counts read 0 on a failure). *)
+
+let gate_detect_datasets = [ 2; 4; 5; 6 ]
+
+let detect_suite () =
+  header "Detection suite: Table 3's protocol, confusion counts per detector";
+  Printf.printf "  %-4s %-10s %6s %6s %6s %6s %7s\n" "ID" "Detector" "tp" "fp"
+    "fn" "tn" "failed";
+  List.concat_map
+    (fun id ->
+      let suite = "detect" and workload = Printf.sprintf "ds%d" id in
+      List.concat
+        (List.map2
+           (fun detector outcome ->
+             let c, failed =
+               match outcome with
+               | Scores c -> (c, 0)
+               | Failed _ -> ({ Metrics.tp = 0; fp = 0; fn = 0; tn = 0 }, 1)
+             in
+             Printf.printf "  %-4d %-10s %6d %6d %6d %6d %7d\n%!" id detector
+               c.Metrics.tp c.Metrics.fp c.Metrics.fn c.Metrics.tn failed;
+             let key = String.lowercase_ascii detector in
+             exact_counts ~suite ~workload
+               [ (key ^ ".tp", c.Metrics.tp); (key ^ ".fp", c.Metrics.fp);
+                 (key ^ ".fn", c.Metrics.fn); (key ^ ".tn", c.Metrics.tn);
+                 (key ^ ".failed", failed) ])
+           table3_detectors (table3_outcomes id)))
+    gate_detect_datasets
+
 (* ------------------------------------------------------------------ *)
 (* Streaming-ingest suite: the versioned-frame ingest path end to end.
    A base snapshot of dataset #2 is loaded with its synthesized
@@ -1413,7 +1452,7 @@ let ingest_bench () =
 (* ------------------------------------------------------------------ *)
 (* The regression harness: record / compare / report.
 
-   The six gated suites run under the one gate profile; a run is one
+   The seven gated suites run under the one gate profile; a run is one
    line of bench/history.jsonl whose last line is the blessed baseline
    CI gates against. *)
 
@@ -1423,6 +1462,7 @@ let fresh_run () =
     List.concat_map
       (fun suite -> suite ())
       [ synth_suite;
+        detect_suite;
         groupby_bench;
         (fun () -> validate_bench ~sizes_default:gate_validate_sizes ());
         (fun () -> serve_bench ~seconds_default:gate_serve_seconds ());
@@ -1570,6 +1610,7 @@ let experiments =
     ("groupby", fun () -> ignore (groupby_bench ()));
     ("validate", fun () -> ignore (validate_bench ()));
     ("synth", fun () -> ignore (synth_suite ()));
+    ("detect", fun () -> ignore (detect_suite ()));
     ("ingest", fun () -> ignore (ingest_bench ()));
     ("numeric", fun () -> ignore (numeric_bench ()));
   ]

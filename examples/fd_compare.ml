@@ -28,39 +28,26 @@ let () =
     (List.length injection.Datagen.Corrupt.cells)
     (Frame.nrows noisy);
 
-  (* GUARDRAIL *)
-  let result = Guardrail.Synthesize.run train in
-  let program =
-    Guardrail.Validator.compile
-      (Guardrail.Validator.rebind result.Guardrail.Synthesize.program
-         (Frame.schema noisy))
+  (* every detector is a GUARDRAIL program, checked by the one
+     Validator: the baselines' FDs and CFDs become statements *)
+  let detect name prog =
+    score name (Guardrail.Validator.detect (Guardrail.Validator.compile prog) noisy) mask
   in
-  score "Guardrail" (Guardrail.Validator.detect program noisy) mask;
+  let result = Guardrail.Synthesize.run train in
+  detect "Guardrail" result.Guardrail.Synthesize.program;
 
-  (* TANE *)
-  (try
-     let fds = Baselines.Tane.discover train in
-     let detectors = List.map (Baselines.Fd.compile train) fds in
-     score "TANE" (Baselines.Fd.detect detectors noisy) mask
+  (try detect "TANE" (Baselines.Fd.program train (Baselines.Tane.discover train))
    with Baselines.Tane.Out_of_budget msg ->
      Printf.printf "  %-10s failed: %s\n" "TANE" msg);
 
-  (* CTANE *)
-  (try
-     let rules = Baselines.Ctane.discover train in
-     score "CTANE" (Baselines.Ctane.detect rules noisy) mask
+  (try detect "CTANE" (Baselines.Ctane.discover train)
    with Baselines.Ctane.Out_of_budget msg ->
      Printf.printf "  %-10s failed: %s\n" "CTANE" msg);
 
-  (* FDX *)
-  (try
-     let fds = Baselines.Fdx.discover train in
-     let detectors = List.map (Baselines.Fd.compile train) fds in
-     score "FDX" (Baselines.Fd.detect detectors noisy) mask
+  (try detect "FDX" (Baselines.Fd.program train (Baselines.Fdx.discover train))
    with Baselines.Fdx.Ill_conditioned msg ->
      Printf.printf "  %-10s failed: ill-conditioned (%s)\n" "FDX" msg);
 
   (* the discovered rules themselves, for inspection *)
   print_endline "\nGUARDRAIL constraints:";
-  Fmt.pr "%a@." Guardrail.Pretty.pp_prog_summary
-    (Guardrail.Validator.source program)
+  Fmt.pr "%a@." Guardrail.Pretty.pp_prog_summary result.Guardrail.Synthesize.program

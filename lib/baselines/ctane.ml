@@ -10,13 +10,16 @@
      for each observed constant binding of X with support >= min_support,
      emit the CFD when the binding's rows agree on A up to epsilon.
 
-   This fragment is exactly what the error-detection experiment needs:
-   each emitted CFD is a row-level detector. CTANE's tendency to overfit
-   (emitting one rule per frequent pattern) is intrinsic and is what
-   Table 3 shows. *)
+   A constant CFD is a GUARDRAIL branch: the lhs binding is its
+   condition and the implied rhs constant its assignment, so [discover]
+   returns a program with one statement per (X, A) and one branch per
+   emitted pattern, checked by [Guardrail.Validator] like every Table 3
+   column. CTANE's tendency to overfit (emitting one rule per frequent
+   pattern) is intrinsic and is what Table 3 shows. *)
 
 module Frame = Dataframe.Frame
-module Value = Dataframe.Value
+module Group = Dataframe.Group
+module Dsl = Guardrail.Dsl
 
 exception Out_of_budget of string
 
@@ -24,25 +27,10 @@ type config = {
   epsilon : float;
   max_lhs : int;
   min_support : int;
-  max_rules : int;
+  max_rules : int;  (* budget on emitted patterns, i.e. branches *)
 }
 
 let default_config = { epsilon = 0.0; max_lhs = 2; min_support = 3; max_rules = 50_000 }
-
-type rule = {
-  lhs : int list;                  (* determinant attributes, sorted *)
-  pattern : Value.t list;          (* constant per lhs attribute *)
-  rhs : int;
-  value : Value.t;                 (* implied rhs constant *)
-}
-
-let pp_rule schema ppf r =
-  Fmt.pf ppf "[%a] -> %s = %a"
-    Fmt.(list ~sep:(any ", ") (fun ppf (a, v) ->
-        Fmt.pf ppf "%s = %a" (Dataframe.Schema.name schema a) Value.pp v))
-    (List.combine r.lhs r.pattern)
-    (Dataframe.Schema.name schema r.rhs)
-    Value.pp r.value
 
 (* All subsets of size k of a list (small k). *)
 let rec subsets k = function
@@ -53,85 +41,39 @@ let rec subsets k = function
 
 let discover ?(config = default_config) frame =
   let attrs = Frame.categorical_indices frame in
-  let n = Frame.nrows frame in
-  let rules = ref [] in
   let n_rules = ref 0 in
-  let emit r =
-    rules := r :: !rules;
-    incr n_rules;
-    if !n_rules > config.max_rules then
-      raise (Out_of_budget (Printf.sprintf "CTANE: more than %d rules" config.max_rules))
-  in
+  let stmts = ref [] in
   for size = 1 to config.max_lhs do
     List.iter
       (fun lhs ->
-        let lhs_codes =
-          List.map (fun c -> Dataframe.Column.codes (Frame.column frame c)) lhs
-        in
+        let group = Fd.group_by frame lhs in
         List.iter
           (fun rhs ->
             if not (List.mem rhs lhs) then begin
-              let rhs_col = Frame.column frame rhs in
-              let rhs_codes = Dataframe.Column.codes rhs_col in
-              let rhs_card = Dataframe.Column.cardinality rhs_col in
-              (* histogram of rhs per lhs binding *)
-              let groups : (int list, int * int array) Hashtbl.t =
-                Hashtbl.create 256
-              in
-              for i = 0 to n - 1 do
-                let key = List.map (fun codes -> codes.(i)) lhs_codes in
-                let rep, hist =
-                  match Hashtbl.find_opt groups key with
-                  | Some g -> g
-                  | None ->
-                    let g = (i, Array.make rhs_card 0) in
-                    Hashtbl.add groups key g;
-                    g
-                in
-                ignore rep;
-                hist.(rhs_codes.(i)) <- hist.(rhs_codes.(i)) + 1
-              done;
-              Hashtbl.iter
-                (fun _key (rep, hist) ->
-                  let support = Array.fold_left ( + ) 0 hist in
-                  if support >= config.min_support then begin
-                    let best = ref 0 in
-                    Array.iteri (fun c k -> if k > hist.(!best) then best := c) hist;
-                    let err = support - hist.(!best) in
-                    if float_of_int err <= config.epsilon *. float_of_int support
-                    then
-                      emit
-                        {
-                          lhs;
-                          pattern = List.map (fun a -> Frame.get frame rep a) lhs;
-                          rhs;
-                          value = Dataframe.Column.value_of_code rhs_col !best;
-                        }
+              let branch = Fd.branches frame group lhs ~rhs in
+              let branches = ref [] in
+              Array.iteri
+                (fun g (code, hits) ->
+                  let support = Group.size group g in
+                  if support >= config.min_support
+                     && float_of_int (support - hits)
+                        <= config.epsilon *. float_of_int support
+                  then begin
+                    incr n_rules;
+                    if !n_rules > config.max_rules then
+                      raise
+                        (Out_of_budget
+                           (Printf.sprintf "CTANE: more than %d rules"
+                              config.max_rules));
+                    branches := branch g code :: !branches
                   end)
-                groups
+                (Fd.modes group frame rhs);
+              if !branches <> [] then
+                stmts :=
+                  Dsl.stmt ~given:lhs ~on:rhs ~branches:(List.rev !branches)
+                  :: !stmts
             end)
           attrs)
       (subsets size attrs)
   done;
-  List.rev !rules
-
-(* Row-level detection: a row violates a rule when it matches the pattern
-   but carries a different rhs value. *)
-let detect rules frame =
-  let n = Frame.nrows frame in
-  let flags = Array.make n false in
-  List.iter
-    (fun r ->
-      for i = 0 to n - 1 do
-        if not flags.(i) then begin
-          let matches =
-            List.for_all2
-              (fun a v -> Value.equal (Frame.get frame i a) v)
-              r.lhs r.pattern
-          in
-          if matches && not (Value.equal (Frame.get frame i r.rhs) r.value) then
-            flags.(i) <- true
-        end
-      done)
-    rules;
-  flags
+  Dsl.prog ~schema:(Frame.schema frame) (List.rev !stmts)

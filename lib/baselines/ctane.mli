@@ -6,22 +6,15 @@ type config = {
   epsilon : float;
   max_lhs : int;
   min_support : int;
-  max_rules : int;
+  max_rules : int;  (** budget on emitted patterns (branches) *)
 }
 
 val default_config : config
 
-type rule = {
-  lhs : int list;
-  pattern : Dataframe.Value.t list;
-  rhs : int;
-  value : Dataframe.Value.t;
-}
-
-val pp_rule : Dataframe.Schema.t -> Format.formatter -> rule -> unit
-
-(** Raises {!Out_of_budget} past [max_rules]. *)
-val discover : ?config:config -> Dataframe.Frame.t -> rule list
-
-(** Per-row violation flags. *)
-val detect : rule list -> Dataframe.Frame.t -> bool array
+(** The constant CFDs as a GUARDRAIL program: one statement per
+    (lhs, rhs) with at least one pattern, one equality branch per
+    pattern. A pattern is an lhs binding with support ≥ [min_support]
+    whose most common rhs value (ties to the lowest code) covers all but
+    an [epsilon] share of its rows. Raises {!Out_of_budget} past
+    [max_rules] branches. *)
+val discover : ?config:config -> Dataframe.Frame.t -> Guardrail.Dsl.prog

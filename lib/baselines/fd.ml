@@ -4,10 +4,16 @@
    X -> A. An FD by itself cannot localize errors (paper §2.2), so — as in
    the paper's evaluation — each discovered FD is operationalized as a
    detector: learn the X-value -> modal-A-value mapping on the clean
-   training split, and flag test rows whose A deviates. *)
+   training split, and flag test rows whose A deviates. That detector is
+   a GUARDRAIL statement, GIVEN X ON A with one equality branch per
+   X-binding seen in training, so every Table 3 column is checked by the
+   same [Guardrail.Validator]; a binding never seen in training matches
+   no branch and is not flagged (no evidence). *)
 
 module Frame = Dataframe.Frame
-module Value = Dataframe.Value
+module Column = Dataframe.Column
+module Group = Dataframe.Group
+module Dsl = Guardrail.Dsl
 
 type t = { lhs : int list; rhs : int }
 
@@ -25,98 +31,59 @@ let pp schema ppf fd =
     (List.map (Dataframe.Schema.name schema) fd.lhs)
     (Dataframe.Schema.name schema fd.rhs)
 
+let group_by frame cols =
+  let cols = List.map (Frame.column frame) cols in
+  Group.make (List.map Column.codes cols) (List.map Column.cardinality cols)
+    (Frame.nrows frame)
+
+(* The group-and-histogram pass behind every FD and CFD check: per
+   group, the most common rhs code (ties go to the lowest code) and how
+   many of the group's rows carry it. *)
+let modes group frame rhs =
+  let col = Frame.column frame rhs in
+  Array.map
+    (fun hist ->
+      let best = ref 0 in
+      Array.iteri (fun c k -> if k > hist.(!best) then best := c) hist;
+      (!best, hist.(!best)))
+    (Group.histograms group (Column.codes col) ~card:(Column.cardinality col))
+
+(* Branches over the groups of [group] (rows grouped by [lhs]): group
+   [g]'s binding as the condition, the value of rhs [code] as the
+   assignment. Atoms and assignments are built once per dictionary
+   entry and shared by every branch, so a program with millions of
+   branches holds one atom per distinct value. *)
+let branches frame group lhs ~rhs =
+  let eq_atoms a =
+    let col = Frame.column frame a in
+    (Column.codes col, Array.map (Dsl.eq a) (Column.dict col))
+  in
+  let conds = List.map eq_atoms lhs in
+  let values =
+    Array.map (fun v -> Dsl.Eq v) (Column.dict (Frame.column frame rhs))
+  in
+  fun g code ->
+    let rep = Group.first_row group g in
+    Dsl.branch
+      ~condition:(List.map (fun (codes, atoms) -> atoms.(codes.(rep))) conds)
+      ~assignment:values.(code)
+
 (* g3-style violation count of an FD on a frame: rows that must be removed
    so that every lhs group has a single rhs value. *)
 let violation_count frame fd =
-  let n = Frame.nrows frame in
-  let lhs_codes =
-    List.map (fun c -> Dataframe.Column.codes (Frame.column frame c)) fd.lhs
-  in
-  let rhs_col = Frame.column frame fd.rhs in
-  let rhs_codes = Dataframe.Column.codes rhs_col in
-  let rhs_card = Dataframe.Column.cardinality rhs_col in
-  let groups : (int list, int array) Hashtbl.t = Hashtbl.create 256 in
-  for i = 0 to n - 1 do
-    let key = List.map (fun codes -> codes.(i)) lhs_codes in
-    let hist =
-      match Hashtbl.find_opt groups key with
-      | Some h -> h
-      | None ->
-        let h = Array.make rhs_card 0 in
-        Hashtbl.add groups key h;
-        h
-    in
-    hist.(rhs_codes.(i)) <- hist.(rhs_codes.(i)) + 1
-  done;
-  Hashtbl.fold
-    (fun _ hist acc ->
-      let total = Array.fold_left ( + ) 0 hist in
-      let best = Array.fold_left max 0 hist in
-      acc + (total - best))
-    groups 0
+  Array.fold_left
+    (fun acc (_, hits) -> acc - hits)
+    (Frame.nrows frame)
+    (modes (group_by frame fd.lhs) frame fd.rhs)
 
-(* Does the FD hold approximately: violations <= epsilon * n ? *)
-let holds ?(epsilon = 0.0) frame fd =
-  let n = Frame.nrows frame in
-  n = 0 || float_of_int (violation_count frame fd) <= epsilon *. float_of_int n
-
-(* Detector compiled from an FD on a training split: lhs combination ->
-   modal rhs value. *)
-type detector = {
-  fd : t;
-  mapping : (Value.t list, Value.t) Hashtbl.t;
-}
-
-let compile train fd =
-  let n = Frame.nrows train in
-  let groups : (Value.t list, (Value.t, int) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  for i = 0 to n - 1 do
-    let key = List.map (fun c -> Frame.get train i c) fd.lhs in
-    let hist =
-      match Hashtbl.find_opt groups key with
-      | Some h -> h
-      | None ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.add groups key h;
-        h
-    in
-    let v = Frame.get train i fd.rhs in
-    Hashtbl.replace hist v (1 + Option.value ~default:0 (Hashtbl.find_opt hist v))
-  done;
-  let mapping = Hashtbl.create (Hashtbl.length groups) in
-  Hashtbl.iter
-    (fun key hist ->
-      let best = ref None in
-      Hashtbl.iter
-        (fun v c ->
-          match !best with
-          | Some (_, c') when c' >= c -> ()
-          | _ -> best := Some (v, c))
-        hist;
-      match !best with
-      | Some (v, _) -> Hashtbl.add mapping key v
-      | None -> ())
-    groups;
-  { fd; mapping }
-
-(* Flag test rows whose rhs deviates from the training mapping; unseen lhs
-   combinations are not flagged (no evidence). *)
-let detect detectors test =
-  let n = Frame.nrows test in
-  let flags = Array.make n false in
-  List.iter
-    (fun d ->
-      for i = 0 to n - 1 do
-        if not flags.(i) then begin
-          let key = List.map (fun c -> Frame.get test i c) d.fd.lhs in
-          match Hashtbl.find_opt d.mapping key with
-          | Some expected ->
-            if not (Value.equal (Frame.get test i d.fd.rhs) expected) then
-              flags.(i) <- true
-          | None -> ()
-        end
-      done)
-    detectors;
-  flags
+let program train fds =
+  Dsl.prog ~schema:(Frame.schema train)
+    (List.map
+       (fun fd ->
+         let group = group_by train fd.lhs in
+         let branch = branches train group fd.lhs ~rhs:fd.rhs in
+         let branches =
+           Array.mapi (fun g (code, _) -> branch g code) (modes group train fd.rhs)
+         in
+         Dsl.stmt ~given:fd.lhs ~on:fd.rhs ~branches:(Array.to_list branches))
+       fds)

@@ -1,9 +1,13 @@
 (* Tests for the FD-discovery and synthesis baselines: partitions, TANE,
-   CTANE, FDX and the OptSMT-style solver. *)
+   CTANE, FDX and the OptSMT-style solver, plus differential checks of
+   the FD and CTANE programs against the row-at-a-time references in
+   [Oracle.Fd] and [Oracle.Ctane]. *)
 
 module Value = Dataframe.Value
 module Schema = Dataframe.Schema
 module Frame = Dataframe.Frame
+module Dsl = Guardrail.Dsl
+module Validator = Guardrail.Validator
 module Fd = Baselines.Fd
 module Partition = Baselines.Partition
 module Tane = Baselines.Tane
@@ -58,28 +62,55 @@ let test_fd_violation_count () =
   Alcotest.(check int) "zip -> city holds" 0
     (Fd.violation_count frame (Fd.make ~lhs:[ 0 ] ~rhs:1));
   Alcotest.(check bool) "free -> city violated" true
-    (Fd.violation_count frame (Fd.make ~lhs:[ 3 ] ~rhs:1) > 0);
-  Alcotest.(check bool) "holds api" true
-    (Fd.holds frame (Fd.make ~lhs:[ 0 ] ~rhs:1))
+    (Fd.violation_count frame (Fd.make ~lhs:[ 3 ] ~rhs:1) > 0)
+
+let flags prog frame = Validator.detect (Validator.compile prog) frame
 
 let test_fd_detector () =
   let frame = fd_frame () in
-  let det = Fd.compile frame (Fd.make ~lhs:[ 0 ] ~rhs:1) in
+  let prog = Fd.program frame [ Fd.make ~lhs:[ 0 ] ~rhs:1 ] in
   let corrupted = Frame.set frame 0 1 (s "gibbon") in
-  let flags = Fd.detect [ det ] corrupted in
+  let flags = flags prog corrupted in
   Alcotest.(check bool) "corruption flagged" true flags.(0);
   Alcotest.(check bool) "clean not flagged" false flags.(1)
 
 let test_fd_detector_unseen_lhs () =
   let frame = fd_frame () in
-  let det = Fd.compile frame (Fd.make ~lhs:[ 0 ] ~rhs:1) in
+  let prog = Fd.program frame [ Fd.make ~lhs:[ 0 ] ~rhs:1 ] in
   (* a row with an unseen zip is not flagged: no evidence *)
   let schema = Frame.schema frame in
   let test_frame =
     Frame.of_rows schema [ [| s "00000"; s "Nowhere"; s "XX"; s "p" |] ]
   in
-  let flags = Fd.detect [ det ] test_frame in
+  let flags = flags prog test_frame in
   Alcotest.(check bool) "unseen lhs not flagged" false flags.(0)
+
+(* Binding a = x carries b = q and b = p twice each; q is met first, so
+   it holds the lower dictionary code and wins the tie. *)
+let tie_frame () =
+  let schema = Schema.make [ Schema.categorical "a"; Schema.categorical "b" ] in
+  Frame.of_rows schema
+    [ [| s "x"; s "q" |]; [| s "x"; s "p" |]; [| s "x"; s "p" |];
+      [| s "x"; s "q" |] ]
+
+let assignment_of prog ~given ~on =
+  match
+    List.find_opt
+      (fun (st : Dsl.stmt) -> st.Dsl.given = given && st.Dsl.on = on)
+      prog.Dsl.stmts
+  with
+  | Some { Dsl.branches = [ { Dsl.assignment = Dsl.Eq v; _ } ]; _ } -> v
+  | _ -> Alcotest.fail "expected one equality branch"
+
+let test_fd_tie () =
+  let frame = tie_frame () in
+  let b = Frame.column frame 1 in
+  Alcotest.(check bool) "q has the lower code" true
+    (Dataframe.Column.code_of_value b (s "q")
+     < Dataframe.Column.code_of_value b (s "p"));
+  let prog = Fd.program frame [ Fd.make ~lhs:[ 0 ] ~rhs:1 ] in
+  Alcotest.(check string) "FD tie to the lowest code" "q"
+    (Value.to_string (assignment_of prog ~given:[ 0 ] ~on:1))
 
 (* ------------------------------------------------------------------ *)
 (* Partition *)
@@ -196,23 +227,33 @@ let test_tane_next_level () =
 
 let test_ctane_discovers_rules () =
   let frame = fd_frame () in
-  let rules = Ctane.discover frame in
-  Alcotest.(check bool) "some rules found" true (rules <> []);
+  let prog = Ctane.discover frame in
+  Alcotest.(check bool) "some rules found" true (Dsl.branch_count prog > 0);
   (* a constant CFD for zip=94704 -> city=Berkeley must exist *)
+  let berkeley = Dsl.branch ~condition:[ Dsl.eq 0 (s "94704") ] ~assignment:(Dsl.Eq (s "Berkeley")) in
   Alcotest.(check bool) "berkeley rule" true
     (List.exists
-       (fun (r : Ctane.rule) ->
-         r.Ctane.lhs = [ 0 ]
-         && r.Ctane.pattern = [ s "94704" ]
-         && Value.equal r.Ctane.value (s "Berkeley"))
-       rules)
+       (fun (st : Dsl.stmt) ->
+         st.Dsl.given = [ 0 ] && st.Dsl.on = 1
+         && List.exists (Dsl.equal_branch berkeley) st.Dsl.branches)
+       prog.Dsl.stmts)
 
 let test_ctane_detect () =
   let frame = fd_frame () in
-  let rules = Ctane.discover frame in
+  let prog = Ctane.discover frame in
   let corrupted = Frame.set frame 0 1 (s "gibbon") in
-  let flags = Ctane.detect rules corrupted in
+  let flags = flags prog corrupted in
   Alcotest.(check bool) "corruption flagged" true flags.(0)
+
+let test_ctane_tie () =
+  (* error 2 of support 4: admitted at epsilon 0.5 *)
+  let prog =
+    Ctane.discover
+      ~config:{ Ctane.default_config with Ctane.epsilon = 0.5 }
+      (tie_frame ())
+  in
+  Alcotest.(check string) "CFD tie to the lowest code" "q"
+    (Value.to_string (assignment_of prog ~given:[ 0 ] ~on:1))
 
 let test_ctane_overfits_noise () =
   (* CTANE happily emits rules on independent data when support allows:
@@ -225,12 +266,13 @@ let test_ctane_overfits_noise () =
            s (string_of_int (Stat.Rng.int rng 2)) |])
   in
   let frame = Frame.of_rows schema rows in
-  let rules =
+  let prog =
     Ctane.discover
       ~config:{ Ctane.default_config with Ctane.epsilon = 0.6; min_support = 3 }
       frame
   in
-  Alcotest.(check bool) "rules on noise at loose epsilon" true (rules <> [])
+  Alcotest.(check bool) "rules on noise at loose epsilon" true
+    (Dsl.branch_count prog > 0)
 
 let test_ctane_budget () =
   let frame = fd_frame () in
@@ -318,13 +360,157 @@ let test_optsmt_clause_estimate_grows () =
 let test_detectors_agree_on_planted_error () =
   let frame = fd_frame () in
   let corrupted = Frame.set frame 2 1 (s "zzz") in
-  let tane_fds = Tane.discover frame in
-  let tane_flags =
-    Fd.detect (List.map (Fd.compile frame) tane_fds) corrupted
-  in
-  let ctane_flags = Ctane.detect (Ctane.discover frame) corrupted in
+  let tane_flags = flags (Fd.program frame (Tane.discover frame)) corrupted in
+  let ctane_flags = flags (Ctane.discover frame) corrupted in
   Alcotest.(check bool) "TANE catches it" true tane_flags.(2);
   Alcotest.(check bool) "CTANE catches it" true ctane_flags.(2)
+
+(* ------------------------------------------------------------------ *)
+(* Differential: FD statements and CTANE programs checked by the
+   Validator against the row-at-a-time references *)
+
+(* A program's equality branches as sorted (lhs, pattern, rhs, value)
+   rules, the shape of [Oracle.Ctane.rule]. *)
+let rules_of (prog : Dsl.prog) =
+  let value = function
+    | Dsl.Eq v -> v
+    | _ -> Alcotest.fail "non-equality test"
+  in
+  List.sort compare
+    (List.concat_map
+       (fun (st : Dsl.stmt) ->
+         List.map
+           (fun (b : Dsl.branch) ->
+             ( st.Dsl.given,
+               List.map (fun (a : Dsl.atom) -> value a.Dsl.test) b.Dsl.condition,
+               st.Dsl.on,
+               value b.Dsl.assignment ))
+           st.Dsl.branches)
+       prog.Dsl.stmts)
+
+let reference_rules rules =
+  List.sort compare
+    (List.map
+       (fun (r : Oracle.Ctane.rule) ->
+         (r.Oracle.Ctane.lhs, r.pattern, r.rhs, r.value))
+       rules)
+
+(* Violation counts on both frames, and the flags on [test] of the FD
+   program learned on [train], equal the reference's. *)
+let fd_agrees train test fds =
+  List.for_all
+    (fun fd ->
+      Fd.violation_count train fd = Oracle.Fd.violation_count train fd
+      && Fd.violation_count test fd = Oracle.Fd.violation_count test fd)
+    fds
+  && flags (Fd.program train fds) test
+     = Oracle.Fd.detect (List.map (Oracle.Fd.compile train) fds) test
+
+(* The same budget failure, or the same rules as a set and the same
+   flags on [test]. *)
+let ctane_agrees ?config train test =
+  let budgeted f = try Some (f ()) with Ctane.Out_of_budget _ -> None in
+  match
+    ( budgeted (fun () -> Ctane.discover ?config train),
+      budgeted (fun () -> Oracle.Ctane.discover ?config train) )
+  with
+  | None, None -> true
+  | Some prog, Some rules ->
+    rules_of prog = reference_rules rules
+    && flags prog test = Oracle.Ctane.detect rules test
+  | _ -> false
+
+(* Every FD with a one- or two-column lhs over the given columns. *)
+let all_fds cols =
+  let lhss =
+    List.map (fun a -> [ a ]) cols
+    @ List.concat_map
+        (fun a -> List.filter_map (fun b -> if b > a then Some [ a; b ] else None) cols)
+        cols
+  in
+  List.concat_map
+    (fun lhs ->
+      List.filter_map
+        (fun rhs -> if List.mem rhs lhs then None else Some (Fd.make ~lhs ~rhs))
+        cols)
+    lhss
+
+(* A dataset at no more than 2,000 rows, split in halves; the test half
+   carries Table 3's injected errors. *)
+let capped_split id =
+  let spec = Datagen.Spec.by_id id in
+  let built, frame =
+    Datagen.Generate.dataset ~n_rows:(min 2000 spec.Datagen.Spec.n_rows) spec
+  in
+  let train, test =
+    Dataframe.Split.train_test ~seed:id ~train_fraction:0.5 frame
+  in
+  (train, (Datagen.Corrupt.inject_any ~seed:id built test).Datagen.Corrupt.corrupted)
+
+let test_fd_reference_on_datasets () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let id = spec.Datagen.Spec.id in
+      let train, test = capped_split id in
+      let first8 = List.filteri (fun i _ -> i < 8) (Frame.categorical_indices train) in
+      Alcotest.(check bool) (Printf.sprintf "dataset %d" id) true
+        (fd_agrees train test (all_fds first8)))
+    Datagen.Spec.all
+
+let test_ctane_reference_on_datasets () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let id = spec.Datagen.Spec.id in
+      let train, test = capped_split id in
+      Alcotest.(check bool) (Printf.sprintf "dataset %d" id) true
+        (ctane_agrees train test))
+    Datagen.Spec.all
+
+(* A random train frame and a test frame over the same 2-4 categorical
+   columns; cells may be null, and the test frame draws from one more
+   value per column than training saw. *)
+let random_frames seed =
+  let rng = Stat.Rng.create seed in
+  let ncols = 2 + Stat.Rng.int rng 3 in
+  let schema =
+    Schema.make
+      (List.init ncols (fun j -> Schema.categorical (Printf.sprintf "c%d" j)))
+  in
+  let cards = Array.init ncols (fun _ -> 1 + Stat.Rng.int rng 3) in
+  let frame extra =
+    Frame.of_rows schema
+      (List.init
+         (1 + Stat.Rng.int rng 40)
+         (fun _ ->
+           Array.init ncols (fun j ->
+               match Stat.Rng.int rng (cards.(j) + extra + 1) with
+               | 0 -> Value.Null
+               | k -> s (string_of_int k))))
+  in
+  let train = frame 0 in
+  (train, frame 1, List.init ncols Fun.id, rng)
+
+let qcheck_fd_matches_reference =
+  QCheck.Test.make ~name:"fd program = row-at-a-time reference" ~count:200
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let train, test, cols, _ = random_frames seed in
+      fd_agrees train test (all_fds cols) && fd_agrees train train (all_fds cols))
+
+let qcheck_ctane_matches_reference =
+  QCheck.Test.make ~name:"ctane program = row-at-a-time reference" ~count:200
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let train, test, _, rng = random_frames seed in
+      let config =
+        {
+          Ctane.epsilon = [| 0.0; 0.2; 0.5 |].(Stat.Rng.int rng 3);
+          max_lhs = 1 + Stat.Rng.int rng 2;
+          min_support = 1 + Stat.Rng.int rng 3;
+          max_rules = 1 + Stat.Rng.int rng 40;
+        }
+      in
+      ctane_agrees ~config train test)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -389,8 +575,8 @@ let test_tane_deterministic () =
 
 let test_ctane_deterministic () =
   let a = Ctane.discover (fd_frame ()) and b = Ctane.discover (fd_frame ()) in
-  Alcotest.(check bool) "non-empty" true (a <> []);
-  Alcotest.(check bool) "same rules" true (a = b)
+  Alcotest.(check bool) "non-empty" true (a.Dsl.stmts <> []);
+  Alcotest.(check bool) "same rules" true (Dsl.equal_prog a b)
 
 let test_fdx_deterministic () =
   let config = { Fdx.default_config with Fdx.strict = false } in
@@ -407,6 +593,7 @@ let () =
           Alcotest.test_case "violation count" `Quick test_fd_violation_count;
           Alcotest.test_case "detector" `Quick test_fd_detector;
           Alcotest.test_case "unseen lhs" `Quick test_fd_detector_unseen_lhs;
+          Alcotest.test_case "ties to lowest code" `Quick test_fd_tie;
         ] );
       ( "partition",
         [
@@ -429,6 +616,7 @@ let () =
           Alcotest.test_case "detects" `Quick test_ctane_detect;
           Alcotest.test_case "overfits noise" `Quick test_ctane_overfits_noise;
           Alcotest.test_case "budget" `Quick test_ctane_budget;
+          Alcotest.test_case "ties to lowest code" `Quick test_ctane_tie;
         ] );
       ( "fdx",
         [
@@ -449,7 +637,15 @@ let () =
         ] );
       ( "cross",
         [ Alcotest.test_case "detectors agree" `Quick test_detectors_agree_on_planted_error ] );
+      ( "reference",
+        [
+          Alcotest.test_case "fd on 12 datasets" `Quick
+            test_fd_reference_on_datasets;
+          Alcotest.test_case "ctane on 12 datasets" `Quick
+            test_ctane_reference_on_datasets;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_partition_product_commutes; qcheck_fd_error_zero_iff_refines ] );
+          [ qcheck_partition_product_commutes; qcheck_fd_error_zero_iff_refines;
+            qcheck_fd_matches_reference; qcheck_ctane_matches_reference ] );
     ]
