@@ -1241,8 +1241,10 @@ let numeric_bench () =
 (* ------------------------------------------------------------------ *)
 (* Gated synthesis suite: a deterministic slice of table4 sized for
    CI. Gated: the algorithmic outputs (coverage, DAGs enumerated,
-   statement-cache hits/misses), the CI-test work counts and the Meek
-   closures MEC enumeration ran. Trend:
+   statement-cache hits/misses), the CI-test work counts, the Meek
+   closures MEC enumeration ran, the grouping-cache hits/misses and
+   the groups the HAVING fill scored, and the cells and distinct raw
+   fields of a CSV round trip of the dataset. Trend:
    wall and span-derived phase times. Every number of a dataset comes
    from one run — the fastest of 3 by its root span — so the phases
    can be checked against that run's total. *)
@@ -1257,8 +1259,13 @@ let synth_suite () =
       let scored () =
         Gc.compact ();
         counted
-          [ "ci.tests"; "ci.cache.hits"; "ci.cache.misses"; "pgm.enum.closures" ]
+          [ "ci.tests"; "ci.cache.hits"; "ci.cache.misses"; "pgm.enum.closures";
+            "group.cache.hits"; "group.cache.misses"; "fill.groups" ]
           (fun () -> Synthesize.run frame)
+      in
+      let _, csv_counts =
+        counted [ "csv.cells"; "csv.interned" ] (fun () ->
+            Dataframe.Csv.of_string (Dataframe.Csv.to_string frame))
       in
       let total (r, _) = r.Synthesize.timing.Synthesize.total_s in
       let runs = List.init 3 (fun _ -> scored ()) in
@@ -1299,7 +1306,7 @@ let synth_suite () =
           (float_of_int r.Synthesize.cache_hits);
         exact ~suite ~workload "stmt_cache_misses"
           (float_of_int r.Synthesize.cache_misses) ]
-      @ exact_counts ~suite ~workload counts)
+      @ exact_counts ~suite ~workload (counts @ csv_counts))
     gate_synth_datasets
 
 (* Gated detection suite: Table 3 on the datasets where every column

@@ -36,17 +36,15 @@ let group_by frame cols =
   Group.make (List.map Column.codes cols) (List.map Column.cardinality cols)
     (Frame.nrows frame)
 
-(* The group-and-histogram pass behind every FD and CFD check: per
-   group, the most common rhs code (ties go to the lowest code) and how
-   many of the group's rows carry it. *)
+(* The group-and-mode pass behind every FD and CFD check: per group,
+   the most common rhs code (ties go to the lowest code) and how many of
+   the group's rows carry it. *)
 let modes group frame rhs =
   let col = Frame.column frame rhs in
-  Array.map
-    (fun hist ->
-      let best = ref 0 in
-      Array.iteri (fun c k -> if k > hist.(!best) then best := c) hist;
-      (!best, hist.(!best)))
-    (Group.histograms group (Column.codes col) ~card:(Column.cardinality col))
+  let out = Array.make (Group.n_groups group) (0, 0) in
+  Group.iter_modes group (Column.codes col) ~card:(Column.cardinality col)
+    (fun g _ ~base:_ ~mode ~count -> out.(g) <- (mode, count));
+  out
 
 (* Branches over the groups of [group] (rows grouped by [lhs]): group
    [g]'s binding as the condition, the value of rhs [code] as the

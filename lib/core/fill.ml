@@ -34,8 +34,8 @@ let range_width = 4
 
 (* Group rows by determinant combination via the shared kernel: the
    observed combinations are the group index's groups, the support sizes
-   its counts, and the per-group histograms of dependent codes come off
-   one [Group.histograms] pass. [groups] shares one cache across the
+   its counts, and the per-group modes of dependent codes come off one
+   [Group.iter_modes] walk. [groups] shares one cache across the
    sketches of a synthesis run (DAGs of one MEC largely share GIVEN
    sets). Both paths group by attribute codes. *)
 let group_by_determinants ?groups frame given =
@@ -46,15 +46,16 @@ let group_by_determinants ?groups frame given =
     let det_cards = List.map (fun c -> Frame.attr_card frame c) given in
     Group.make det_codes det_cards (Frame.nrows frame)
 
-(* Densest run of at most [width] adjacent bins in [hist.(0..nbins-1)]:
-   (lo, hi, mass), maximizing mass, ties to the narrower then leftmost
-   window — so the result is deterministic and as tight as possible. *)
-let best_window hist nbins width =
+(* Densest run of at most [width] adjacent bins in
+   [hist.(base .. base + nbins - 1)]: (lo, hi, mass), maximizing mass,
+   ties to the narrower then leftmost window — so the result is
+   deterministic and as tight as possible. *)
+let best_window hist base nbins width =
   let best_lo = ref 0 and best_hi = ref (-1) and best_mass = ref (-1) in
   for lo = 0 to nbins - 1 do
     let mass = ref 0 in
     for hi = lo to min (nbins - 1) (lo + width - 1) do
-      mass := !mass + hist.(hi);
+      mass := !mass + hist.(base + hi);
       let better =
         !mass > !best_mass
         || (!mass = !best_mass && hi - lo < !best_hi - !best_lo)
@@ -90,50 +91,47 @@ let fill_stmt_sketch ?groups frame ~epsilon
     let on_codes = Frame.attr_codes frame on in
     let on_card = Frame.attr_card frame on in
     let on_binning = Frame.binning frame on in
-    let hists = Group.histograms g on_codes ~card:on_card in
-    (* Best assignment and its loss for one group histogram. *)
-    let best_assignment (hist : int array) support =
-      match on_binning with
-      | None ->
-        let best = ref 0 in
-        Array.iteri (fun c k -> if k > hist.(!best) then best := c) hist;
-        let assignment =
-          Domain.Eq (Dataframe.Column.value_of_code (Frame.column frame on) !best)
-        in
-        (assignment, support - hist.(!best))
-      | Some b ->
-        let nbins = Domain.n_bins b in
-        (* code [nbins] is the null bin *)
-        let lo, hi, mass = best_window hist nbins range_width in
-        if hist.(nbins) > mass || hi < lo then
-          (Domain.Eq Value.Null, support - hist.(nbins))
-        else (Domain.window_atom b ~lo ~hi, support - mass)
-    in
+    let on_dict = Dataframe.Column.dict (Frame.column frame on) in
     let branches = ref [] in
     let total_loss = ref 0 in
     let total_support = ref 0 in
-    for gid = Group.n_groups g - 1 downto 0 do
+    (* one group: its best assignment and that assignment's loss, the
+       assignment built only for a branch that is kept *)
+    let score gid counts ~base ~mode ~count =
       let support = Group.size g gid in
-      let assignment, loss = best_assignment hists.(gid) support in
-      (* epsilon-validity (line 15) plus a support floor to keep
-         singleton conditions from vacuously passing *)
-      if
-        support >= Config.min_support
-        && float_of_int loss <= float_of_int support *. epsilon
-      then begin
-        let rep_row = Group.first_row g gid in
-        let condition =
-          List.map
-            (fun (attr, codes) ->
-              Dsl.atom attr (Frame.attr_atom frame attr codes.(rep_row)))
-            given_codes
-        in
-        branches := Dsl.branch ~condition ~assignment :: !branches;
-        total_loss := !total_loss + loss;
-        total_support := !total_support + support
-      end
-    done;
-    match !branches with
+      let keep loss assignment =
+        (* epsilon-validity (line 15) plus a support floor to keep
+           singleton conditions from vacuously passing *)
+        if
+          support >= Config.min_support
+          && float_of_int loss <= float_of_int support *. epsilon
+        then begin
+          let rep_row = Group.first_row g gid in
+          let condition =
+            List.map
+              (fun (attr, codes) ->
+                Dsl.atom attr (Frame.attr_atom frame attr codes.(rep_row)))
+              given_codes
+          in
+          branches := Dsl.branch ~condition ~assignment:(assignment ()) :: !branches;
+          total_loss := !total_loss + loss;
+          total_support := !total_support + support
+        end
+      in
+      match on_binning with
+      | None -> keep (support - count) (fun () -> Domain.Eq on_dict.(mode))
+      | Some b ->
+        let nbins = Domain.n_bins b in
+        (* code [nbins] is the null bin *)
+        let lo, hi, mass = best_window counts base nbins range_width in
+        let nulls = counts.(base + nbins) in
+        if nulls > mass || hi < lo then
+          keep (support - nulls) (fun () -> Domain.Eq Value.Null)
+        else keep (support - mass) (fun () -> Domain.window_atom b ~lo ~hi)
+    in
+    Group.iter_modes g on_codes ~card:on_card score;
+    Obs.Metric.count ~by:(Group.n_groups g) "fill.groups";
+    match List.rev !branches with
     | [] -> None
     | branches ->
       let stmt = Dsl.stmt ~given:sk.Sketch.given ~on:sk.Sketch.on ~branches in

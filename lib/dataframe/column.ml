@@ -53,33 +53,96 @@ let of_list values = of_values (Array.of_list values)
    sniffed with [Value.of_raw] once, at its first sight, and its value is
    interned as [of_values] would, so codes and dictionary order stay
    first-occurrence by value: ["NA"] and [""] share the [Null] code,
-   ["1"] and ["01"] the [Int 1] code. *)
+   ["1"] and ["01"] the [Int 1] code.
+
+   Raw fields arrive as slices [src.[off] .. src.[off + len - 1]] of the
+   reader's input. They are interned in an open-addressing table with
+   linear probing: a field's bytes are hashed in place and compared
+   against the stored keys (length first, then bytes), so a cell whose raw text was seen before
+   allocates nothing. Only a new distinct raw field is copied, and the
+   copy is the stored key: the column never holds on to the input. *)
 module Builder = struct
   type column = t
 
-  module Raw = Hashtbl.Make (String)
-
   type t = {
     values : interner;
-    raw : int Raw.t;             (* raw field -> code *)
-    codes : int array;           (* cells [0, len) are filled *)
+    mutable keys : string array;  (* slot -> raw field *)
+    mutable slots : int array;    (* slot -> code, -1 when free *)
+    mutable distinct : int;       (* occupied slots *)
+    codes : int array;            (* cells [0, len) are filled *)
     mutable len : int;
   }
 
   let create capacity =
-    { values = interner (); raw = Raw.create 64; codes = Array.make capacity 0; len = 0 }
+    { values = interner (); keys = Array.make 64 ""; slots = Array.make 64 (-1);
+      distinct = 0; codes = Array.make capacity 0; len = 0 }
 
-  let add b raw =
+  (* FNV-1a over the bytes (offset basis cut to 63 bits), then a
+     finalizing mix so the low bits used as the slot index depend on
+     every byte. *)
+  let hash src off len =
+    let h = ref 0x0bf29ce484222325 in
+    for i = off to off + len - 1 do
+      h := (!h lxor Char.code (String.unsafe_get src i)) * 0x100000001b3
+    done;
+    let h = !h lxor (!h lsr 32) in
+    let h = h * 0x1e3779b97f4a7c15 in
+    h lxor (h lsr 29)
+
+  (* Top-level recursion with every value passed in, so that a probe
+     allocates no closure. *)
+  let rec same_from key src off len i =
+    i = len
+    || String.unsafe_get key i = String.unsafe_get src (off + i)
+       && same_from key src off len (i + 1)
+
+  (* The slot holding [src.[off .. off + len - 1]] at or after slot [i],
+     or the free slot where it belongs. *)
+  let rec probe b src off len i =
+    let key = Array.unsafe_get b.keys i in
+    if
+      Array.unsafe_get b.slots i < 0
+      || String.length key = len && same_from key src off len 0
+    then i
+    else probe b src off len ((i + 1) land (Array.length b.slots - 1))
+
+  (* Double the table, re-placing every key by its hash. *)
+  let grow b =
+    let keys = b.keys and slots = b.slots in
+    let size = 2 * Array.length slots in
+    b.keys <- Array.make size "";
+    b.slots <- Array.make size (-1);
+    Array.iteri
+      (fun i c ->
+        if c >= 0 then begin
+          let key = keys.(i) in
+          let len = String.length key in
+          let j = probe b key 0 len (hash key 0 len land (size - 1)) in
+          b.keys.(j) <- key;
+          b.slots.(j) <- c
+        end)
+      slots
+
+  let push b src off len =
+    let i = probe b src off len (hash src off len land (Array.length b.slots - 1)) in
+    let c = b.slots.(i) in
     let c =
-      match Raw.find b.raw raw with
-      | c -> c
-      | exception Not_found ->
-        let c = intern b.values (Value.of_raw raw) in
-        Raw.add b.raw raw c;
+      if c >= 0 then c
+      else begin
+        let key = String.sub src off len in
+        let c = intern b.values (Value.of_raw key) in
+        b.keys.(i) <- key;
+        b.slots.(i) <- c;
+        b.distinct <- b.distinct + 1;
+        if 2 * b.distinct > Array.length b.slots then grow b;
         c
+      end
     in
     b.codes.(b.len) <- c;
     b.len <- b.len + 1
+
+  let length b = b.len
+  let distinct b = b.distinct
 
   let finish b : column =
     encoded b.values

@@ -16,13 +16,22 @@ module Builder : sig
   (** A builder for at most [capacity] cells. *)
   val create : int -> t
 
-  (** Append the cell [Value.of_raw raw]; [Value.of_raw] runs once per
-      distinct raw string. Raises [Invalid_argument] past [capacity]. *)
-  val add : t -> string -> unit
+  (** [push b src off len] appends the cell [Value.of_raw raw], where
+      [raw] is [String.sub src off len]. The field's bytes are hashed
+      and compared in place; only the first sight of a distinct raw
+      field is copied, and [Value.of_raw] runs once per distinct raw
+      field. Raises [Invalid_argument] past [capacity]. *)
+  val push : t -> string -> int -> int -> unit
+
+  (** Cells pushed so far. *)
+  val length : t -> int
+
+  (** Distinct raw fields pushed so far. *)
+  val distinct : t -> int
 
   (** The column built so far: codes, dictionary and index equal to
-      [of_values] over the added cells in order. The builder must not be
-      used afterwards. *)
+      [of_values] over the pushed cells in order. The builder must not
+      be used afterwards. *)
   val finish : t -> column
 end
 

@@ -1,31 +1,33 @@
 (* Minimal RFC-4180-ish CSV reader/writer: quoted fields, embedded commas,
    doubled quotes, both LF and CRLF line endings. Reading is one pass of
    one byte scanner ([scan]) that hands each field straight to its
-   column's [Column.Builder]; no rows are materialized. [parse_string]
-   is a second consumer of the same scanner. *)
+   column's [Column.Builder] as a slice of the input; no rows are
+   materialized and no string is made per cell. [parse_string] is a
+   second consumer of the same scanner. *)
 
 exception Parse_error of { line : int; message : string }
 
 let parse_error line message = raise (Parse_error { line; message })
 
 (* The one tokenizer. [scan s ~field ~record] walks [s] once, calling
-   [field j raw] for the [j]-th field of each record and then
-   [record ~line n] with the record's field count [n] and the physical
-   line it starts on. An unquoted field is cut with one [String.sub];
-   only a field holding a quoted section goes through [buf]. A quote
-   opens a quoted section only at the start of a field, or right after a
-   section that left the field empty; elsewhere it is a literal byte. At
-   the end of input a pending record is emitted unless it is a lone
-   empty field. *)
+   [field j src off len] for the [j]-th field of each record, whose text
+   is [src.[off] .. src.[off + len - 1]], and then [record ~line n] with
+   the record's field count [n] and the physical line it starts on. An
+   unquoted field is a slice of [s] itself, so it costs no allocation;
+   only a field holding a quoted section goes through [buf], and its
+   contents are the source. A quote opens a quoted section only at the
+   start of a field, or right after a section that left the field empty;
+   elsewhere it is a literal byte. At the end of input a pending record
+   is emitted unless it is a lone empty field. *)
 let scan s ~field ~record =
   let n = String.length s in
   let buf = Buffer.create 64 in
   let line = ref 1 and record_line = ref 1 and nfields = ref 0 in
-  (* [raw] ends at the delimiter [s.[i]] (or the end of input): emit it,
-     close the record unless the delimiter is a comma, and return the
+  (* the field ends at the delimiter [s.[i]] (or the end of input): emit
+     it, close the record unless the delimiter is a comma, and return the
      index past the delimiter *)
-  let finish raw i =
-    field !nfields raw;
+  let finish src off len i =
+    field !nfields src off len;
     incr nfields;
     if i >= n || s.[i] <> ',' then begin
       record ~line:!record_line !nfields;
@@ -39,28 +41,31 @@ let scan s ~field ~record =
   (* the unquoted field [s.[start] .. s.[i - 1]] so far *)
   let rec plain start i =
     if i >= n then begin
-      if !nfields > 0 || i > start then ignore (finish (String.sub s start (i - start)) i)
+      if !nfields > 0 || i > start then next s start (i - start) i
     end
     else
       match String.unsafe_get s i with
-      | ',' | '\n' -> next (String.sub s start (i - start)) i
-      | '\r' when crlf i -> next (String.sub s start (i - start)) i
+      | ',' | '\n' -> next s start (i - start) i
+      | '\r' when crlf i -> next s start (i - start) i
       | '"' when i = start ->
         Buffer.clear buf;
         quoted (i + 1)
       | _ -> plain start (i + 1)
-  and next raw i =
-    let j = finish raw i in
+  and next src off len i =
+    let j = finish src off len i in
     plain j j
+  and buffered i =
+    let raw = Buffer.contents buf in
+    next raw 0 (String.length raw) i
   (* a field past a quoted section; its text so far is in [buf] *)
   and unquoted i =
     if i >= n then begin
-      if !nfields > 0 || Buffer.length buf > 0 then ignore (finish (Buffer.contents buf) i)
+      if !nfields > 0 || Buffer.length buf > 0 then buffered i
     end
     else
       match String.unsafe_get s i with
-      | ',' | '\n' -> next (Buffer.contents buf) i
-      | '\r' when crlf i -> next (Buffer.contents buf) i
+      | ',' | '\n' -> buffered i
+      | '\r' when crlf i -> buffered i
       | '"' when Buffer.length buf = 0 -> quoted (i + 1)
       | c ->
         Buffer.add_char buf c;
@@ -84,7 +89,7 @@ let scan s ~field ~record =
 let parse_string s =
   let records = ref [] and fields = ref [] in
   scan s
-    ~field:(fun _ raw -> fields := raw :: !fields)
+    ~field:(fun _ src off len -> fields := String.sub src off len :: !fields)
     ~record:(fun ~line:_ _ ->
       records := List.rev !fields :: !records;
       fields := []);
@@ -113,15 +118,16 @@ let sniffed_col name col =
     Schema.numeric name
   else Schema.categorical name
 
-(* One pass: every field goes straight to its column's interner. The
-   first record is held back until its field count fixes the arity. *)
+(* One pass: every field goes straight to its column's interner as a
+   slice of the input. The first record is held back until its field
+   count fixes the arity. *)
 let of_string ?(header = true) s =
   let capacity = max_records s - if header then 1 else 0 in
   let names = ref [||] and cols = ref [||] in
   let first = ref [] and records = ref 0 in
-  let field j raw =
-    if !records = 0 then first := raw :: !first
-    else if j < Array.length !cols then Column.Builder.add !cols.(j) raw
+  let field j src off len =
+    if !records = 0 then first := String.sub src off len :: !first
+    else if j < Array.length !cols then Column.Builder.push !cols.(j) src off len
   in
   let record ~line n =
     if !records = 0 then begin
@@ -130,7 +136,7 @@ let of_string ?(header = true) s =
       if header then names := raw
       else begin
         names := Array.init n (Printf.sprintf "col%d");
-        Array.iteri (fun j r -> Column.Builder.add !cols.(j) r) raw
+        Array.iteri (fun j r -> Column.Builder.push !cols.(j) r 0 (String.length r)) raw
       end
     end
     else if n <> Array.length !cols then
@@ -140,6 +146,9 @@ let of_string ?(header = true) s =
   in
   scan s ~field ~record;
   if !records = 0 then invalid_arg "Csv.of_string: empty input";
+  let count f = Array.fold_left (fun acc b -> acc + f b) 0 !cols in
+  Obs.Metric.count ~by:(count Column.Builder.length) "csv.cells";
+  Obs.Metric.count ~by:(count Column.Builder.distinct) "csv.interned";
   let columns = Array.map Column.Builder.finish !cols in
   let schema =
     Schema.make (Array.to_list (Array.map2 sniffed_col !names columns))

@@ -1,7 +1,7 @@
 (* The one group-by kernel.
 
    Every hot loop of the synthesis pipeline — conditional-independence
-   strata, the HAVING fill's per-GIVEN histograms, TANE's stripped
+   strata, the HAVING fill's per-GIVEN modes, TANE's stripped
    partitions, BIC family counts, feature-vector dedup — reduces to the
    same primitive: group rows by a tuple of dictionary codes and count.
    This module is that primitive, computed once and shared.
@@ -194,33 +194,94 @@ let iter_rows t g f =
     f t.rows.(k)
   done
 
-(* Per-group histogram of a second code array: the conditional marginal
-   the HAVING fill, BIC scoring and stratified contingency tables all
-   need. One pass over the rows, one [card]-wide bucket array per
-   group. *)
-let histograms t codes ~card =
-  if Array.length codes <> Array.length t.ids then
-    invalid_arg "Group.histograms: length mismatch";
-  let h = Array.init t.n_groups (fun _ -> Array.make card 0) in
-  Array.iteri
-    (fun i g ->
-      let hist = h.(g) in
-      hist.(codes.(i)) <- hist.(codes.(i)) + 1)
-    t.ids;
-  h
+(* One flat count table per domain for [iter_modes], reused from call
+   to call: a fresh table per grouping would be a major-heap allocation
+   for the GC to sweep. It is taken out of its cell while in use, so a
+   nested call allocates its own, and an exception from the callback
+   only costs the next call an allocation. *)
+let flat_tables = Stdlib.Domain.DLS.new_key (fun () -> ref [||])
+
+(* Per-group mode of a second code array: the conditional marginal the
+   HAVING fill and the FD/CFD detectors read. Two layouts make the same
+   calls, chosen by the size of the [n_groups × card] count table:
+
+   - no larger than the row count: one sequential pass over [ids] and
+     [codes] counts every row into the flat table, and each group's mode
+     is the first maximum of its [card] entries;
+   - larger (wide [card], small groups): each group's rows are walked
+     through the CSR index into one [card]-wide scratch row, the arg-max
+     tracked as the counts grow (a count that ties the best goes to the
+     lower code), and after [f] has read the row only the touched
+     entries are reset.
+
+   Either way the work is O(rows + card) per grouping, where one
+   [card]-wide array per group would be O(groups × card); the flat pass
+   reads rows in order, which the CSR walk's gather cannot. *)
+let iter_modes t codes ~card f =
+  let n = Array.length t.ids in
+  if Array.length codes <> n then invalid_arg "Group.iter_modes: length mismatch";
+  let size = t.n_groups * card in
+  if size <= n then begin
+    let cell = Stdlib.Domain.DLS.get flat_tables in
+    let counts =
+      if Array.length !cell < size then Array.make n 0
+      else begin
+        Array.fill !cell 0 size 0;
+        !cell
+      end
+    in
+    cell := [||];
+    for i = 0 to n - 1 do
+      let k = (t.ids.(i) * card) + codes.(i) in
+      counts.(k) <- counts.(k) + 1
+    done;
+    for g = 0 to t.n_groups - 1 do
+      let base = g * card in
+      let mode = ref 0 in
+      for c = 1 to card - 1 do
+        if counts.(base + c) > counts.(base + !mode) then mode := c
+      done;
+      f g counts ~base ~mode:!mode ~count:counts.(base + !mode)
+    done;
+    cell := counts
+  end
+  else begin
+    let hist = Array.make card 0 in
+    for g = 0 to t.n_groups - 1 do
+      let lo = t.offsets.(g) and hi = t.offsets.(g + 1) in
+      let mode = ref (-1) and count = ref 0 in
+      for k = lo to hi - 1 do
+        let c = codes.(t.rows.(k)) in
+        let h = hist.(c) + 1 in
+        hist.(c) <- h;
+        if h > !count || (h = !count && c < !mode) then begin
+          mode := c;
+          count := h
+        end
+      done;
+      f g hist ~base:0 ~mode:!mode ~count:!count;
+      for k = lo to hi - 1 do
+        hist.(codes.(t.rows.(k))) <- 0
+      done
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-snapshot memo cache *)
 
 (* One cache per frame snapshot: repeated groupings over the same
    column-index set — thousands of enumerated sketches sharing a GIVEN
-   set, a table's validations across requests — are computed once.
-   Lookups and the compute itself run under one mutex, so (a) the cache
-   is safe under [Runtime.Pool.parmap] and (b) each distinct key is
-   computed exactly once, keeping the hit/miss counters
-   schedule-independent. *)
+   set, a table's validations across requests — are computed once. The
+   mutex guards only the table; a missing grouping is computed outside
+   it, so callers wanting other keys never queue behind it. The first
+   caller of a key publishes a pending slot and computes; later callers
+   of the same key wait for it. So (a) the cache is safe under
+   [Runtime.Pool.parmap] and (b) each distinct key is computed exactly
+   once, keeping the hit/miss counters schedule-independent. *)
 module Cache = struct
   type group = t
+
+  type slot = Ready of group | Pending
 
   type t = {
     codes : int array array;
@@ -230,8 +291,9 @@ module Cache = struct
     (* [Frame.Snapshot.key] of the frame the codes came from: the only
        cache identity — there is no physical-frame keying. *)
     frame_key : int * int;
-    table : (int list, group) Hashtbl.t;
+    table : (int list, slot) Hashtbl.t;
     mutex : Mutex.t;
+    ready : Condition.t;  (* signalled whenever a pending slot resolves *)
   }
 
   (* Frames group over their *attribute* view: dict codes for categorical
@@ -246,6 +308,7 @@ module Cache = struct
       frame_key = Frame.Snapshot.key frame;
       table = Hashtbl.create 64;
       mutex = Mutex.create ();
+      ready = Condition.create ();
     }
 
   let frame_key c = c.frame_key
@@ -258,7 +321,11 @@ module Cache = struct
 
   let snapshot_entries c =
     Mutex.lock c.mutex;
-    let entries = Hashtbl.fold (fun k g acc -> (k, g) :: acc) c.table [] in
+    let entries =
+      Hashtbl.fold
+        (fun k slot acc -> match slot with Ready g -> (k, g) :: acc | Pending -> acc)
+        c.table []
+    in
     Mutex.unlock c.mutex;
     entries
 
@@ -287,7 +354,7 @@ module Cache = struct
           List.iter
             (fun (key, g) ->
               let cols = List.map (fun i -> next.codes.(i)) key in
-              Hashtbl.replace next.table key (extend g cols next.n);
+              Hashtbl.replace next.table key (Ready (extend g cols next.n));
               Obs.Metric.count "group.cache.extended")
             (snapshot_entries c);
           next
@@ -306,24 +373,53 @@ module Cache = struct
      entry. *)
   let get c cols =
     let key = List.sort_uniq Int.compare cols in
+    let compute () =
+      Obs.Span.with_ "group.key"
+        ~attrs:(fun () ->
+          [ ("cols", String.concat "," (List.map string_of_int key)) ])
+      @@ fun () ->
+      make ~cap:c.cap
+        (List.map (fun i -> c.codes.(i)) key)
+        (List.map (fun i -> c.cards.(i)) key)
+        c.n
+    in
+    let resolve slot =
+      Mutex.lock c.mutex;
+      (match slot with
+       | Some g -> Hashtbl.replace c.table key (Ready g)
+       | None -> Hashtbl.remove c.table key);
+      Condition.broadcast c.ready;
+      Mutex.unlock c.mutex
+    in
+    (* under the mutex: a ready grouping, or [None] once this caller
+       owns the pending slot; a failed computation frees the slot and
+       the next waiter takes it over *)
+    let rec lookup counted =
+      match Hashtbl.find_opt c.table key with
+      | Some (Ready g) ->
+        if not counted then Obs.Metric.count "group.cache.hits";
+        Some g
+      | Some Pending ->
+        if not counted then Obs.Metric.count "group.cache.hits";
+        Condition.wait c.ready c.mutex;
+        lookup true
+      | None ->
+        if not counted then Obs.Metric.count "group.cache.misses";
+        Hashtbl.replace c.table key Pending;
+        None
+    in
     Mutex.lock c.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) @@ fun () ->
-    match Hashtbl.find_opt c.table key with
-    | Some g ->
-      Obs.Metric.count "group.cache.hits";
-      g
-    | None ->
-      Obs.Metric.count "group.cache.misses";
-      let g =
-        Obs.Span.with_ "group.key"
-          ~attrs:(fun () ->
-            [ ("cols", String.concat "," (List.map string_of_int key)) ])
-        @@ fun () ->
-        make ~cap:c.cap
-          (List.map (fun i -> c.codes.(i)) key)
-          (List.map (fun i -> c.cards.(i)) key)
-          c.n
-      in
-      Hashtbl.add c.table key g;
-      g
+    let found = lookup false in
+    Mutex.unlock c.mutex;
+    match found with
+    | Some g -> g
+    | None -> (
+      match compute () with
+      | g ->
+        resolve (Some g);
+        g
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        resolve None;
+        Printexc.raise_with_backtrace e bt)
 end

@@ -5,7 +5,7 @@
     fast path when the cardinality product fits under a cap, and a
     hashed fallback otherwise; both paths assign identical dense group
     ids, numbered in order of first occurrence. All of the pipeline's
-    stratification — CI-test strata, HAVING-fill histograms, stripped
+    stratification — CI-test strata, HAVING-fill modes, stripped
     partitions, BIC family counts — is built on this module. *)
 
 type t
@@ -69,18 +69,32 @@ val rows_of : t -> int -> int array
 
 val iter_rows : t -> int -> (int -> unit) -> unit
 
-(** [histograms t codes ~card] counts, per group, the values of a
-    second code array: result.(g).(c) is the number of rows of group
-    [g] with [codes.(row) = c]. *)
-val histograms : t -> int array -> card:int -> int array array
+(** [iter_modes t codes ~card f] calls [f g counts ~base ~mode ~count]
+    for each group [g] in id order. [codes] is a second code array over
+    the same rows, with codes in [0, card). Group [g]'s rows carry code
+    [c] [counts.(base + c)] times; [mode] is its most common code (ties
+    go to the lowest code) and [count] that code's rows. [counts] is
+    scratch shared across calls and valid only during the call: read
+    it, do not keep or mutate it. When the [n_groups × card] table is no
+    larger than the row count it is filled by one pass in row order;
+    otherwise each group is counted into one [card]-wide row through
+    the CSR index, resetting only the entries it touched. Either way the
+    work is O(rows + card), not O(groups × card). *)
+val iter_modes :
+  t ->
+  int array ->
+  card:int ->
+  (int -> int array -> base:int -> mode:int -> count:int -> unit) ->
+  unit
 
 (** Per-snapshot memo cache over a frame's columns, keyed by
-    column-index sets, so repeated groupings are computed once. Lookup
-    and compute run under a mutex — safe to share across
-    [Runtime.Pool] domains, and each distinct key is computed exactly
-    once, keeping the [group.cache.hits]/[group.cache.misses] counters
-    in [Obs.Metric.default] schedule-independent. Computing a missing
-    entry is wrapped in a [group.key] span. *)
+    column-index sets, so repeated groupings are computed once. Safe to
+    share across [Runtime.Pool] domains. A missing entry is computed
+    outside the cache's mutex by its first caller, while later callers
+    of the same key wait for it; so each distinct key is computed
+    exactly once, keeping the [group.cache.hits]/[group.cache.misses]
+    counters in [Obs.Metric.default] schedule-independent. Computing a
+    missing entry is wrapped in a [group.key] span. *)
 module Cache : sig
   type group := t
   type t

@@ -255,16 +255,23 @@ let lower_stmt b ~cap frame ~s1 ~s2 ~dst rs =
     let order = ref [] in
     for r = 0 to n_rules - 1 do
       let rule = Ruleset.rule rs r in
+      (* [None] as soon as one value is absent from its dictionary *)
       let key =
-        try
-          Some
-            (Array.mapi
-               (fun j t ->
-                 match t with
-                 | Domain.Eq v -> Option.get (Column.code_of_value cols.(j) v)
-                 | _ -> assert false)
-               rule.Ruleset.key)
-        with Invalid_argument _ -> None
+        let ts = rule.Ruleset.key in
+        let codes = Array.make (Array.length ts) 0 in
+        let rec resolve j =
+          if j = Array.length ts then Some codes
+          else
+            match ts.(j) with
+            | Domain.Eq v -> (
+              match Column.code_of_value cols.(j) v with
+              | Some c ->
+                codes.(j) <- c;
+                resolve (j + 1)
+              | None -> None)
+            | _ -> assert false
+        in
+        resolve 0
       in
       match key with
       | None -> ()

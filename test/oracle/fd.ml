@@ -1,5 +1,5 @@
 (* Row-at-a-time FD checks: the Hashtbl groupings keyed on value and
-   code lists that [Baselines.Fd] replaced with one group-and-histogram
+   code lists that [Baselines.Fd] replaced with one group-and-mode
    pass. [compile] learns each lhs binding's most common rhs value on a
    training split, ties going to the lowest rhs code; [detect] reads one
    row at a time through [Frame.get]. *)

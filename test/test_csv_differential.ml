@@ -175,6 +175,56 @@ let test_numeric_sniffed () =
     (Schema.equal_kind Schema.Numeric (Schema.kind (Frame.schema f) 0));
   Alcotest.(check bool) "same as oracle" true (same_frame f (Oracle.Csv.of_string text))
 
+(* Corners of the raw-field interner, each against the oracle: a field
+   read as a slice of the input and the same text read from a quoted
+   section share one code; the empty field and NA share the null code;
+   CRLF and a quoted newline leave codes alone; and a column of 5,000
+   distinct fields, most seen twice, grows the open-addressing table
+   from 64 slots to 16,384. *)
+let test_interner_cases () =
+  let codes text j = Column.codes (Frame.column (Csv.of_string text) j) in
+  let same_as_oracle name text =
+    Alcotest.(check bool) (name ^ ": same as oracle") true
+      (same_frame (Csv.of_string text) (Oracle.Csv.of_string text))
+  in
+  let quoted = "k,v\nx,1\n\"x\",2\nx,3\n\"\"\"x\"\"\",4\n" in
+  same_as_oracle "quoted" quoted;
+  Alcotest.(check (array int)) "x and \"x\" share a code" [| 0; 0; 0; 1 |] (codes quoted 0);
+  let nulls = "k,v\n,1\nNA,2\n\"\",3\nNA,4\n" in
+  same_as_oracle "nulls" nulls;
+  Alcotest.(check (array int)) "empty and NA share the null code" [| 0; 0; 0; 0 |]
+    (codes nulls 0);
+  let crlf = "k,v\r\na,1\r\nb,2\r\na,1\r\n" in
+  same_as_oracle "crlf" crlf;
+  Alcotest.(check (array int)) "CRLF" [| 0; 1; 0 |] (codes crlf 0);
+  Alcotest.(check (array int)) "CRLF, last column" [| 0; 1; 0 |] (codes crlf 1);
+  let newline = "k,v\n\"a\nb\",1\nab,2\n\"a\nb\",3\n" in
+  same_as_oracle "quoted newline" newline;
+  Alcotest.(check (array int)) "quoted newline" [| 0; 1; 0 |] (codes newline 0);
+  let distinct = 5_000 in
+  let wide =
+    "k,v\n"
+    ^ String.concat ""
+        (List.init (2 * distinct) (fun i ->
+             Printf.sprintf "key%d,%d\n" (i * 7919 mod distinct) (i mod 3)))
+  in
+  same_as_oracle "wide" wide;
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Metric.snapshot Obs.Metric.default).Obs.Metric.counters)
+  in
+  let cells = counter "csv.cells" and interned = counter "csv.interned" in
+  let f = Csv.of_string wide in
+  Alcotest.(check int) "wide: cells counted" (2 * 2 * distinct) (counter "csv.cells" - cells);
+  Alcotest.(check int) "wide: one interned field per distinct raw field" (distinct + 3)
+    (counter "csv.interned" - interned);
+  Alcotest.(check int) "wide: every distinct field has a code" distinct
+    (Column.cardinality (Frame.column f 0));
+  Alcotest.(check bool) "wide: repeats share codes" true
+    (Array.for_all2 ( = )
+       (Array.sub (Column.codes (Frame.column f 0)) 0 distinct)
+       (Array.sub (Column.codes (Frame.column f 0)) distinct distinct))
+
 (* ---------------------------------------------------------------- *)
 (* The benchmark inputs *)
 
@@ -203,5 +253,6 @@ let () =
   Alcotest.run "csv_differential"
     [ ( "differential",
         Alcotest.test_case "numeric sniffed" `Quick test_numeric_sniffed
+        :: Alcotest.test_case "interner cases" `Quick test_interner_cases
         :: List.map QCheck_alcotest.to_alcotest [ qcheck_tables; qcheck_mutated; qcheck_soup ] );
       ("datasets", [ Alcotest.test_case "benchmark inputs = oracle" `Quick test_datasets ]) ]

@@ -344,13 +344,38 @@ let test_group_degenerate () =
   Alcotest.(check int) "empty has no groups" 0 (Group.n_groups g0);
   check_csr g0
 
-let test_group_histograms () =
-  let c0 = [| 0; 1; 0; 1; 0 |] in
-  let v = [| 2; 0; 1; 0; 1 |] in
-  let g = Group.make [ c0 ] [ 2 ] 5 in
-  let h = Group.histograms g v ~card:3 in
-  Alcotest.(check (array int)) "group 0 hist" [| 0; 2; 1 |] h.(0);
-  Alcotest.(check (array int)) "group 1 hist" [| 2; 0; 0 |] h.(1)
+(* The modes one [iter_modes] call reports: (group, counts, mode, count)
+   per call, counts copied out of the shared scratch. *)
+let modes_of g codes ~card =
+  let seen = ref [] in
+  Group.iter_modes g codes ~card (fun gid counts ~base ~mode ~count ->
+      seen := (gid, Array.sub counts base card, mode, count) :: !seen);
+  List.rev !seen
+
+let test_group_modes () =
+  let check_groups what = function
+    | [ (0, h0, m0, k0); (1, h1, m1, k1); (2, h2, m2, k2) ] ->
+      Alcotest.(check (array int)) (what ^ ": group 0 counts") [| 0; 2; 1 |] h0;
+      Alcotest.(check (pair int int)) (what ^ ": group 0 mode") (1, 2) (m0, k0);
+      Alcotest.(check (array int)) (what ^ ": group 1 counts") [| 2; 0; 0 |] h1;
+      Alcotest.(check (pair int int)) (what ^ ": group 1 mode") (0, 2) (m1, k1);
+      Alcotest.(check (array int)) (what ^ ": group 2 counts, a tie") [| 0; 1; 1 |] h2;
+      Alcotest.(check (pair int int)) (what ^ ": tie goes to the lowest code") (1, 1) (m2, k2)
+    | _ -> Alcotest.fail (what ^ ": one call per group, in id order")
+  in
+  let c0 = [| 0; 1; 0; 1; 0; 2; 2 |] in
+  let v = [| 2; 0; 1; 0; 1; 2; 1 |] in
+  (* 3 groups x 3 codes > 7 rows: the CSR walk *)
+  check_groups "walk" (modes_of (Group.make [ c0 ] [ 3 ] 7) v ~card:3);
+  (* a fourth group of five rows makes 4 groups x 3 codes <= 12 rows:
+     the flat table; the extra group must not disturb the first three *)
+  let c0 = Array.append c0 (Array.make 5 3) and v = Array.append v (Array.make 5 0) in
+  match modes_of (Group.make [ c0 ] [ 4 ] 12) v ~card:3 with
+  | [ a; b; c; (3, h3, m3, k3) ] ->
+    check_groups "flat" [ a; b; c ];
+    Alcotest.(check (array int)) "flat: group 3 counts" [| 5; 0; 0 |] h3;
+    Alcotest.(check (pair int int)) "flat: group 3 mode" (0, 5) (m3, k3)
+  | _ -> Alcotest.fail "flat: one call per group, in id order"
 
 let test_group_strata () =
   (* the cardinality product with the historical max_strata give-up *)
@@ -414,24 +439,30 @@ let qcheck_group_matches_reference =
       let ids, k = ref_ids codes n in
       Group.ids g = ids && Group.n_groups g = k)
 
-let qcheck_group_histograms =
-  QCheck.Test.make ~name:"group histograms match brute-force counts" ~count:200
-    qcheck_codes (fun rows ->
+let qcheck_group_modes =
+  (* card 6 mostly takes the flat table, card 50 the CSR walk *)
+  QCheck.Test.make ~name:"group modes match brute-force counts" ~count:400
+    QCheck.(pair qcheck_codes bool) (fun (rows, wide) ->
       let n, codes, cards = columns_of_pairs rows in
       let c0 = List.hd codes and c1 = List.nth codes 1 in
+      let card = if wide then 50 else 6 in
       let g = Group.make [ c0 ] [ List.hd cards ] n in
-      let h = Group.histograms g c1 ~card:6 in
-      let ok = ref true in
-      for gid = 0 to Group.n_groups g - 1 do
-        for v = 0 to 5 do
-          let brute = ref 0 in
-          for i = 0 to n - 1 do
-            if Group.id g i = gid && c1.(i) = v then incr brute
-          done;
-          if h.(gid).(v) <> !brute then ok := false
-        done
-      done;
-      !ok)
+      let seen = modes_of g c1 ~card in
+      List.length seen = Group.n_groups g
+      && List.for_all
+           (fun (gid, counts, mode, count) ->
+             let brute = Array.make card 0 in
+             for i = 0 to n - 1 do
+               if Group.id g i = gid then brute.(c1.(i)) <- brute.(c1.(i)) + 1
+             done;
+             let top = Array.fold_left max 0 brute in
+             let lowest = ref (card - 1) in
+             for v = card - 1 downto 0 do
+               if brute.(v) = top then lowest := v
+             done;
+             counts = brute && count = top && mode = !lowest)
+           seen
+      && List.mapi (fun i (gid, _, _, _) -> i = gid) seen |> List.for_all Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -561,7 +592,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_group_basic;
           Alcotest.test_case "degenerate" `Quick test_group_degenerate;
-          Alcotest.test_case "histograms" `Quick test_group_histograms;
+          Alcotest.test_case "modes" `Quick test_group_modes;
           Alcotest.test_case "strata semantics" `Quick test_group_strata;
           Alcotest.test_case "cache" `Quick test_group_cache;
         ] );
@@ -570,5 +601,5 @@ let () =
           [ qcheck_value_roundtrip; qcheck_column_encoding;
             qcheck_column_cardinality; qcheck_csv_roundtrip; qcheck_csv_float_roundtrip;
             qcheck_group_paths_agree; qcheck_group_matches_reference;
-            qcheck_group_histograms ] );
+            qcheck_group_modes ] );
     ]

@@ -124,6 +124,47 @@ let test_config_jobs_equivalent () =
   let par = snapshot (Synthesize.run ~config:(Config.make ~jobs:3 ()) frame) in
   check_same ~what:"config.jobs=3 vs jobs=1" seq par
 
+(* ------------------------------------------------------------------ *)
+(* Grouping cache under contention *)
+
+(* Four workers ask one cache for the same 22 column sets, each in its
+   own order, so callers race for pending slots. Every key must be
+   computed once (misses = distinct keys, whatever the schedule), and
+   every caller must get that one grouping. *)
+let test_group_cache_contention () =
+  let frame = frame_of 8 in
+  let m = Frame.ncols frame in
+  let keys =
+    List.init m (fun i -> [ i ])
+    @ List.concat (List.init m (fun i -> List.init (m - i - 1) (fun d -> [ i; i + d + 1 ])))
+  in
+  let keys = List.filteri (fun i _ -> i < 22) keys in
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Metric.snapshot Obs.Metric.default).Obs.Metric.counters)
+  in
+  let cache = Dataframe.Group.Cache.of_frame frame in
+  let hits = counter "group.cache.hits" and misses = counter "group.cache.misses" in
+  let pool = Pool.create ~size:4 () in
+  let orders =
+    List.init 4 (fun w -> if w mod 2 = 0 then keys else List.rev keys)
+  in
+  let got =
+    Pool.parmap ~pool ~chunk:1
+      (fun order -> List.map (fun k -> (k, Dataframe.Group.Cache.get cache k)) order)
+      orders
+  in
+  Pool.shutdown pool;
+  let n = List.length keys in
+  Alcotest.(check int) "one miss per key" n (counter "group.cache.misses" - misses);
+  Alcotest.(check int) "every other call hits" (3 * n) (counter "group.cache.hits" - hits);
+  List.iter
+    (fun k ->
+      let g = List.assoc k (List.hd got) in
+      Alcotest.(check bool) "one grouping per key" true
+        (List.for_all (fun w -> List.assoc k w == g) got))
+    keys
+
 let () =
   Alcotest.run "parallel"
     [
@@ -138,5 +179,7 @@ let () =
             test_synthesize_deterministic_across_jobs;
           Alcotest.test_case "config.jobs routing" `Quick
             test_config_jobs_equivalent;
+          Alcotest.test_case "group cache contention" `Quick
+            test_group_cache_contention;
         ] );
     ]

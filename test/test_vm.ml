@@ -294,6 +294,42 @@ let test_duplicate_keys_last_wins () =
       (Value.equal v.Validator.expected (s "Oakland"))
   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs)
 
+let test_absent_keys () =
+  (* equality keys whose values are missing from the frame's
+     dictionaries, in the first column, the second, or both: such rules
+     can match no row, and the rules around them must lower as usual *)
+  let schema =
+    Schema.make
+      [ Schema.categorical "a"; Schema.categorical "b"; Schema.categorical "c" ]
+  in
+  let frame =
+    Frame.of_rows schema
+      [
+        [| s "x"; s "p"; s "ok" |];
+        [| s "x"; s "p"; s "bad" |];
+        [| s "y"; s "q"; s "ok" |];
+        [| s "y"; s "q"; s "bad" |];
+      ]
+  in
+  let rule a b c =
+    Dsl.branch ~condition:[ Dsl.eq 0 (s a); Dsl.eq 1 (s b) ] ~assignment:(Dsl.Eq (s c))
+  in
+  let stmt branches = Dsl.stmt ~given:[ 0; 1 ] ~on:2 ~branches in
+  let prog =
+    Dsl.prog ~schema
+      [
+        stmt
+          [ rule "absent" "p" "ok"; rule "x" "p" "ok"; rule "x" "absent" "bad";
+            rule "absent" "absent" "bad"; rule "y" "q" "ok" ];
+        (* no rule of this statement resolves *)
+        stmt [ rule "absent" "p" "bad"; rule "x" "absent" "bad" ];
+      ]
+  in
+  check_differential frame prog;
+  Alcotest.(check (array bool)) "only the resolvable rules flag"
+    [| false; true; false; true |]
+    (Validator.detect (Validator.compile prog) frame)
+
 let test_subset_reuses_lowering () =
   (* Frame.take shares dictionaries, so validating a row subset must
      work (and agree with the reference) without re-registering dicts *)
@@ -438,6 +474,7 @@ let () =
           Alcotest.test_case "Int/Float alias expect" `Quick test_alias_expect;
           Alcotest.test_case "duplicate keys last wins" `Quick
             test_duplicate_keys_last_wins;
+          Alcotest.test_case "absent equality keys" `Quick test_absent_keys;
           Alcotest.test_case "row subsets" `Quick test_subset_reuses_lowering;
         ] );
       ( "vm",
