@@ -13,10 +13,17 @@ type samples = {
 }
 
 (** Binary indicator samples over the given columns: [max_shifts]
-    circular shifts of the rows, at most [max_samples] samples. Raises
-    [Invalid_argument] on frames with fewer than two rows. *)
+    circular shifts of the rows, at most [max_samples] samples. With a
+    [pool], one task per column; the words are the same at every pool
+    size. Raises [Invalid_argument] on frames with fewer than two rows.
+    Must not be called from inside a job running on [pool]. *)
 val circular_shift :
-  max_shifts:int -> max_samples:int -> Dataframe.Frame.t -> int list -> samples
+  ?pool:Runtime.Pool.t ->
+  max_shifts:int ->
+  max_samples:int ->
+  Dataframe.Frame.t ->
+  int list ->
+  samples
 
 (** Raw dictionary codes (the Table 8 ablation baseline). *)
 val identity : Dataframe.Frame.t -> int list -> samples

@@ -16,7 +16,6 @@ val pp_condition : Dataframe.Schema.t -> Format.formatter -> Dsl.condition -> un
 (** The [int] is the statement's ON attribute. *)
 val pp_branch : Dataframe.Schema.t -> int -> Format.formatter -> Dsl.branch -> unit
 
-val pp_stmt : Dataframe.Schema.t -> Format.formatter -> Dsl.stmt -> unit
 val pp_prog : Format.formatter -> Dsl.prog -> unit
 val prog_to_string : Dsl.prog -> string
 

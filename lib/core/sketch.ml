@@ -100,10 +100,6 @@ let gnt_violations frame (p : prog_sketch) =
     p;
   List.rev !violations
 
-let globally_non_trivial frame p =
-  List.for_all (fun s -> locally_non_trivial frame s) p
-  && gnt_violations frame p = []
-
 let pp_stmt_sketch schema ppf (s : stmt_sketch) =
   Fmt.pf ppf "GIVEN %a ON %s HAVING []"
     Fmt.(list ~sep:(any ", ") string)

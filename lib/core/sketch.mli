@@ -23,7 +23,5 @@ val locally_non_trivial : Dataframe.Frame.t -> stmt_sketch -> bool
 val gnt_violations :
   Dataframe.Frame.t -> prog_sketch -> (stmt_sketch * stmt_sketch) list
 
-val globally_non_trivial : Dataframe.Frame.t -> prog_sketch -> bool
-
 val pp_stmt_sketch :
   Dataframe.Schema.t -> Format.formatter -> stmt_sketch -> unit

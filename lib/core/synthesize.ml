@@ -14,10 +14,11 @@
    implementation optimization described in paper §7.
 
    Parallelism: with a {!Runtime.Pool} (passed explicitly or created from
-   [config.jobs]), the two expensive phases fan out across domains — the
-   PC skeleton batches each conditioning-level's CI tests behind a round
-   barrier (stable-PC schedule, see {!Pgm.Pc}), and the HAVING fill runs
-   one task per *distinct* statement sketch of the MEC. Both
+   [config.jobs]), three phases fan out across domains — the sampler
+   builds one attribute's indicator words per task, the PC skeleton
+   batches each conditioning-level's CI tests behind a round barrier
+   (stable-PC schedule, see {!Pgm.Pc}), and the HAVING fill runs one
+   task per *distinct* statement sketch of the MEC. All three
    decompositions are order-preserving over pure work, and the cache
    counters are derived from the sketch key sequence rather than from
    execution interleaving, so the pipeline returns bit-identical
@@ -113,11 +114,11 @@ let with_pool ?pool (config : Config.t) f =
 (* The memoized CI oracle over the samples PC learns from. The
    auxiliary sampler pairs rows, so a frame with fewer than two rows
    falls back to the identity sampler. *)
-let ci_oracle (config : Config.t) frame cols =
+let ci_oracle ?pool (config : Config.t) frame cols =
   let samples =
     match config.Config.sampler with
     | Config.Auxiliary when Frame.nrows frame >= 2 ->
-      Auxdist.circular_shift ~max_shifts:Config.max_shifts
+      Auxdist.circular_shift ?pool ~max_shifts:Config.max_shifts
         ~max_samples:Config.max_samples frame cols
     | Config.Auxiliary | Config.Identity -> Auxdist.identity frame cols
   in
@@ -126,8 +127,8 @@ let ci_oracle (config : Config.t) frame cols =
 
 let learn_cpdag ?(config = Config.default) ?pool frame cols =
   let frame = prepare_frame frame in
-  let oracle = ci_oracle config frame cols in
   with_pool ?pool config (fun pool ->
+      let oracle = ci_oracle ?pool config frame cols in
       fst
         (Pgm.Pc.cpdag ~n:(List.length cols) ~max_cond:Config.max_cond ?pool
            oracle))
@@ -158,7 +159,7 @@ let run ?(config = Config.default) ?pool frame =
     @@ fun () ->
     root_id := Obs.Span.current_id ();
     let base_oracle =
-      Obs.Span.with_ "sampling" @@ fun () -> ci_oracle config frame cols
+      Obs.Span.with_ "sampling" @@ fun () -> ci_oracle ?pool config frame cols
     in
     let oracle i j cond =
       timed_task structure_work (fun () -> base_oracle i j cond) ()

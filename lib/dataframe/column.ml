@@ -55,86 +55,87 @@ let of_list values = of_values (Array.of_list values)
    first-occurrence by value: ["NA"] and [""] share the [Null] code,
    ["1"] and ["01"] the [Int 1] code.
 
-   Raw fields arrive as slices [src.[off] .. src.[off + len - 1]] of the
-   reader's input. They are interned in an open-addressing table with
-   linear probing: a field's bytes are hashed in place and compared
-   against the stored keys (length first, then bytes), so a cell whose raw text was seen before
-   allocates nothing. Only a new distinct raw field is copied, and the
-   copy is the stored key: the column never holds on to the input. *)
+   The reader hands each field over as a packed int key together with
+   its slice [src.[off] .. src.[off + len - 1]]. One open-addressing
+   table with linear probing maps keys to codes, hashing the key alone.
+   A key below [long] names its field exactly, so a probe compares one
+   int; a key at or above it is a digest, and a probe that meets an
+   equal one compares the stored field's bytes too. Only a new distinct
+   raw field is copied, and the copy is the stored field: the column
+   never holds on to the input. *)
 module Builder = struct
   type column = t
 
+  let long = 1 lsl 59
+
   type t = {
     values : interner;
-    mutable keys : string array;  (* slot -> raw field *)
-    mutable slots : int array;    (* slot -> code, -1 when free *)
+    mutable slots : int array;    (* slot i: key at 2i (-1 when free), code at 2i + 1 *)
+    mutable raws : string array;  (* slot -> raw field *)
     mutable distinct : int;       (* occupied slots *)
     codes : int array;            (* cells [0, len) are filled *)
     mutable len : int;
   }
 
   let create capacity =
-    { values = interner (); keys = Array.make 64 ""; slots = Array.make 64 (-1);
+    { values = interner (); slots = Array.make 128 (-1); raws = Array.make 64 "";
       distinct = 0; codes = Array.make capacity 0; len = 0 }
 
-  (* FNV-1a over the bytes (offset basis cut to 63 bits), then a
-     finalizing mix so the low bits used as the slot index depend on
-     every byte. *)
-  let hash src off len =
-    let h = ref 0x0bf29ce484222325 in
-    for i = off to off + len - 1 do
-      h := (!h lxor Char.code (String.unsafe_get src i)) * 0x100000001b3
-    done;
-    let h = !h lxor (!h lsr 32) in
-    let h = h * 0x1e3779b97f4a7c15 in
-    h lxor (h lsr 29)
+  (* The home slot of a key: a multiply and a fold, so the low bits used
+     as the index depend on every byte packed into the key. *)
+  let home key mask =
+    let h = key * 0x1e3779b97f4a7c15 in
+    (h lxor (h lsr 29)) land mask
 
   (* Top-level recursion with every value passed in, so that a probe
      allocates no closure. *)
-  let rec same_from key src off len i =
+  let rec same_from raw src off len i =
     i = len
-    || String.unsafe_get key i = String.unsafe_get src (off + i)
-       && same_from key src off len (i + 1)
+    || String.unsafe_get raw i = String.unsafe_get src (off + i)
+       && same_from raw src off len (i + 1)
 
-  (* The slot holding [src.[off .. off + len - 1]] at or after slot [i],
-     or the free slot where it belongs. *)
-  let rec probe b src off len i =
-    let key = Array.unsafe_get b.keys i in
+  (* The slot holding the field at or after slot [i], or the free slot
+     where it belongs. *)
+  let rec probe b key src off len i =
+    let k = Array.unsafe_get b.slots (2 * i) in
     if
-      Array.unsafe_get b.slots i < 0
-      || String.length key = len && same_from key src off len 0
+      k < 0
+      || k = key
+         && (key < long
+            || let raw = Array.unsafe_get b.raws i in
+               String.length raw = len && same_from raw src off len 0)
     then i
-    else probe b src off len ((i + 1) land (Array.length b.slots - 1))
+    else probe b key src off len ((i + 1) land (Array.length b.raws - 1))
 
-  (* Double the table, re-placing every key by its hash. *)
+  (* Double the table, re-placing every key by its home slot. *)
   let grow b =
-    let keys = b.keys and slots = b.slots in
-    let size = 2 * Array.length slots in
-    b.keys <- Array.make size "";
-    b.slots <- Array.make size (-1);
+    let slots = b.slots and raws = b.raws in
+    let size = 2 * Array.length raws in
+    b.slots <- Array.make (2 * size) (-1);
+    b.raws <- Array.make size "";
     Array.iteri
-      (fun i c ->
-        if c >= 0 then begin
-          let key = keys.(i) in
-          let len = String.length key in
-          let j = probe b key 0 len (hash key 0 len land (size - 1)) in
-          b.keys.(j) <- key;
-          b.slots.(j) <- c
+      (fun i raw ->
+        let key = slots.(2 * i) in
+        if key >= 0 then begin
+          let j = probe b key raw 0 (String.length raw) (home key (size - 1)) in
+          b.slots.(2 * j) <- key;
+          b.slots.((2 * j) + 1) <- slots.((2 * i) + 1);
+          b.raws.(j) <- raw
         end)
-      slots
+      raws
 
-  let push b src off len =
-    let i = probe b src off len (hash src off len land (Array.length b.slots - 1)) in
-    let c = b.slots.(i) in
+  let push b key src off len =
+    let i = probe b key src off len (home key (Array.length b.raws - 1)) in
     let c =
-      if c >= 0 then c
+      if Array.unsafe_get b.slots (2 * i) >= 0 then Array.unsafe_get b.slots ((2 * i) + 1)
       else begin
-        let key = String.sub src off len in
-        let c = intern b.values (Value.of_raw key) in
-        b.keys.(i) <- key;
-        b.slots.(i) <- c;
+        let raw = String.sub src off len in
+        let c = intern b.values (Value.of_raw raw) in
+        b.slots.(2 * i) <- key;
+        b.slots.((2 * i) + 1) <- c;
+        b.raws.(i) <- raw;
         b.distinct <- b.distinct + 1;
-        if 2 * b.distinct > Array.length b.slots then grow b;
+        if 2 * b.distinct > Array.length b.raws then grow b;
         c
       end
     in

@@ -13,15 +13,21 @@ module Builder : sig
   type column := t
   type t
 
+  (** The key space split: see {!push}. *)
+  val long : int
+
   (** A builder for at most [capacity] cells. *)
   val create : int -> t
 
-  (** [push b src off len] appends the cell [Value.of_raw raw], where
-      [raw] is [String.sub src off len]. The field's bytes are hashed
-      and compared in place; only the first sight of a distinct raw
+  (** [push b key src off len] appends the cell [Value.of_raw raw], where
+      [raw] is [String.sub src off len] and [key] is the field's packed
+      key: a non-negative int, equal for equal fields, and below {!long}
+      only when it determines the field (then no byte is compared).
+      Keys at or above {!long} are digests: an equal key is confirmed
+      against the stored bytes. Only the first sight of a distinct raw
       field is copied, and [Value.of_raw] runs once per distinct raw
       field. Raises [Invalid_argument] past [capacity]. *)
-  val push : t -> string -> int -> int -> unit
+  val push : t -> int -> string -> int -> int -> unit
 
   (** Cells pushed so far. *)
   val length : t -> int

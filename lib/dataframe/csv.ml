@@ -1,106 +1,188 @@
 (* Minimal RFC-4180-ish CSV reader/writer: quoted fields, embedded commas,
-   doubled quotes, both LF and CRLF line endings. Reading is one pass of
-   one byte scanner ([scan]) that hands each field straight to its
-   column's [Column.Builder] as a slice of the input; no rows are
-   materialized and no string is made per cell. [parse_string] is a
-   second consumer of the same scanner. *)
+   doubled quotes, both LF and CRLF line endings. Reading is one byte
+   tokenizer ([field]) that packs each field's key while it scans it.
+   [of_string] hands every data field straight to its column's
+   [Column.Builder] as that key and a slice of the input; no rows are
+   materialized and no string is made per cell. [parse_string] reads
+   records of strings with the same tokenizer. *)
 
 exception Parse_error of { line : int; message : string }
 
 let parse_error line message = raise (Parse_error { line; message })
 
-(* The one tokenizer. [scan s ~field ~record] walks [s] once, calling
-   [field j src off len] for the [j]-th field of each record, whose text
-   is [src.[off] .. src.[off + len - 1]], and then [record ~line n] with
-   the record's field count [n] and the physical line it starts on. An
-   unquoted field is a slice of [s] itself, so it costs no allocation;
-   only a field holding a quoted section goes through [buf], and its
-   contents are the source. A quote opens a quoted section only at the
-   start of a field, or right after a section that left the field empty;
-   elsewhere it is a literal byte. At the end of input a pending record
-   is emitted unless it is a lone empty field. *)
-let scan s ~field ~record =
-  let n = String.length s in
-  let buf = Buffer.create 64 in
-  let line = ref 1 and record_line = ref 1 and nfields = ref 0 in
-  (* the field ends at the delimiter [s.[i]] (or the end of input): emit
-     it, close the record unless the delimiter is a comma, and return the
-     index past the delimiter *)
-  let finish src off len i =
-    field !nfields src off len;
-    incr nfields;
-    if i >= n || s.[i] <> ',' then begin
-      record ~line:!record_line !nfields;
-      nfields := 0;
-      incr line;
-      record_line := !line
-    end;
-    if i < n && s.[i] = '\r' then i + 2 else i + 1
+(* Packed keys ([Column.Builder.push]). A field of at most 7 bytes packs
+   its bytes, first byte lowest, with its length in bits 56-58, so two
+   such fields are equal iff their keys are. A longer field runs FNV-1a
+   steps from its first 7 bytes on over the rest, and its key is
+   [Column.Builder.long] over the low 56 bits: a digest, equal for equal
+   fields. [step acc p byte] adds the byte at position [p]. *)
+let[@inline] step acc p byte =
+  if p < 7 then acc lor (byte lsl (8 * p)) else (acc lxor byte) * 0x100000001b3
+
+let[@inline] key acc len =
+  if len <= 7 then acc lor (len lsl 56)
+  else Column.Builder.long lor (acc land 0xff_ffff_ffff_ffff)
+
+let key_of src off len =
+  let acc = ref 0 in
+  for p = 0 to len - 1 do
+    acc := step !acc p (Char.code (String.unsafe_get src (off + p)))
+  done;
+  key !acc len
+
+(* The tokenizer's state. After [field] the field read is described by
+   [quoted], [key] and, for a field with a quoted section, [text]. *)
+type cursor = {
+  s : string;
+  n : int;
+  buf : Buffer.t;          (* a field's text after a quoted section *)
+  mutable quoted : bool;   (* the last field had a quoted section *)
+  mutable text : string;   (* its text, when [quoted] *)
+  mutable key : int;       (* its packed key *)
+  mutable line : int;      (* the physical line being read, 1-based *)
+}
+
+let cursor s =
+  { s; n = String.length s; buf = Buffer.create 64; quoted = false; text = "";
+    key = 0; line = 1 }
+
+let[@inline] crlf c i = i + 1 < c.n && String.unsafe_get c.s (i + 1) = '\n'
+
+(* [field c i] reads the field starting at [i] and returns the index of
+   the delimiter that ends it (a comma, LF, the CR of a CRLF) or [n].
+   An unquoted field is [s.[i] .. s.[e - 1]] and costs no allocation;
+   only a field holding a quoted section goes through [buf]. A quote
+   opens a quoted section only at the start of a field, or right after
+   a section that left the field empty; elsewhere it is a literal byte.
+   [plain] scans the unquoted field [s.[start] .. s.[i - 1]], its key so
+   far in [acc]. *)
+let rec plain c start i acc =
+  if i >= c.n then plain_end c start i acc
+  else
+    match String.unsafe_get c.s i with
+    | ',' | '\n' -> plain_end c start i acc
+    | '\r' when crlf c i -> plain_end c start i acc
+    | '"' when i = start ->
+      Buffer.clear c.buf;
+      quoted c (i + 1)
+    | ch -> plain c start (i + 1) (step acc (i - start) (Char.code ch))
+
+and plain_end c start i acc =
+  c.quoted <- false;
+  c.key <- key acc (i - start);
+  i
+
+(* a field past a quoted section; its text so far is in [buf] *)
+and unquoted c i =
+  if i >= c.n then buffered c i
+  else
+    match String.unsafe_get c.s i with
+    | ',' | '\n' -> buffered c i
+    | '\r' when crlf c i -> buffered c i
+    | '"' when Buffer.length c.buf = 0 -> quoted c (i + 1)
+    | ch ->
+      Buffer.add_char c.buf ch;
+      unquoted c (i + 1)
+
+and quoted c i =
+  if i >= c.n then parse_error c.line "unterminated quoted field"
+  else
+    match String.unsafe_get c.s i with
+    | '"' when i + 1 < c.n && String.unsafe_get c.s (i + 1) = '"' ->
+      Buffer.add_char c.buf '"';
+      quoted c (i + 2)
+    | '"' -> unquoted c (i + 1)
+    | ch ->
+      if ch = '\n' then c.line <- c.line + 1;
+      Buffer.add_char c.buf ch;
+      quoted c (i + 1)
+
+and buffered c i =
+  let text = Buffer.contents c.buf in
+  c.quoted <- true;
+  c.text <- text;
+  c.key <- key_of text 0 (String.length text);
+  i
+
+let field c i = plain c i i 0
+
+(* The text of the field [field c i] just read, ending at [e]. *)
+let text c i e = if c.quoted then c.text else String.sub c.s i (e - i)
+
+(* Whether the delimiter at [e] closes the record, and the index past it. *)
+let[@inline] ends c e = e >= c.n || String.unsafe_get c.s e <> ','
+let[@inline] next c e =
+  if e >= c.n then c.n else if String.unsafe_get c.s e = '\r' then e + 2 else e + 1
+
+(* A record is pending at the end of input unless it is a lone empty
+   field. *)
+let[@inline] at_end c i e ~first =
+  e >= c.n && first && if c.quoted then c.text = "" else e = i
+
+(* The record starting at [i] as its fields, and the index past it; or
+   [None] at the end of input. *)
+let record c i =
+  let rec go i fields =
+    let e = field c i in
+    if at_end c i e ~first:(fields = []) then None
+    else
+      let fields = text c i e :: fields in
+      if ends c e then begin
+        c.line <- c.line + 1;
+        Some (List.rev fields, next c e)
+      end
+      else go (next c e) fields
   in
-  let crlf i = i + 1 < n && String.unsafe_get s (i + 1) = '\n' in
-  (* the unquoted field [s.[start] .. s.[i - 1]] so far *)
-  let rec plain start i =
-    if i >= n then begin
-      if !nfields > 0 || i > start then next s start (i - start) i
-    end
-    else
-      match String.unsafe_get s i with
-      | ',' | '\n' -> next s start (i - start) i
-      | '\r' when crlf i -> next s start (i - start) i
-      | '"' when i = start ->
-        Buffer.clear buf;
-        quoted (i + 1)
-      | _ -> plain start (i + 1)
-  and next src off len i =
-    let j = finish src off len i in
-    plain j j
-  and buffered i =
-    let raw = Buffer.contents buf in
-    next raw 0 (String.length raw) i
-  (* a field past a quoted section; its text so far is in [buf] *)
-  and unquoted i =
-    if i >= n then begin
-      if !nfields > 0 || Buffer.length buf > 0 then buffered i
-    end
-    else
-      match String.unsafe_get s i with
-      | ',' | '\n' -> buffered i
-      | '\r' when crlf i -> buffered i
-      | '"' when Buffer.length buf = 0 -> quoted (i + 1)
-      | c ->
-        Buffer.add_char buf c;
-        unquoted (i + 1)
-  and quoted i =
-    if i >= n then parse_error !line "unterminated quoted field"
-    else
-      match String.unsafe_get s i with
-      | '"' when i + 1 < n && String.unsafe_get s (i + 1) = '"' ->
-        Buffer.add_char buf '"';
-        quoted (i + 2)
-      | '"' -> unquoted (i + 1)
-      | c ->
-        if c = '\n' then incr line;
-        Buffer.add_char buf c;
-        quoted (i + 1)
-  in
-  plain 0 0
+  go i []
 
 (* Split the whole input into records of fields. *)
 let parse_string s =
-  let records = ref [] and fields = ref [] in
-  scan s
-    ~field:(fun _ src off len -> fields := String.sub src off len :: !fields)
-    ~record:(fun ~line:_ _ ->
-      records := List.rev !fields :: !records;
-      fields := []);
-  List.rev !records
+  let c = cursor s in
+  let rec go i records =
+    match record c i with
+    | None -> List.rev records
+    | Some (r, i) -> go i (r :: records)
+  in
+  go 0 []
+
+(* The records from [i] on, field [j] of one that starts on line
+   [first_line] next: each field goes straight to its column. A ragged
+   record is reported once it is read whole. *)
+let rec data c cols i j first_line =
+  let e = field c i in
+  if not (at_end c i e ~first:(j = 0)) then begin
+    if j < Array.length cols then
+      if c.quoted then Column.Builder.push cols.(j) c.key c.text 0 (String.length c.text)
+      else Column.Builder.push cols.(j) c.key c.s i (e - i);
+    if ends c e then begin
+      if j + 1 <> Array.length cols then
+        parse_error first_line
+          (Printf.sprintf "expected %d fields, got %d" (Array.length cols) (j + 1));
+      c.line <- c.line + 1;
+      data c cols (next c e) 0 c.line
+    end
+    else data c cols (next c e) (j + 1) first_line
+  end
 
 (* Upper bound on the number of records: one per newline, plus an
-   unterminated last line. Exact unless a quoted field holds a newline. *)
+   unterminated last line. Exact unless a quoted field holds a newline.
+   Eight bytes at a time: a byte of [x] is zero iff the high bit of its
+   [(x land 0x7f..) + 0x7f.. lor x] is clear, with no carry between
+   bytes, and a multiply sums the eight 0/1 bytes into the top one. *)
 let max_records s =
   let n = String.length s in
   let k = ref 0 in
-  for i = 0 to n - 1 do
+  for w = 0 to (n / 8) - 1 do
+    let x = Int64.logxor (String.get_int64_le s (8 * w)) 0x0a0a0a0a0a0a0a0aL in
+    let low = 0x7f7f7f7f7f7f7f7fL in
+    let nonzero = Int64.logor (Int64.add (Int64.logand x low) low) x in
+    let zeros =
+      Int64.to_int
+        (Int64.shift_right_logical (Int64.logand (Int64.lognot nonzero) 0x8080808080808080L) 7)
+    in
+    k := !k + ((zeros * 0x0101010101010101) lsr 56)
+  done;
+  for i = n land lnot 7 to n - 1 do
     if String.unsafe_get s i = '\n' then incr k
   done;
   if n > 0 && s.[n - 1] <> '\n' then !k + 1 else !k
@@ -118,42 +200,35 @@ let sniffed_col name col =
     Schema.numeric name
   else Schema.categorical name
 
-(* One pass: every field goes straight to its column's interner as a
-   slice of the input. The first record is held back until its field
-   count fixes the arity. *)
+(* The first record fixes the arity (and is the header, or data); the
+   rest is one pass of [data]. *)
 let of_string ?(header = true) s =
-  let capacity = max_records s - if header then 1 else 0 in
-  let names = ref [||] and cols = ref [||] in
-  let first = ref [] and records = ref 0 in
-  let field j src off len =
-    if !records = 0 then first := String.sub src off len :: !first
-    else if j < Array.length !cols then Column.Builder.push !cols.(j) src off len
-  in
-  let record ~line n =
-    if !records = 0 then begin
-      let raw = Array.of_list (List.rev !first) in
-      cols := Array.init n (fun _ -> Column.Builder.create capacity);
-      if header then names := raw
+  let c = cursor s in
+  match record c 0 with
+  | None -> invalid_arg "Csv.of_string: empty input"
+  | Some (first, i) ->
+    let first = Array.of_list first in
+    let ncols = Array.length first in
+    let capacity = max_records s - if header then 1 else 0 in
+    let cols = Array.init ncols (fun _ -> Column.Builder.create capacity) in
+    let names =
+      if header then first
       else begin
-        names := Array.init n (Printf.sprintf "col%d");
-        Array.iteri (fun j r -> Column.Builder.push !cols.(j) r 0 (String.length r)) raw
+        Array.iteri
+          (fun j r ->
+            let len = String.length r in
+            Column.Builder.push cols.(j) (key_of r 0 len) r 0 len)
+          first;
+        Array.init ncols (Printf.sprintf "col%d")
       end
-    end
-    else if n <> Array.length !cols then
-      parse_error line
-        (Printf.sprintf "expected %d fields, got %d" (Array.length !cols) n);
-    incr records
-  in
-  scan s ~field ~record;
-  if !records = 0 then invalid_arg "Csv.of_string: empty input";
-  let count f = Array.fold_left (fun acc b -> acc + f b) 0 !cols in
-  Obs.Metric.count ~by:(count Column.Builder.length) "csv.cells";
-  Obs.Metric.count ~by:(count Column.Builder.distinct) "csv.interned";
-  let columns = Array.map Column.Builder.finish !cols in
-  let schema =
-    Schema.make (Array.to_list (Array.map2 sniffed_col !names columns))
-  in
-  Frame.of_columns schema (Array.to_list columns)
+    in
+    data c cols i 0 c.line;
+    let count f = Array.fold_left (fun acc b -> acc + f b) 0 cols in
+    Obs.Metric.count ~by:(count Column.Builder.length) "csv.cells";
+    Obs.Metric.count ~by:(count Column.Builder.distinct) "csv.interned";
+    let columns = Array.map Column.Builder.finish cols in
+    let schema = Schema.make (Array.to_list (Array.map2 sniffed_col names columns)) in
+    Frame.of_columns schema (Array.to_list columns)
 
 let load ?header path =
   let ic = open_in_bin path in

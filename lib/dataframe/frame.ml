@@ -423,13 +423,6 @@ let iter_rows t f =
     f i
   done
 
-let fold_rows t init f =
-  let acc = ref init in
-  for i = 0 to t.nrows - 1 do
-    acc := f !acc i
-  done;
-  !acc
-
 let categorical_indices t =
   let acc = ref [] in
   for i = Schema.arity t.schema - 1 downto 0 do

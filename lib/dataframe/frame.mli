@@ -156,7 +156,6 @@ val update_cells : t -> (int * int * Value.t) list -> t
 
 val head : t -> int -> t
 val iter_rows : t -> (int -> unit) -> unit
-val fold_rows : t -> 'a -> ('a -> int -> 'a) -> 'a
 
 (** Indices of categorical columns, ascending. *)
 val categorical_indices : t -> int list

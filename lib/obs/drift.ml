@@ -102,13 +102,6 @@ let stale t =
     (fun r -> if r.status = Stale then Some r.key else None)
     (readings t)
 
-(* Accept the current value as the new normal (after re-synthesis). *)
-let rebase t key =
-  locked t @@ fun () ->
-  match Hashtbl.find_opt t.cells key with
-  | None -> ()
-  | Some c -> c.base <- c.cur
-
 let length t = locked t @@ fun () -> Hashtbl.length t.cells
 
 let pp_status ppf = function

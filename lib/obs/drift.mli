@@ -43,10 +43,6 @@ val readings : t -> reading list
 (** Keys currently flagged [Stale], in first-touch order. *)
 val stale : t -> string list
 
-(** Accept the key's current value as the new baseline (e.g. after
-    re-synthesis). Unknown keys are ignored. *)
-val rebase : t -> string -> unit
-
 val length : t -> int
 val pp_status : Format.formatter -> status -> unit
 val pp : Format.formatter -> t -> unit

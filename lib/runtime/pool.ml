@@ -15,7 +15,6 @@ exception Stopped
 type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;      (* queue gained a job, or stopping *)
-  idle : Condition.t;          (* queue empty and no job running *)
   jobs : (unit -> unit) Queue.t;
   mutable stopping : bool;
   mutable active : int;        (* jobs currently executing *)
@@ -42,7 +41,6 @@ let worker t () =
       (try job () with _ -> ());
       Mutex.lock t.mutex;
       t.active <- t.active - 1;
-      if Queue.is_empty t.jobs && t.active = 0 then Condition.broadcast t.idle;
       Mutex.unlock t.mutex;
       loop ()
     end
@@ -55,7 +53,6 @@ let create ?(size = 4) () =
     {
       mutex = Mutex.create ();
       nonempty = Condition.create ();
-      idle = Condition.create ();
       jobs = Queue.create ();
       stopping = false;
       active = 0;
@@ -151,14 +148,6 @@ let pending t =
   let n = Queue.length t.jobs + t.active in
   Mutex.unlock t.mutex;
   n
-
-(* Block until every queued job has finished. *)
-let wait_idle t =
-  Mutex.lock t.mutex;
-  while not (Queue.is_empty t.jobs && t.active = 0) do
-    Condition.wait t.idle t.mutex
-  done;
-  Mutex.unlock t.mutex
 
 let shutdown t =
   Mutex.lock t.mutex;

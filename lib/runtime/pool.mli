@@ -46,9 +46,6 @@ val parmap : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     pool's live queue depth, e.g. for a backlog gauge. *)
 val pending : t -> int
 
-(** Block until the queue is empty and no job is running. *)
-val wait_idle : t -> unit
-
 (** Refuse new jobs, drain everything already queued, join the workers.
     Idempotent: a second (even concurrent) call is a documented no-op —
     the worker array is detached under the pool lock, so each domain is

@@ -9,19 +9,6 @@ let width = 62
 
 let words n = (n + width - 1) / width
 
-let init n f =
-  let ws = Array.make (words n) 0 in
-  for w = 0 to Array.length ws - 1 do
-    let base = w * width in
-    let word = ref 0 in
-    for b = 0 to (if n - base < width then n - base else width) - 1 do
-      (* no branch on the sample: agreement bits are data-dependent *)
-      word := !word lor (Bool.to_int (f (base + b)) lsl b)
-    done;
-    ws.(w) <- !word
-  done;
-  ws
-
 let unpack n ws = Array.init n (fun i -> (ws.(i / width) lsr (i mod width)) land 1)
 
 (* Valid-sample mask of word [w] of an [n]-sample column: all 62 bits

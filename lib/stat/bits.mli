@@ -3,9 +3,11 @@
     Sample [i] of an [n]-sample column is bit [i mod 62] of word
     [i / 62]; bits past [n] are zero, and words are never negative. *)
 
-(** [init n f]: the [n]-sample column whose sample [i] is 1 iff [f i];
-    calls [f 0], [f 1], ..., [f (n - 1)] in that order. *)
-val init : int -> (int -> bool) -> int array
+(** Samples per word: 62. *)
+val width : int
+
+(** [words n]: the number of words an [n]-sample column takes. *)
+val words : int -> int
 
 (** [unpack n ws] is the [n]-sample column as one 0/1 int per sample. *)
 val unpack : int -> int array -> int array

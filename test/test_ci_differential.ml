@@ -7,8 +7,9 @@
      the whole result, floats compared by bits, and the same
      [ci.tests] / [ci.conservative] deltas.
    - Sampler: [Guardrail.Auxdist.circular_shift] must unpack to the
-     int-per-sample [Oracle.Auxdist] sampler, and [Auxdist.ci_oracle]
-     must answer as [Stat.Ci.test] on the unpacked columns.
+     int-per-sample [Oracle.Auxdist] sampler, with the same words at
+     pool sizes 0, 2 and 4, and [Auxdist.ci_oracle] must answer as
+     [Stat.Ci.test] on the unpacked columns.
 
    Generated cases hold n on and around word edges (1, 61, 62, 63,
    124, 125) or random up to 2,000; 2-6 columns, some constant, some
@@ -16,7 +17,9 @@
    0-3 columns in any order (repeats allowed); max_strata 1-8; both
    statistics; random alpha and effect floors. The 12 benchmark
    datasets are pinned at 300 rows and checked at synthesis' own
-   sampler and CI settings ([Guardrail.Config]). *)
+   sampler and CI settings ([Guardrail.Config]); the sampler's edges
+   (n = 2, n below a word, runs cut mid-shift and mid-word, shifts past
+   n - 1) on small frames. *)
 
 module Frame = Dataframe.Frame
 module Bits = Stat.Bits
@@ -37,7 +40,15 @@ let counted f =
   let r = f () in
   (r, (counter "ci.tests" - t0, counter "ci.conservative" - c0))
 
-let pack col = Bits.init (Array.length col) (fun i -> col.(i) = 1)
+(* 0/1 samples packed 62 to a word, bit [i mod 62] of word [i / 62] *)
+let pack col =
+  let ws = Array.make (Bits.words (Array.length col)) 0 in
+  Array.iteri
+    (fun i b ->
+      let w = i / Bits.width in
+      ws.(w) <- ws.(w) lor (b lsl (i mod Bits.width)))
+    col;
+  ws
 
 let same_result (a : Ci.result) (b : Ci.result) =
   Int64.bits_of_float a.stat = Int64.bits_of_float b.stat
@@ -181,6 +192,52 @@ let test_sampler_datasets () =
       check_sampler ~max_shifts:7 ~max_samples:((2 * n) + 137) frame cols)
     Datagen.Spec.all
 
+(* Frames of [n] rows whose columns agree across a shift at rates from
+   never to always: a constant, a 2-code, a 3-code and an all-distinct
+   column. *)
+let edge_frame rng n =
+  let column k =
+    let card = [| 1; 2; 3; n |].(k) in
+    Dataframe.Column.of_values
+      (Array.init n (fun i ->
+           Dataframe.Value.Int (if card = n then i else Rng.int rng card)))
+  in
+  Frame.of_columns
+    (Dataframe.Schema.make
+       (List.init 4 (fun k -> Dataframe.Schema.categorical (Printf.sprintf "c%d" k))))
+    (List.init 4 column)
+
+(* The packed words, byte for byte, and the unpacked oracle, at every
+   pool size: no pool, 2 and 4 workers. The cases hold n = 2; n below
+   one word; shifts * n off a word edge; [max_samples] stopping mid-shift
+   and mid-word; and [max_shifts] past n - 1, which caps at n - 1. *)
+let test_sampler_edges () =
+  let pools = [ Runtime.Pool.create ~size:2 (); Runtime.Pool.create ~size:4 () ] in
+  Fun.protect ~finally:(fun () -> List.iter Runtime.Pool.shutdown pools) @@ fun () ->
+  let rng = Rng.create 26 in
+  List.iter
+    (fun (n, max_shifts, max_samples) ->
+      let frame = edge_frame rng n and cols = [ 0; 1; 2; 3 ] in
+      let name = Printf.sprintf "n %d, shifts %d, samples %d" n max_shifts max_samples in
+      let sample pool = Auxdist.circular_shift ?pool ~max_shifts ~max_samples frame cols in
+      let serial = sample None in
+      let expected = Oracle.Auxdist.circular_shift ~max_shifts ~max_samples frame cols in
+      Alcotest.(check int) (name ^ ": n_samples") (Array.length expected.(0))
+        serial.Auxdist.n_samples;
+      Alcotest.(check (array (array int))) (name ^ ": = oracle") expected
+        (Auxdist.columns serial);
+      List.iter
+        (fun pool ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: words at pool size %d" name (Runtime.Pool.size pool))
+            (Marshal.to_string serial.Auxdist.data [])
+            (Marshal.to_string (sample (Some pool)).Auxdist.data []))
+        pools)
+    [ (2, 1, 1_000); (2, 11, 1_000); (3, 11, 1_000); (5, 11, 1_000); (31, 11, 1_000);
+      (61, 11, 1_000); (61, 3, 1_000); (62, 3, 1_000); (63, 11, 1_000); (125, 2, 1_000);
+      (100, 7, 237); (100, 7, 62); (100, 7, 61); (200, 11, 1_000); (7, 20, 1_000);
+      (2_000, 11, 120_000); (2_000, 11, 4_321) ]
+
 let test_oracle_datasets () =
   List.iter
     (fun (spec : Datagen.Spec.t) ->
@@ -227,4 +284,5 @@ let () =
               test_generator_reaches_verdicts ] );
       ( "datasets",
         [ Alcotest.test_case "sampler = oracle sampler" `Quick test_sampler_datasets;
+          Alcotest.test_case "sampler edges, pool sizes 0/2/4" `Quick test_sampler_edges;
           Alcotest.test_case "ci_oracle = Ci.test" `Quick test_oracle_datasets ] ) ]

@@ -175,6 +175,10 @@ let test_numeric_sniffed () =
     (Schema.equal_kind Schema.Numeric (Schema.kind (Frame.schema f) 0));
   Alcotest.(check bool) "same as oracle" true (same_frame f (Oracle.Csv.of_string text))
 
+let counter name =
+  Option.value ~default:0
+    (List.assoc_opt name (Obs.Metric.snapshot Obs.Metric.default).Obs.Metric.counters)
+
 (* Corners of the raw-field interner, each against the oracle: a field
    read as a slice of the input and the same text read from a quoted
    section share one code; the empty field and NA share the null code;
@@ -209,10 +213,6 @@ let test_interner_cases () =
              Printf.sprintf "key%d,%d\n" (i * 7919 mod distinct) (i mod 3)))
   in
   same_as_oracle "wide" wide;
-  let counter name =
-    Option.value ~default:0
-      (List.assoc_opt name (Obs.Metric.snapshot Obs.Metric.default).Obs.Metric.counters)
-  in
   let cells = counter "csv.cells" and interned = counter "csv.interned" in
   let f = Csv.of_string wide in
   Alcotest.(check int) "wide: cells counted" (2 * 2 * distinct) (counter "csv.cells" - cells);
@@ -224,6 +224,62 @@ let test_interner_cases () =
     (Array.for_all2 ( = )
        (Array.sub (Column.codes (Frame.column f 0)) 0 distinct)
        (Array.sub (Column.codes (Frame.column f 0)) distinct distinct))
+
+(* The reader's packed keys: a field of up to 7 bytes is its own key,
+   a longer one a digest confirmed against the stored bytes. Each case
+   is checked against the oracle, with its codes and its [csv.cells] and
+   [csv.interned] deltas pinned: fields of 6, 7 and 8 bytes; long fields
+   sharing their first 7 bytes (and a field sharing them with a 7-byte
+   one); long fields whose digests collide; [""] against ["\000"] and
+   ["a"] against ["a\000"]; NUL and high bytes, up to seven [\xff] (the
+   largest short key) and eight; quoted fields against the same text
+   unquoted; and 3,000 distinct short fields with 1,000 long ones
+   sharing a 7-byte prefix, which grow the table from 64 slots to
+   8,192. *)
+let test_packed_key_cases () =
+  let check name text ~cells ~interned expected =
+    let c0 = counter "csv.cells" and i0 = counter "csv.interned" in
+    let f = Csv.of_string text in
+    Alcotest.(check int) (name ^ ": csv.cells") cells (counter "csv.cells" - c0);
+    Alcotest.(check int) (name ^ ": csv.interned") interned (counter "csv.interned" - i0);
+    Alcotest.(check bool) (name ^ ": same as oracle") true
+      (same_frame f (Oracle.Csv.of_string text));
+    Option.iter
+      (fun codes ->
+        Alcotest.(check (array int)) (name ^ ": codes") codes
+          (Column.codes (Frame.column f 0)))
+      expected
+  in
+  let column fields = "k\n" ^ String.concat "\n" fields ^ "\n" in
+  check "6/7/8 bytes"
+    (column
+       [ "abcdef"; "abcdefg"; "abcdefgh"; "abcdefgi"; "abcdefgh"; "abcdefghij";
+         "abcdefg"; "abcdef"; "abcdefgij"; "abcdefghij" ])
+    ~cells:10 ~interned:6 (Some [| 0; 1; 2; 3; 2; 4; 1; 0; 5; 4 |]);
+  (* an eighth byte enters a digest XORed onto the first, so two long
+     fields with the same first-XOR-eighth byte and the same other bytes
+     share a digest: only the byte compare tells them apart *)
+  check "digest collisions"
+    (column [ "abcdefgh"; "bbcdefgk"; "abcdefghij"; "bbcdefgkij"; "bbcdefgk"; "abcdefgh" ])
+    ~cells:6 ~interned:4 (Some [| 0; 1; 2; 3; 1; 0 |]);
+  check "NUL and high bytes"
+    (column
+       [ "\"\""; "\000"; "\000\000"; "a"; "a\000"; "\000"; "a"; "\xff";
+         String.make 7 '\xff'; String.make 8 '\xff'; String.make 7 '\xff';
+         "\xfe\xff"; "\xff"; String.make 8 '\xff'; "\"\"" ])
+    ~cells:15 ~interned:9 (Some [| 0; 1; 2; 3; 4; 1; 3; 5; 6; 7; 6; 8; 5; 7; 0 |]);
+  check "quoted = unquoted"
+    (column
+       [ "abc"; "\"abc\""; "abcdefghijk"; "\"abcdefghijk\""; "\"abc\"\"d\"";
+         "\"abcdefg\""; "abcdefg"; "\"a,b\""; "\"\"\"\""; "x\"" ])
+    ~cells:10 ~interned:7 (Some [| 0; 0; 1; 1; 2; 3; 3; 4; 5; 6 |]);
+  let short = 3_000 and long = 1_000 in
+  let fields =
+    List.init (2 * (short + long)) (fun i ->
+        let k = i * 7919 mod (short + long) in
+        if k < short then string_of_int k else Printf.sprintf "prefix_%d" k)
+  in
+  check "growth" (column fields) ~cells:(2 * (short + long)) ~interned:(short + long) None
 
 (* ---------------------------------------------------------------- *)
 (* The benchmark inputs *)
@@ -254,5 +310,6 @@ let () =
     [ ( "differential",
         Alcotest.test_case "numeric sniffed" `Quick test_numeric_sniffed
         :: Alcotest.test_case "interner cases" `Quick test_interner_cases
+        :: Alcotest.test_case "packed-key cases" `Quick test_packed_key_cases
         :: List.map QCheck_alcotest.to_alcotest [ qcheck_tables; qcheck_mutated; qcheck_soup ] );
       ("datasets", [ Alcotest.test_case "benchmark inputs = oracle" `Quick test_datasets ]) ]
