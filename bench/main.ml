@@ -1029,8 +1029,8 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
   header "Validator: predicate-bytecode VM";
   (* postal-style determinacy chain with controllable cardinality: zip
      decides city, city decides state, (zip, city) decides country. The
-     pair cardinality product exceeds the mixed-radix cap, so the third
-     statement exercises the hashed decision-table path. *)
+     pair cardinality product exceeds the memo cap, so the third
+     statement exercises the ad hoc grouped decision-table path. *)
   let n_zip = 500 and n_city = 140 and n_state = 25 in
   let zip_name z = Printf.sprintf "%05d" (10_000 + z) in
   let city_name c = Printf.sprintf "city%d" c in
@@ -1106,9 +1106,6 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
       let reps = if n >= 1_000_000 then 1 else if n >= 100_000 then 3 else 5 in
       let frame = make_frame n in
       let compiled = Validator.compile prog in
-      (* the hot path validates on the frame's own group cache, as the
-         daemon does on a registered table *)
-      let groups = Dataframe.Group.Cache.of_frame frame in
       (* the counted pass: a first detect lowers the bytecode, the
          Rectify repair reuses it *)
       let (n_viol, n_repaired), counts =
@@ -1116,8 +1113,7 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
           (fun () ->
             let flags = Validator.detect compiled frame in
             let _, vs =
-              Validator.handle ~strategy:Validator.Rectify ~groups compiled
-                frame
+              Validator.handle ~strategy:Validator.Rectify compiled frame
             in
             ( Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags,
               List.length
@@ -1132,10 +1128,10 @@ let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
             (* a fresh compilation lowers the bytecode from scratch *)
             Validator.detect (Validator.compile prog) frame)
       in
-      let hot_s = time reps (fun () -> Validator.detect ~groups compiled frame) in
+      let hot_s = time reps (fun () -> Validator.detect compiled frame) in
       let handle_s =
         time reps (fun () ->
-            Validator.handle ~strategy:Validator.Rectify ~groups compiled frame)
+            Validator.handle ~strategy:Validator.Rectify compiled frame)
       in
       Printf.printf "  %-9d %9d %9d %11.2f %11.2f %11.2f\n%!" n n_viol
         n_repaired (cold_s *. 1e3) (hot_s *. 1e3) (handle_s *. 1e3);
@@ -1165,9 +1161,8 @@ let numeric_bench () =
   header "Numeric domains: range validation + BETWEEN synthesis";
   let bins = Guardrail.Config.bins in
   let n_validate = 50_000 and n_synth = 1_500 in
-  (* many categories on the validation half: the VM dispatches on the
-     key codes, and past max_range_rules it exercises the probe-table
-     path *)
+  (* many categories on the validation half: each key's rule is
+     resolved once into the statement table's memo *)
   let n_validate_categories = 24 and n_synth_categories = 4 in
   let frame, truth =
     Datagen.Numeric.mixed ~n_rows:n_validate ~n_categories:n_validate_categories
@@ -1190,12 +1185,11 @@ let numeric_bench () =
       [ Guardrail.Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ]
   in
   let compiled = Validator.compile prog in
-  let groups = Dataframe.Group.Cache.of_frame frame in
   let n_viol =
     Array.fold_left
       (fun acc f -> if f then acc + 1 else acc)
       0
-      (Validator.detect ~groups compiled frame)
+      (Validator.detect compiled frame)
   in
   if n_viol <> Datagen.Numeric.violation_count truth then begin
     Printf.eprintf "range detection missed planted violations (%d vs %d)\n"
@@ -1204,7 +1198,7 @@ let numeric_bench () =
   end;
   let vm_s =
     (Perf.Measure.run ~warmup:1 ~reps:5 (fun () ->
-         Validator.detect ~groups compiled frame))
+         Validator.detect compiled frame))
       .Perf.Measure.min_s
   in
   Printf.printf "  %-9s %9s %11s\n" "rows" "viol" "vm(ms)";

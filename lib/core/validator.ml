@@ -9,17 +9,15 @@
    The rectify strategy is the one that repairs ML-integrated queries in
    the evaluation (RQ2).
 
-   Compilation now goes through lib/vm: each statement becomes a
+   Compilation goes through lib/vm: each statement becomes a
    [Vm.Ruleset] (a decision table at value level), and frame-granular
-   entry points lower those rulesets to predicate bytecode executed over
-   the frame's dictionary-code arrays — per-row violation bitmaps
-   instead of a hashtable probe per row per statement. Lowered programs
-   are cached by dictionary set in a [Vm.Cache] carried by the
-   compilation, so a daemon table, its appends and a query's row subsets
-   all run one lowering. Group indexes are not cached here: a caller
-   that owns a snapshot's [Group.Cache] (the daemon's ingest state)
-   passes it as [?groups]; without one, decision-table statements group
-   ad hoc.
+   entry points lower those rulesets to one TABLE op per statement,
+   executed over the frame's dictionary-code arrays into per-row
+   violation bitmaps. Lowered programs are cached by dictionary set in a
+   [Vm.Cache] carried by the compilation, so a daemon table, its appends
+   and a query's row subsets all run one lowering — and share its
+   key->rule memos, so a warm check does no grouping and no probe.
+   [violations] reads each violating row's rule back from the same memo.
 
    The scalar path ({!check_values}) is a 1-row call into the VM's
    value-level probe: one key-array allocation per statement, no per-row
@@ -129,49 +127,39 @@ let check_values (c : compiled) values =
    dictionaries. *)
 let bytecode (c : compiled) frame = Vm.Cache.get c.cache frame
 
-let verdicts ?groups (c : compiled) frame =
-  Vm.Exec.run ?groups (bytecode c frame) frame
-
 (* Per-row violation bitmap — the batch detector output. *)
-let detect_bitmap ?groups (c : compiled) frame =
-  (verdicts ?groups c frame).Vm.Exec.any
+let detect_bitmap (c : compiled) frame =
+  (Vm.Exec.run (bytecode c frame) frame).Vm.Exec.any
 
-(* Recover the violation list from the bitmaps: rows ascending, and
-   within a row statements in program order — exactly the order the
-   row-at-a-time path produced. The matched rule is recovered by one
-   value-level probe per (violating row, statement). *)
-let violations_of_verdicts (c : compiled) frame (v : Vm.Exec.verdicts) =
+(* All violations over a frame: rows ascending, and within a row
+   statements in program order — exactly the order the row-at-a-time
+   path produced. The matched rule of each (violating row, statement)
+   is read back from the statement table's memo, which the run has
+   just filled for that row's key. *)
+let violations (c : compiled) frame =
+  let p = bytecode c frame in
+  let v = Vm.Exec.run p frame in
   let acc = ref [] in
   Vm.Bitmap.iteri_set v.Vm.Exec.any (fun row ->
       for s = 0 to Array.length c.stmts - 1 do
-        if Vm.Bitmap.get v.Vm.Exec.per_stmt.(s) row then begin
-          let rs = c.rules.(s) in
-          let key =
-            Array.map (fun a -> Frame.get frame row a) (Vm.Ruleset.given rs)
-          in
-          match Vm.Ruleset.find rs key with
+        if Vm.Bitmap.get v.Vm.Exec.per_stmt.(s) row then
+          match Vm.Exec.rule p ~stmt:s frame row with
           | Some r ->
             acc :=
               make_violation c ~row ~stmt:s ~rule:r
                 (Frame.get frame row c.stmts.(s).Dsl.on)
               :: !acc
           | None ->
-            (* the bytecode matched this row through the same decision
-               table; a value-level probe cannot disagree *)
+            (* the run flagged this row through the same entry *)
             assert false
-        end
       done);
   List.rev !acc
 
-(* All violations over a frame. *)
-let violations ?groups (c : compiled) frame =
-  violations_of_verdicts c frame (verdicts ?groups c frame)
-
 (* Per-row violation flags: the detector output scored in Table 3. *)
-let detect ?groups (c : compiled) frame =
-  let v = verdicts ?groups c frame in
-  let flags = Array.make v.Vm.Exec.n false in
-  Vm.Bitmap.iteri_set v.Vm.Exec.any (fun i -> flags.(i) <- true);
+let detect (c : compiled) frame =
+  let any = detect_bitmap c frame in
+  let flags = Array.make (Vm.Bitmap.length any) false in
+  Vm.Bitmap.iteri_set any (fun i -> flags.(i) <- true);
   flags
 
 let describe schema v =
@@ -193,8 +181,8 @@ let repair strategy frame vs =
 
 (* Apply a handling strategy. Returns the (possibly repaired) frame plus
    the violations found. *)
-let handle ?(strategy = Ignore) ?groups (c : compiled) frame =
-  let vs = violations ?groups c frame in
+let handle ?(strategy = Ignore) (c : compiled) frame =
+  let vs = violations c frame in
   match strategy with
   | Ignore -> (frame, vs)
   | Raise ->

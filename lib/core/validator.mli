@@ -7,12 +7,9 @@
     {!detect_bitmap}, {!handle}) run on lib/vm predicate bytecode —
     lowered once per dictionary set (cached, and shared across row
     subsets and appends that keep the same dictionaries) and executed as
-    columnar bitmap ops.
-
-    Their optional [groups] is the frame's own
-    [Dataframe.Group.Cache] (same [Frame.Snapshot.key]; anything else
-    raises [Invalid_argument]): decision-table statements then reuse
-    and warm its groupings. Without it they group ad hoc. *)
+    one fused pass per statement whose key->rule memo lives on the
+    lowered program. They are safe to call from several domains at
+    once. *)
 
 type violation = {
   row : int;
@@ -44,20 +41,14 @@ val check_values : compiled -> Dataframe.Value.t array -> violation list
 
 (** All violations over a frame: rows ascending, statements in program
     order within a row. *)
-val violations :
-  ?groups:Dataframe.Group.Cache.t -> compiled -> Dataframe.Frame.t ->
-  violation list
+val violations : compiled -> Dataframe.Frame.t -> violation list
 
 (** Per-row violation flags — the detector output scored in Table 3. *)
-val detect :
-  ?groups:Dataframe.Group.Cache.t -> compiled -> Dataframe.Frame.t ->
-  bool array
+val detect : compiled -> Dataframe.Frame.t -> bool array
 
 (** Per-row violation bitmap (the batch detector's native output; bit
     [i] set iff row [i] violates some statement). *)
-val detect_bitmap :
-  ?groups:Dataframe.Group.Cache.t -> compiled -> Dataframe.Frame.t ->
-  Vm.Bitmap.t
+val detect_bitmap : compiled -> Dataframe.Frame.t -> Vm.Bitmap.t
 
 val describe : Dataframe.Schema.t -> violation -> string
 
@@ -66,7 +57,6 @@ val describe : Dataframe.Schema.t -> violation -> string
     repair all offending cells in one batch update. *)
 val handle :
   ?strategy:strategy ->
-  ?groups:Dataframe.Group.Cache.t ->
   compiled ->
   Dataframe.Frame.t ->
   Dataframe.Frame.t * violation list

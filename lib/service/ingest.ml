@@ -57,9 +57,8 @@ let ci_key k = "ci:" ^ k
 (* Per-statement violation counts of one frame, in program order. The
    compiled validator reports (row, stmt) pairs; rows only matter as a
    count here, so running it over a delta sub-frame counts exactly the
-   delta's violations. [groups] is [frame]'s own cache, when it has
-   one. *)
-let violation_counts ?groups compiled frame stmts =
+   delta's violations. *)
+let violation_counts compiled frame stmts =
   let counts = Array.make (List.length stmts) 0 in
   List.iter
     (fun (v : Guardrail.Validator.violation) ->
@@ -67,7 +66,7 @@ let violation_counts ?groups compiled frame stmts =
         (fun i (s : Guardrail.Dsl.stmt) ->
           if s = v.stmt then counts.(i) <- counts.(i) + 1)
         stmts)
-    (Guardrail.Validator.violations ?groups compiled frame);
+    (Guardrail.Validator.violations compiled frame);
   counts
 
 let ci_effect (table : Stat.Contingency.table) =
@@ -101,9 +100,7 @@ let compute ?groups ~drift ~baseline compiled frame =
   let groups =
     match groups with Some g -> g | None -> Group.Cache.of_frame frame
   in
-  let counts =
-    violation_counts ~groups compiled frame prog.Guardrail.Dsl.stmts
-  in
+  let counts = violation_counts compiled frame prog.Guardrail.Dsl.stmts in
   let stmts =
     List.mapi
       (fun index (s : Guardrail.Dsl.stmt) ->

@@ -3,7 +3,7 @@
     detectable.
 
     Holds a frame-keyed group cache (advanced over append deltas; the
-    snapshot's only group index, which validation reuses), one
+    snapshot's group index for the statistics and for REFRESH), one
     contingency table of GIVEN-grouping × ON per statement (extended
     over delta rows), cumulative per-statement violation counts, and
     an {!Obs.Drift} monitor with two keys per statement — violation
@@ -36,8 +36,7 @@ val advance : t -> Guardrail.Validator.compiled -> Dataframe.Frame.t -> t
 
 val epoch : t -> int
 
-(** The group cache of the snapshot at {!epoch}: pass it as
-    [?groups] when validating that frame. *)
+(** The group cache of the snapshot at {!epoch}. *)
 val groups : t -> Dataframe.Group.Cache.t
 
 val drift : t -> Obs.Drift.t

@@ -153,12 +153,6 @@ let compiled_for (entry : Registry.entry) (p : Registry.program) frame =
   then p.Registry.compiled
   else Validator.compile (Validator.rebind p.Registry.prog (Frame.schema frame))
 
-(* The registered frame validates on its ingest state's group cache,
-   the snapshot's one group index; request-supplied rows group ad hoc. *)
-let groups_for (entry : Registry.entry) frame =
-  if frame != entry.Registry.frame then None
-  else Option.map Ingest.groups entry.Registry.ingest
-
 let find_table t name =
   match Registry.find t.registry name with
   | Some entry -> entry
@@ -259,8 +253,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
     let entry, p = guarded_entry t table in
     let frame = target_frame entry csv in
     let flags =
-      Validator.detect ?groups:(groups_for entry frame)
-        (compiled_for entry p frame) frame
+      Validator.detect (compiled_for entry p frame) frame
     in
     let violations = Array.fold_left (fun n b -> if b then n + 1 else n) 0 flags in
     Protocol.Detections { flags; violations }
@@ -268,8 +261,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
     let entry, p = guarded_entry t table in
     let frame = target_frame entry csv in
     let repaired, vs =
-      Validator.handle ~strategy ?groups:(groups_for entry frame)
-        (compiled_for entry p frame) frame
+      Validator.handle ~strategy (compiled_for entry p frame) frame
     in
     Protocol.Rectified
       { csv = Dataframe.Csv.to_string repaired; violations = List.length vs }

@@ -5,10 +5,11 @@
    frame it was lowered on, its Frame.take/filter row subsets, and
    appends or updates that introduced no new value. The cache is a
    short most-recently-used list of programs probed with
-   [Program.compatible]. It keeps no frame identity and no row
-   partitions: whoever owns a frame's grouping index passes it to
-   [Exec.run]. Lookup and lowering run under a mutex, so the hit/miss
-   counters stay schedule-independent. *)
+   [Program.compatible]. It keeps no frame identity; a returned program
+   carries its decision tables' key->rule memos, so every frame served
+   by one lowering shares them, warm. Lookup and lowering run under a
+   mutex, so the hit/miss counters stay schedule-independent; memos are
+   filled outside it (see Program). *)
 
 type t = {
   rules : Ruleset.t array;

@@ -6,8 +6,9 @@
     thread-safe; counts [vm.cache.hits] (a lowering reused) and
     [vm.cache.misses] (a fresh lowering) in [Obs.Metric.default].
 
-    The cache holds no per-frame state: group indexes belong to the
-    snapshot's owner, which passes them to {!Exec.run}. *)
+    The cache holds no per-frame state. A reused program brings its
+    key->rule memos along, so a hit also reuses every key resolved so
+    far. *)
 
 type t
 

@@ -9,15 +9,19 @@ type verdicts = {
 }
 
 (** [run program frame] executes the bytecode over [frame]'s code
-    arrays. [groups], when given, must be the frame's own group cache;
-    decision-table partitioning then reuses (and warms) it instead of
-    grouping ad hoc. Wrapped in a [vm.exec] span; bumps
-    [vm.rows.validated]. Raises [Invalid_argument] when the frame no
-    longer carries the dictionaries the program was lowered against, or
-    when [groups]' [Group.Cache.frame_key] is not the frame's
-    [Frame.Snapshot.key]. *)
-val run :
-  ?groups:Dataframe.Group.Cache.t -> Program.t -> Dataframe.Frame.t -> verdicts
+    arrays, filling the decision tables' key->rule memos as keys are
+    first seen. Safe to call on one program from several domains at
+    once. Wrapped in a [vm.exec] span; bumps [vm.rows.validated].
+    Raises [Invalid_argument] when the frame no longer carries the
+    dictionaries the program was lowered against. *)
+val run : Program.t -> Dataframe.Frame.t -> verdicts
+
+(** [rule program ~stmt frame row] is the rule of statement [stmt]
+    that row [row] of [frame] matches, if any: read from the table's
+    memo, which [run] has warmed for every row it checked, or probed at
+    value level for a table past the lowering cap. [frame] must be
+    {!Program.compatible}. *)
+val rule : Program.t -> stmt:int -> Dataframe.Frame.t -> int -> int option
 
 (** Scalar fallback over one materialized row (values indexed by
     absolute column). Returns [(stmt, rule)] violations in statement

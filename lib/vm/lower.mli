@@ -1,12 +1,14 @@
 (** Lowering pass: rulesets -> predicate bytecode against one frame's
     dictionaries. Wrapped in a [vm.compile] span. *)
 
-(** Mixed-radix cap forwarded to decision-table key indexing (same
-    default as [Dataframe.Group.default_cap]). *)
+(** Largest GIVEN key space a decision table memoizes (same default as
+    [Dataframe.Group.default_cap]); larger tables group rows ad hoc. *)
 val default_cap : int
 
-(** [lower frame rules] compiles the rulesets to bytecode whose
-    literals are resolved against [frame]'s dictionaries. The result
+(** [lower frame rules] compiles each ruleset to one TABLE op over
+    [frame]'s dictionary codes, with an empty key->rule memo when the
+    GIVEN cardinality product is at most [cap]. It never reads a rule:
+    the cost is O(statements + key space). The result
     [Program.compatible]-executes on [frame] and on any frame sharing
     those dictionaries (row subsets, code-preserving updates). Raises
     [Invalid_argument] if a ruleset references a column [frame] lacks. *)

@@ -1,34 +1,36 @@
 (* A lowered predicate program.
 
-   Lowering resolves every literal of the source rulesets against the
-   dictionaries of ONE frame, so execution touches only small-integer
-   code arrays. The program therefore records which columns it read and
-   the dictionary each had at lowering time; [compatible] checks (by
-   physical equality — dictionaries are never mutated, only replaced)
-   that a frame still carries those dictionaries. Frames derived by
-   [Frame.take]/[Frame.filter]/code-preserving [Frame.set] share
-   dictionaries with their parent, so one lowering serves a whole family
-   of row subsets. *)
+   A decision-table program is one TABLE op per statement. Each table
+   carries its GIVEN columns, their cardinalities and, when the
+   mixed-radix key space of those cardinalities fits under the lowering
+   cap, a key->rule memo: one int per key, filled the first time a row
+   with that key is checked (Vm.Exec), never at lowering. So lowering
+   costs O(statements + key space) and no work per rule.
+
+   A memo entry is a pure function of the rules and of the dictionaries
+   the key codes and the ON codes index. The program records which
+   columns it read and the dictionary each had at lowering time;
+   [compatible] checks (by physical equality — dictionaries are never
+   mutated, only replaced) that a frame still carries those
+   dictionaries. So the memo is valid for exactly as long as
+   [compatible] holds. Frames derived by [Frame.take]/[Frame.filter]/
+   code-preserving [Frame.set] share dictionaries with their parent, so
+   one lowering, and one warm memo, serves a whole family of row
+   subsets.
+
+   The memo is filled without a lock. Every writer of a slot stores the
+   same int (the entry is a pure function of the key), and an int store
+   is a single word, so a racing reader sees either [unresolved] — and
+   resolves the key again — or the final entry. *)
 
 module Column = Dataframe.Column
 module Frame = Dataframe.Frame
 module Value = Dataframe.Value
 
-(* Rule lookup structure of one lowered decision table: a flat
-   mixed-radix array when the GIVEN-cardinality product is small, a
-   hashtable over code tuples otherwise. Mirrors the two key paths of
-   [Dataframe.Group]. *)
-type key_index =
-  | Radix of int array                       (* radix combination -> rule, -1 none *)
-  | Hashed of (int array, int) Hashtbl.t     (* code tuple -> rule *)
-  | Probe
-      (* range keys: resolve each partition's representative row through
-         [Ruleset.find_by] at value level (once per partition, not per row) *)
-
-(* A column's float image, shared by the comparison ops and range-expect
-   tables: fvals.(code) = Value.to_float dict.(code), NaN when the entry
-   has no float image (Null, String). Code arrays stay the only per-row
-   data the VM touches. *)
+(* A column's float image, read by RANGE ops: fvals.(code) =
+   Value.to_float dict.(code), NaN when the entry has no float image
+   (Null, String). Code arrays stay the only per-row data the VM
+   touches. *)
 type field = {
   fcol : int;
   fvals : float array;
@@ -39,35 +41,21 @@ type table = {
   given : int array;        (* column indices, ascending *)
   cards : int array;        (* their cardinalities at lowering *)
   on : int;
-  key : key_index;
-  expect : int array;       (* per rule, see the expect_* encodings below *)
-  rlo : float array;        (* per rule, accepted ON range; only read *)
-  rhi : float array;        (*   where expect = expect_range *)
-  on_fld : int;             (* fields index of ON, -1 when no range rules *)
+  on_fvals : float array;   (* float image of ON; [||] without range rules *)
+  memo : int array;         (* mixed-radix key -> entry; [||] past the cap *)
 }
 
-(* [expect] encodes the set of accepted ON codes per rule:
-   >= 0   exactly that code is accepted (the overwhelmingly common case);
-   -1     no code of the dictionary is accepted — every matched row violates;
-   -2     accepted iff rlo <= fvals(on_fld)[code] <= rhi (range assignment);
-   <= -3  index [-3 - e] into the [masks] pool: a bitmask of accepted
-          codes (only needed when Value.equal aliases several dictionary
-          entries, e.g. Int 1 and Float 1.0). *)
-let expect_none = -1
-let expect_range = -2
-let expect_single c = c
-let expect_mask i = -3 - i
-let mask_index e = -3 - e
+(* Every memo slot starts here; Vm.Exec encodes the entries it stores
+   (all other values). *)
+let unresolved = -1
 
 type t = {
   source : Ruleset.t array;
   ops : Op.t array;
   n_regs : int;
   stmt_reg : int array;            (* stmt -> register holding its violations *)
-  sets : Bytes.t array;            (* IN-instruction code masks *)
-  masks : Bytes.t array;           (* accepted-code masks for aliased expects *)
-  tables : table array;
-  fields : field array;            (* float images for comparison ops *)
+  tables : table array;            (* stmt -> its decision table *)
+  fields : field array;            (* float images for RANGE ops *)
   cols : int array;                (* columns the program reads *)
   dicts : Value.t array array;     (* their dictionaries at lowering *)
 }

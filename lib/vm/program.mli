@@ -1,11 +1,6 @@
-(** A lowered predicate program: flat bytecode plus the constant pools
-    (in-set masks, decision tables) it indexes, with every literal
-    resolved to dictionary codes of one frame. *)
-
-type key_index =
-  | Radix of int array                    (** radix combination → rule, -1 none *)
-  | Hashed of (int array, int) Hashtbl.t  (** code tuple → rule *)
-  | Probe  (** value-level probe of each partition via [Ruleset.find_by] *)
+(** A lowered predicate program: flat bytecode plus the decision tables
+    and float images it indexes, with every code resolved against the
+    dictionaries of one frame. *)
 
 (** A column's float image: [fvals.(code) = Value.to_float dict.(code)],
     NaN for entries with no float image. *)
@@ -14,35 +9,29 @@ type field = {
   fvals : float array;
 }
 
+(** One statement's decision table. [memo] maps the mixed-radix key of
+    the GIVEN codes (under [cards]) to a memo entry; it is empty when
+    the key space exceeded the lowering cap, and such a table groups
+    its rows ad hoc on every run. [on_fvals] is the ON column's float
+    image when some rule assigns a range, else empty. *)
 type table = {
   source : Ruleset.t;
   given : int array;
   cards : int array;
   on : int;
-  key : key_index;
-  expect : int array;
-  rlo : float array;
-  rhi : float array;
-  on_fld : int;
+  on_fvals : float array;
+  memo : int array;
 }
 
-(** Encodings of a rule's accepted-ON-code set in [table.expect]. *)
-val expect_none : int
-
-val expect_range : int
-val expect_single : int -> int
-val expect_mask : int -> int
-
-(** Mask-pool index of an [expect] value [<= -3]. *)
-val mask_index : int -> int
+(** The value of a memo slot whose key has not been seen yet; every
+    slot starts here. {!Exec} encodes the resolved entries. *)
+val unresolved : int
 
 type t = {
   source : Ruleset.t array;
   ops : Op.t array;
   n_regs : int;
   stmt_reg : int array;
-  sets : Bytes.t array;
-  masks : Bytes.t array;
   tables : table array;
   fields : field array;
   cols : int array;
@@ -57,7 +46,8 @@ val n_tables : t -> int
 (** Does the frame still carry (physically) the dictionaries this
     program was lowered against? Row subsets made with
     [Frame.take]/[Frame.filter] share dictionaries and stay
-    compatible. *)
+    compatible. The tables' memos are valid exactly as long as this
+    holds. *)
 val compatible : t -> Dataframe.Frame.t -> bool
 
 (** Disassembly, for debugging and tests. *)

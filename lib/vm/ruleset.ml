@@ -19,9 +19,9 @@
    intervals, would make "which rule matches" ambiguous and is rejected.
    The assignment check uses [Domain.atom_holds] (numeric-tolerant
    [Value.equal] for [Eq]), again mirroring the row interpreter. The
-   lowering pass (Vm.Lower) turns rulesets into bytecode; [check_row] is
-   the scalar 1-row entry point the batch path shares with per-row
-   callers. *)
+   lowering pass (Vm.Lower) wraps each ruleset in one TABLE op whose
+   memo Vm.Exec fills through [find_by]; [check_row] is the scalar 1-row
+   entry point the batch path shares with per-row callers. *)
 
 module Value = Dataframe.Value
 module Domain = Dataframe.Domain
@@ -46,6 +46,9 @@ type t = {
   rules : rule array;
   positions : position array;
   table : (Value.t array, int) Hashtbl.t;  (* normalized key -> rule index *)
+  bounds : float array;
+      (* rule i's accepted ON range at 2i, 2i+1 (inclusive); [||] when
+         no rule assigns a range *)
 }
 
 let interval_of_test = function
@@ -127,18 +130,29 @@ let make ~given ~on rules =
   Array.iteri
     (fun i r -> Hashtbl.replace table (Array.mapi normalize_test r.key) i)
     rules;
-  { given; on; rules; positions; table }
+  let bounds =
+    if Array.for_all (fun r -> interval_of_test r.assignment = None) rules
+    then [||]
+    else begin
+      let b = Array.make (2 * Array.length rules) Float.nan in
+      Array.iteri
+        (fun i r ->
+          Option.iter
+            (fun (lo, hi) ->
+              b.(2 * i) <- lo;
+              b.((2 * i) + 1) <- hi)
+            (interval_of_test r.assignment))
+        rules;
+      b
+    end
+  in
+  { given; on; rules; positions; table; bounds }
 
 let given t = t.given
 let on t = t.on
 let n_rules t = Array.length t.rules
 let rule t i = t.rules.(i)
-
-let has_range_keys t = Array.exists (fun p -> p <> Pos_eq) t.positions
-
-let has_ranges t =
-  has_range_keys t
-  || Array.exists (fun r -> interval_of_test r.assignment <> None) t.rules
+let bounds t = t.bounds
 
 (* Normalized probe key of a row, given its value at each key position. *)
 let probe_key t value_at =
@@ -156,24 +170,6 @@ let find_by t value_at = Hashtbl.find_opt t.table (probe_key t value_at)
 
 (* Rule matched by a tuple of raw row values for the GIVEN columns. *)
 let find t values = find_by t (fun j -> values.(j))
-
-(* The rule index its own normalized key resolves to: false means a later
-   rule shadows this one (last wins). Lowering drops shadowed rules. *)
-let winning t i =
-  match Hashtbl.find_opt t.table (Array.mapi
-    (fun j test ->
-      match t.positions.(j), test with
-      | Pos_eq, Domain.Eq v -> v
-      | Pos_eq, _ -> assert false
-      | Pos_ranges ivs, tst ->
-        let iv = Option.get (interval_of_test tst) in
-        let idx = ref (-1) in
-        Array.iteri (fun k' iv' -> if iv' = iv then idx := k') ivs;
-        Value.Int !idx)
-    t.rules.(i).key)
-  with
-  | Some r -> r = i
-  | None -> false
 
 (* Scalar probe of one materialized row: the matched-and-violating rule,
    if any. One key-array allocation per call — the whole of the former

@@ -32,12 +32,11 @@ val on : t -> int
 val n_rules : t -> int
 val rule : t -> int -> rule
 
-(** Any key position probed by interval rather than equality? *)
-val has_range_keys : t -> bool
-
-(** [has_range_keys], or any range assignment. Pure-equality rulesets
-    lower exactly as they did before typed domains existed. *)
-val has_ranges : t -> bool
+(** Accepted ON ranges, built once by {!make}: rule [i]'s
+    [Between]/[Le]/[Ge] assignment as the inclusive bounds at [2i] and
+    [2i + 1] (infinite for one-sided atoms). Empty when no rule assigns
+    a range. Do not mutate. *)
+val bounds : t -> float array
 
 (** [find_by t value_at] resolves the rule matched by a row whose value
     at key position [j] is [value_at j]. *)
@@ -46,10 +45,6 @@ val find_by : t -> (int -> Dataframe.Value.t) -> int option
 (** [find t values] is [find_by] over a dense key tuple: [values.(j)]
     is the row's value for the [j]-th GIVEN column. *)
 val find : t -> Dataframe.Value.t array -> int option
-
-(** Does rule [i]'s own key resolve to [i]? False means a later rule
-    shadows it; lowering drops shadowed rules. *)
-val winning : t -> int -> bool
 
 (** [check_row t values] probes one materialized row ([values] indexed
     by absolute column) and returns the violated rule, if any: the row

@@ -3,9 +3,9 @@
    with the row-at-a-time [Oracle.Validator], including the awkward
    corners — empty frames, all-violating rows, Int/Float dictionary aliasing,
    duplicate decision keys, and high-cardinality determinant spaces that
-   push grouping past the mixed-radix cap. Plus unit tests for the
-   bitmap kernel, set_cells, the bytecode cache and its group-cache
-   check. *)
+   push a decision table past the memo cap onto ad hoc grouping. Plus
+   unit tests for the bitmap kernel, set_cells, the bytecode cache, the
+   one-TABLE-per-statement lowering and the lock-free memo on a pool. *)
 
 module Value = Dataframe.Value
 module Schema = Dataframe.Schema
@@ -115,8 +115,29 @@ let frames_eq a b =
       done;
       !ok)
 
+(* Per-statement bitmaps and matched rules of a fresh lowering at [cap]
+   against the scalar probe the oracle is built on. A small cap sends
+   wide GIVEN sets past the memo onto the grouped fallback. *)
+let check_lowering ~cap frame rules =
+  let p = Vm.Lower.lower ~cap frame rules in
+  let v = Vm.Exec.run p frame in
+  Array.iteri
+    (fun stmt rs ->
+      for i = 0 to Frame.nrows frame - 1 do
+        let row = Frame.row frame i in
+        let expected = Vm.Ruleset.check_row rs row in
+        if Vm.Bitmap.get v.Vm.Exec.per_stmt.(stmt) i <> (expected <> None) then
+          Alcotest.failf "cap %d: stmt %d row %d verdict diverges" cap stmt i;
+        let key = Array.map (fun c -> row.(c)) (Vm.Ruleset.given rs) in
+        if Vm.Exec.rule p ~stmt frame i <> Vm.Ruleset.find rs key then
+          Alcotest.failf "cap %d: stmt %d row %d rule diverges" cap stmt i
+      done)
+    rules
+
 let check_differential frame prog =
   let c = Validator.compile prog in
+  let rules = Vm.Program.source (Validator.bytecode c frame) in
+  List.iter (fun cap -> check_lowering ~cap frame rules) [ 2; 6 ];
   let vm = Validator.violations c frame in
   let rows = Oracle.Validator.violations c frame in
   if not (violations_eq vm rows) then
@@ -202,9 +223,9 @@ let test_all_violating () =
     (List.length (Validator.violations c repaired))
 
 let test_high_cardinality_hashed () =
-  (* two determinant columns whose cardinality product exceeds the
-     mixed-radix cap: both the decision-table key index and the group
-     kernel must take their hashed paths *)
+  (* two determinant columns whose cardinality product exceeds the memo
+     cap: the statement's table must carry no memo and take the grouped
+     fallback (hashed group keys, one value-level probe per group) *)
   let schema =
     Schema.make
       [ Schema.categorical "a"; Schema.categorical "b"; Schema.categorical "y" ]
@@ -217,7 +238,6 @@ let test_high_cardinality_hashed () =
         [| s a; s b; s (if Rng.int rng 10 = 0 then "bad" else "ok") |])
   in
   let frame = Frame.of_rows schema rows in
-  (* enough multi-column rules to force the TABLE lowering *)
   let branches =
     List.init 8 (fun j ->
         Dsl.branch
@@ -226,16 +246,22 @@ let test_high_cardinality_hashed () =
               Dsl.eq 1 (s (Printf.sprintf "b%d" j)) ]
           ~assignment:(Dsl.Eq (s "ok")))
   in
-  let prog = Dsl.prog ~schema [ Dsl.stmt ~given:[ 0; 1 ] ~on:2 ~branches ] in
+  let single =
+    Dsl.branch ~condition:[ Dsl.eq 0 (s "a1") ] ~assignment:(Dsl.Eq (s "ok"))
+  in
+  let prog =
+    Dsl.prog ~schema
+      [ Dsl.stmt ~given:[ 0; 1 ] ~on:2 ~branches;
+        Dsl.stmt ~given:[ 0 ] ~on:2 ~branches:[ single ] ]
+  in
   check_differential frame prog;
-  (* sanity: the lowering really produced a hashed decision table *)
   let c = Validator.compile prog in
   let p = Validator.bytecode c frame in
-  Alcotest.(check int) "one table" 1 (Vm.Program.n_tables p);
-  (match p.Vm.Program.tables.(0).Vm.Program.key with
-   | Vm.Program.Hashed _ -> ()
-   | Vm.Program.Radix _ | Vm.Program.Probe ->
-     Alcotest.fail "expected hashed key index")
+  Alcotest.(check int) "one table per statement" 2 (Vm.Program.n_tables p);
+  Alcotest.(check int) "past the cap: no memo" 0
+    (Array.length p.Vm.Program.tables.(0).Vm.Program.memo);
+  Alcotest.(check int) "under the cap: one slot per key" 300
+    (Array.length p.Vm.Program.tables.(1).Vm.Program.memo)
 
 let test_alias_expect () =
   (* Int 1 and Float 1.0 are distinct dictionary codes but equal under
@@ -369,25 +395,130 @@ let test_cache_counters () =
   Alcotest.(check int) "two hits"
     2 (Obs.Metric.counter_value hits - h0)
 
-(* A group cache is only valid for the snapshot it was built from:
-   handing the VM another snapshot's cache must fail loudly rather than
-   partition rows by stale group ids. *)
-let test_foreign_group_cache () =
+(* A program (and its memo) is only valid for the dictionaries it was
+   lowered against: a frame whose dictionary gained a value must be
+   refused rather than checked through stale key codes. *)
+let test_stale_dictionaries () =
   let schema = postal_schema () in
   let frame =
     Frame.of_rows schema [ [| s "94704"; s "Berkeley" |]; [| s "94612"; s "Reno" |] ]
   in
   let p = Validator.bytecode (Validator.compile (postal_prog schema)) frame in
-  let own = Dataframe.Group.Cache.of_frame frame in
-  Alcotest.(check int) "own cache runs" 2 (Vm.Exec.run ~groups:own p frame).Vm.Exec.n;
-  let grown = Frame.extend frame (Frame.of_rows schema [ [| s "94704"; s "Berkeley" |] ]) in
-  Alcotest.check_raises "cache of an earlier epoch"
-    (Invalid_argument "Vm.Exec.run: group cache belongs to another snapshot")
-    (fun () -> ignore (Vm.Exec.run ~groups:own p grown));
-  let copy = Frame.take frame [| 0; 1 |] in
-  Alcotest.check_raises "cache of another lineage"
-    (Invalid_argument "Vm.Exec.run: group cache belongs to another snapshot")
-    (fun () -> ignore (Vm.Exec.run ~groups:own p copy))
+  Alcotest.(check int) "own frame runs" 2 (Vm.Exec.run p frame).Vm.Exec.n;
+  let sub = Frame.take frame [| 1 |] in
+  Alcotest.(check int) "row subset runs" 1 (Vm.Exec.run p sub).Vm.Exec.n;
+  let grown = Frame.set frame 0 0 (s "10001") in
+  Alcotest.check_raises "new dictionary"
+    (Invalid_argument
+       "Vm.Exec.run: frame incompatible with program (stale dictionaries)")
+    (fun () -> ignore (Vm.Exec.run p grown))
+
+(* Lowering emits one TABLE per statement and never reads a rule: a
+   200,000-rule statement allocates what a 1-rule one does. *)
+let test_one_table_per_statement () =
+  let schema =
+    Schema.make
+      [ Schema.categorical "a"; Schema.categorical "b"; Schema.categorical "y" ]
+  in
+  let frame =
+    Frame.of_rows schema
+      (List.init 50 (fun i ->
+           [| s (Printf.sprintf "a%d" (i mod 7)); s (Printf.sprintf "b%d" (i mod 5));
+              s "ok" |]))
+  in
+  let ruleset n =
+    Vm.Ruleset.make ~given:[| 0; 1 |] ~on:2
+      (Array.init n (fun i ->
+           ( [| Dataframe.Domain.Eq (s (Printf.sprintf "a%d" i));
+                Dataframe.Domain.Eq (s (Printf.sprintf "b%d" i)) |],
+             Dataframe.Domain.Eq (s "ok") )))
+  in
+  let rules = Array.init 5 (fun i -> ruleset (i + 1)) in
+  let p = Vm.Lower.lower frame rules in
+  Alcotest.(check int) "n ops" 5 (Vm.Program.n_ops p);
+  Array.iteri
+    (fun i op ->
+      match op with
+      | Vm.Op.Table { table; dst } when table = i && dst = i -> ()
+      | op -> Alcotest.failf "op %d is %a" i Vm.Op.pp op)
+    p.Vm.Program.ops;
+  let allocated rs =
+    let one = [| rs |] in
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Vm.Lower.lower frame one));
+    Gc.allocated_bytes () -. before
+  in
+  let small = ruleset 1 and large = ruleset 200_000 in
+  ignore (allocated small);
+  let a_small = allocated small and a_large = allocated large in
+  if a_large > a_small +. 1024.0 then
+    Alcotest.failf "lowering 200k rules allocated %.0f bytes, 1 rule %.0f"
+      a_large a_small
+
+(* One fresh lowering, cold memos, run from 4 pool workers at once over
+   overlapping row subsets: every bitmap must equal the oracle's, and a
+   second, warm pass must reproduce the first. *)
+let test_cold_memo_on_domains () =
+  let frame, prog =
+    let rng = Rng.create 3 in
+    let schema =
+      Schema.make
+        [ Schema.categorical "a"; Schema.categorical "b";
+          Schema.categorical "y"; Schema.numeric "x" ]
+    in
+    let rows =
+      List.init 3000 (fun _ ->
+          let a = Rng.int rng 40 and b = Rng.int rng 30 in
+          [| s (Printf.sprintf "a%d" a); s (Printf.sprintf "b%d" b);
+             s (if Rng.int rng 8 = 0 then "bad" else Printf.sprintf "y%d" (a mod 5));
+             Value.Float (float_of_int (Rng.int rng 100)) |])
+    in
+    let eq a v = Dsl.eq a (s v) in
+    let by_a =
+      List.init 40 (fun a ->
+          Dsl.branch ~condition:[ eq 0 (Printf.sprintf "a%d" a) ]
+            ~assignment:(Dsl.Eq (s (Printf.sprintf "y%d" (a mod 5)))))
+    in
+    let by_ab =
+      List.init 600 (fun i ->
+          let a = i mod 40 and b = i mod 30 in
+          Dsl.branch
+            ~condition:[ eq 0 (Printf.sprintf "a%d" a); eq 1 (Printf.sprintf "b%d" b) ]
+            ~assignment:(Dsl.Between { lo = 0.0; hi = float_of_int (50 + a) }))
+    in
+    ( Frame.of_rows schema rows,
+      Dsl.prog ~schema
+        [ Dsl.stmt ~given:[ 0 ] ~on:2 ~branches:by_a;
+          Dsl.stmt ~given:[ 0; 1 ] ~on:3 ~branches:by_ab ] )
+  in
+  let c = Validator.compile prog in
+  let rules = Vm.Program.source (Validator.bytecode c frame) in
+  let p = Vm.Lower.lower frame rules in
+  let n = Frame.nrows frame in
+  let subsets =
+    List.init 8 (fun j ->
+        Frame.take frame
+          (Array.of_list
+             (List.filter (fun i -> (i + j) mod 3 <> 0) (List.init n Fun.id))))
+  in
+  let pool = Runtime.Pool.create ~size:4 () in
+  let pass () =
+    Runtime.Pool.map_list pool
+      (fun sub ->
+        let v = Vm.Exec.run p sub in
+        (Vm.Bitmap.to_bool_array v.Vm.Exec.any,
+         Array.map Vm.Bitmap.to_bool_array v.Vm.Exec.per_stmt))
+      subsets
+  in
+  let cold = pass () in
+  let warm = pass () in
+  Runtime.Pool.shutdown pool;
+  List.iter2
+    (fun sub (any, _) ->
+      Alcotest.(check (array bool)) "cold pass equals oracle"
+        (Oracle.Validator.detect c sub) any)
+    subsets cold;
+  Alcotest.(check bool) "warm pass equals cold pass" true (warm = cold)
 
 (* ---------------------------------------------------------------- *)
 (* Bitmap kernel *)
@@ -480,8 +611,12 @@ let () =
       ( "vm",
         [
           Alcotest.test_case "cache counters" `Quick test_cache_counters;
-          Alcotest.test_case "foreign group cache" `Quick
-            test_foreign_group_cache;
+          Alcotest.test_case "stale dictionaries" `Quick
+            test_stale_dictionaries;
+          Alcotest.test_case "one TABLE per statement" `Quick
+            test_one_table_per_statement;
+          Alcotest.test_case "cold memo on 4 domains" `Quick
+            test_cold_memo_on_domains;
         ] );
       ( "dataframe",
         [ QCheck_alcotest.to_alcotest qcheck_set_cells ] );
