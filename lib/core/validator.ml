@@ -15,9 +15,13 @@
    executed over the frame's dictionary-code arrays into per-row
    violation bitmaps. Lowered programs are cached by dictionary set in a
    [Vm.Cache] carried by the compilation, so a daemon table, its appends
-   and a query's row subsets all run one lowering — and share its
+   and a query's row selections all run one lowering — and share its
    key->rule memos, so a warm check does no grouping and no probe.
    [violations] reads each violating row's rule back from the same memo.
+   [violations] and [handle] take an optional selection of rows: they
+   check those rows in place, number violations by position in the
+   selection (as if the rows had been gathered first), and repair the
+   frame at the table rows the positions stand for.
 
    The scalar path ({!check_values}) is a 1-row call into the VM's
    value-level probe: one key-array allocation per statement, no per-row
@@ -131,22 +135,30 @@ let bytecode (c : compiled) frame = Vm.Cache.get c.cache frame
 let detect_bitmap (c : compiled) frame =
   (Vm.Exec.run (bytecode c frame) frame).Vm.Exec.any
 
-(* All violations over a frame: rows ascending, and within a row
-   statements in program order — exactly the order the row-at-a-time
-   path produced. The matched rule of each (violating row, statement)
-   is read back from the statement table's memo, which the run has
-   just filled for that row's key. *)
-let violations (c : compiled) frame =
+(* The table row at a selection position. *)
+let row_at = function None -> Fun.id | Some rows -> Array.get rows
+
+(* All violations over a frame's selection [rows] (every row when
+   absent): positions ascending, and within a row statements in program
+   order — exactly the order the row-at-a-time path produced over the
+   gathered rows. A violation's [row] is its position in the selection,
+   so it is numbered as it would be in [Frame.take frame rows]. The
+   matched rule of each (violating row, statement) is read back from the
+   statement table's memo, which the run has just filled for that row's
+   key. *)
+let violations ?rows (c : compiled) frame =
   let p = bytecode c frame in
-  let v = Vm.Exec.run p frame in
+  let v = Vm.Exec.run ?rows p frame in
+  let row_at = row_at rows in
   let acc = ref [] in
-  Vm.Bitmap.iteri_set v.Vm.Exec.any (fun row ->
+  Vm.Bitmap.iteri_set v.Vm.Exec.any (fun k ->
+      let row = row_at k in
       for s = 0 to Array.length c.stmts - 1 do
-        if Vm.Bitmap.get v.Vm.Exec.per_stmt.(s) row then
+        if Vm.Bitmap.get v.Vm.Exec.per_stmt.(s) k then
           match Vm.Exec.rule p ~stmt:s frame row with
           | Some r ->
             acc :=
-              make_violation c ~row ~stmt:s ~rule:r
+              make_violation c ~row:k ~stmt:s ~rule:r
                 (Frame.get frame row c.stmts.(s).Dsl.on)
               :: !acc
           | None ->
@@ -169,27 +181,25 @@ let describe schema v =
     (Pretty.pp_branch schema v.stmt.Dsl.on)
     v.branch Value.pp v.expected
 
-let repair strategy frame vs =
-  match strategy with
-  | Ignore | Raise -> frame
-  | Coerce ->
-    Frame.set_cells frame
-      (List.map (fun v -> (v.row, v.stmt.Dsl.on, Value.Null)) vs)
-  | Rectify ->
-    Frame.set_cells frame
-      (List.map (fun v -> (v.row, v.stmt.Dsl.on, v.expected)) vs)
-
-(* Apply a handling strategy. Returns the (possibly repaired) frame plus
-   the violations found. *)
-let handle ?(strategy = Ignore) (c : compiled) frame =
-  let vs = violations c frame in
+(* Apply a handling strategy to the selection [rows] (every row when
+   absent). Returns the (possibly repaired) frame — the whole frame,
+   with the selected rows' offending cells replaced — plus the
+   violations found, numbered by position in the selection. *)
+let handle ?rows ?(strategy = Ignore) (c : compiled) frame =
+  let vs = violations ?rows c frame in
   match strategy with
   | Ignore -> (frame, vs)
   | Raise ->
     (match vs with
      | [] -> (frame, [])
      | v :: _ -> raise (Violation_error (describe (Frame.schema frame) v)))
-  | Coerce | Rectify -> (repair strategy frame vs, vs)
+  | Coerce | Rectify ->
+    (* each position's repair goes to the table row it stands for *)
+    let row_at = row_at rows in
+    let cell v = if strategy = Coerce then Value.Null else v.expected in
+    ( Frame.set_cells frame
+        (List.map (fun v -> (row_at v.row, v.stmt.Dsl.on, cell v)) vs),
+      vs )
 
 (* Re-resolve a program's attribute indices by name against another
    schema, so constraints synthesized on a training split can be applied

@@ -40,8 +40,12 @@ val source : compiled -> Dsl.prog
 val check_values : compiled -> Dataframe.Value.t array -> violation list
 
 (** All violations over a frame: rows ascending, statements in program
-    order within a row. *)
-val violations : compiled -> Dataframe.Frame.t -> violation list
+    order within a row. With [rows] (ascending row indices), only those
+    rows are checked, in place, and each violation's [row] is its
+    position in [rows] — the numbering [Frame.take frame rows] would
+    give it. *)
+val violations :
+  ?rows:int array -> compiled -> Dataframe.Frame.t -> violation list
 
 (** Per-row violation flags — the detector output scored in Table 3. *)
 val detect : compiled -> Dataframe.Frame.t -> bool array
@@ -52,10 +56,14 @@ val detect_bitmap : compiled -> Dataframe.Frame.t -> Vm.Bitmap.t
 
 val describe : Dataframe.Schema.t -> violation -> string
 
-(** Apply a strategy (default [Ignore]); [Raise] raises
-    {!Violation_error} on the first violation. [Coerce]/[Rectify]
-    repair all offending cells in one batch update. *)
+(** Apply a strategy (default [Ignore]) to the rows [rows] (ascending;
+    every row when absent), numbering violations as {!violations} does;
+    [Raise] raises {!Violation_error} on the first violation.
+    [Coerce]/[Rectify] repair all offending cells of the selected rows
+    in one batch update of the whole frame, which shares every untouched
+    column with the input. *)
 val handle :
+  ?rows:int array ->
   ?strategy:strategy ->
   compiled ->
   Dataframe.Frame.t ->

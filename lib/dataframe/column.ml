@@ -21,6 +21,23 @@ let dict t = t.dict
 
 let code_of_value t v = Hashtbl.find_opt t.index v
 
+(* Typed int loops: [Array.map] and [Array.copy] store each word of a
+   result too large for the minor heap through the write barrier, which
+   costs several times the copy itself. *)
+let gather (codes : int array) rows =
+  let out = Array.make (Array.length rows) 0 in
+  for k = 0 to Array.length rows - 1 do
+    Array.unsafe_set out k codes.(Array.unsafe_get rows k)
+  done;
+  out
+
+let copy_codes (codes : int array) =
+  let out = Array.make (Array.length codes) 0 in
+  for i = 0 to Array.length codes - 1 do
+    Array.unsafe_set out i (Array.unsafe_get codes i)
+  done;
+  out
+
 (* Value -> code interning, codes in first-occurrence order. *)
 type interner = {
   values : (Value.t, int) Hashtbl.t;
@@ -170,26 +187,46 @@ let set t i v =
     { codes; dict; index }
 
 (* Batch update: one code-array copy for the whole change list, the
-   index copied only if some value is genuinely new. *)
+   index copied only if some value is genuinely new. A repair batch
+   writes few distinct values, most of them shared (a rule's literal is
+   one value however many cells it repairs), so the values resolved so
+   far are remembered by physical identity — up to [recent] of them —
+   and a shared value is hashed once, not once per cell. *)
+let recent = 16
+
 let update t changes =
   match changes with
   | [] -> t
   | changes ->
-    let codes = Array.copy t.codes in
+    let codes = copy_codes t.codes in
     let index = ref t.index in
     let fresh = ref [] in
     let next = ref (Array.length t.dict) in
+    let resolved = ref [] and n_resolved = ref 0 in
+    let resolve v =
+      match Hashtbl.find_opt !index v with
+      | Some c -> c
+      | None ->
+        if !index == t.index then index := Hashtbl.copy t.index;
+        let c = !next in
+        Hashtbl.add !index v c;
+        fresh := v :: !fresh;
+        incr next;
+        c
+    in
     List.iter
       (fun (i, v) ->
         let c =
-          match Hashtbl.find_opt !index v with
+          match List.assq_opt v !resolved with
           | Some c -> c
           | None ->
-            if !index == t.index then index := Hashtbl.copy t.index;
-            let c = !next in
-            Hashtbl.add !index v c;
-            fresh := v :: !fresh;
-            incr next;
+            let c = resolve v in
+            if !n_resolved = recent then begin
+              resolved := [];
+              n_resolved := 0
+            end;
+            resolved := (v, c) :: !resolved;
+            incr n_resolved;
             c
         in
         codes.(i) <- c)
@@ -215,9 +252,7 @@ let select t keep =
   done;
   { t with codes = Array.sub scratch 0 !m }
 
-let take t indices =
-  let codes = Array.map (fun i -> t.codes.(i)) indices in
-  { t with codes }
+let take t indices = { t with codes = gather t.codes indices }
 
 (* Re-encode [b]'s cells against [a]'s dictionary; new values are
    collected in a reversed list and appended to the dictionary once

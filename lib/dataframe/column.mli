@@ -58,6 +58,11 @@ val codes : t -> int array
 val dict : t -> Value.t array
 
 val code_of_value : t -> Value.t -> int option
+
+(** [gather codes rows] is [Array.map (fun i -> codes.(i)) rows], stored
+    as plain ints: past the minor heap [Array.map] pays the write
+    barrier per element. *)
+val gather : int array -> int array -> int array
 val to_values : t -> Value.t array
 
 (** Functional single-cell update. *)

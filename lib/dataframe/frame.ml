@@ -135,26 +135,23 @@ let set t row col v =
   versioned t.schema columns t.nrows
 
 (* Batch cell update: one Column.update per touched column instead of a
-   whole-frame copy per cell. Within a column, updates apply in list
-   order, so the result matches folding [set] over the list. *)
+   whole-frame copy per cell, the cells bucketed by column in an array
+   indexed by column. Within a column, updates apply in list order, so
+   the result matches folding [set] over the list. *)
 let set_cells t cells =
   match cells with
   | [] -> t
   | _ ->
-    let by_col = Hashtbl.create 8 in
-    let order = ref [] in
-    List.iter
-      (fun (row, col, v) ->
-        if not (Hashtbl.mem by_col col) then order := col :: !order;
-        Hashtbl.replace by_col col
-          ((row, v) :: Option.value ~default:[] (Hashtbl.find_opt by_col col)))
-      cells;
-    let columns = Array.copy t.columns in
-    List.iter
-      (fun col ->
-        columns.(col) <-
-          Column.update columns.(col) (List.rev (Hashtbl.find by_col col)))
-      !order;
+    let by_col = Array.make (Array.length t.columns) [] in
+    List.iter (fun (row, col, v) -> by_col.(col) <- (row, v) :: by_col.(col)) cells;
+    let columns =
+      Array.mapi
+        (fun col c ->
+          match by_col.(col) with
+          | [] -> c
+          | changes -> Column.update c (List.rev changes))
+        t.columns
+    in
     versioned t.schema columns t.nrows
 
 (* Integer code matrix, one code array per column: the representation the

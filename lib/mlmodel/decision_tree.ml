@@ -137,14 +137,30 @@ let train ?(params = default_params) ~cards ~n_labels xs ys =
   in
   { root = grow (Array.init (Array.length ys) Fun.id) 0 }
 
-let rec eval cap node (cols : Features.column array) i =
+(* The node row [i]'s path reaches at depth [cap], or the leaf that
+   ends it sooner. *)
+let rec descend cap node (cols : Features.column array) i =
   match node with
-  | Leaf y -> y
-  | Split { label; _ } when cap <= 0 -> label
-  | Split { feature; value; if_eq; if_ne; _ } ->
-    eval (cap - 1) (if Features.get cols.(feature) i = value then if_eq else if_ne) cols i
+  | Split { feature; value; if_eq; if_ne; _ } when cap > 0 ->
+    descend (cap - 1)
+      (if Features.get cols.(feature) i = value then if_eq else if_ne)
+      cols i
+  | Leaf _ | Split _ -> node
 
-let predict ?(cap = max_int) t cols i = eval cap t.root cols i
+let label_of = function Leaf y -> y | Split { label; _ } -> label
+
+(* One walk per row: down to depth [shallow], whose node's label is the
+   cut tree's, then on from that node to the leaf. *)
+let predict_both t ~shallow cols rows =
+  let m = Array.length rows in
+  let cut = Array.make m 0 and full = Array.make m 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get rows k in
+    let node = descend shallow t.root cols i in
+    cut.(k) <- label_of node;
+    full.(k) <- label_of (descend max_int node cols i)
+  done;
+  (cut, full)
 
 let rec depth_of cap = function
   | Split { if_eq; if_ne; _ } when cap > 0 ->

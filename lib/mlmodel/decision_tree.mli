@@ -13,10 +13,13 @@ val default_params : params
 val train :
   ?params:params -> cards:int array -> n_labels:int -> int array array -> int array -> t
 
-(** [predict ?cap t cols i] is the label of row [i]. With [cap], the tree
-    is cut at depth [cap], which predicts exactly as the same training
-    run with [max_depth = cap] would. *)
-val predict : ?cap:int -> t -> Features.column array -> int -> int
+(** [predict_both t ~shallow cols rows] predicts the rows [rows] of
+    [cols], walking each row's path once: [cut.(k)] is row [rows.(k)]'s
+    label in the tree cut at depth [shallow], which predicts exactly as
+    the same training run with [max_depth = shallow] would, and
+    [full.(k)] its label in the whole tree. Returns [(cut, full)]. *)
+val predict_both :
+  t -> shallow:int -> Features.column array -> int array -> int array * int array
 
 (** Depth and node count, of the tree cut at [cap] if given. *)
 val depth : ?cap:int -> t -> int

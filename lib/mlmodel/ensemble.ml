@@ -3,9 +3,15 @@
    The public API works directly on dataframes.
 
    The two trees are one tree grown [max_depth + 4] deep and read at
-   two depth caps (see {!Decision_tree}). With three voters, a label
-   wins when the trees agree, and naive Bayes decides otherwise, so
-   only the rows whose caps disagree are scored by naive Bayes. *)
+   two depths on one walk down each row's path (see {!Decision_tree}).
+   With three voters, a label wins when the trees agree, and naive Bayes
+   decides otherwise, so only the rows whose two labels differ are
+   scored by naive Bayes.
+
+   Prediction runs over a frame and a selection of its rows, reading
+   the frame's own code arrays, and returns label codes: the encoder's
+   label dictionary ({!labels}) turns them into values only where a
+   caller reads them. *)
 
 module Frame = Dataframe.Frame
 module Value = Dataframe.Value
@@ -31,24 +37,37 @@ let train ?(tree_params = Decision_tree.default_params) frame ~label =
   in
   { encoder; bayes; tree; shallow = tree_params.Decision_tree.max_depth }
 
-(* Label values of rows [0 .. n - 1] of [cols]. *)
-let predict t cols n =
-  let out = Array.make n 0 in
-  let split = ref [] in
-  for i = n - 1 downto 0 do
-    let deep = Decision_tree.predict t.tree cols i in
-    if Decision_tree.predict ~cap:t.shallow t.tree cols i = deep then out.(i) <- deep
-    else split := i :: !split
+(* Label codes of the rows [rows] of [cols], by position: where the
+   trees agree their label wins, and naive Bayes scores the rest. *)
+let predict_cols t cols rows =
+  let cut, out = Decision_tree.predict_both t.tree ~shallow:t.shallow cols rows in
+  let m = Array.length rows in
+  let split = Array.make m 0 and n_split = ref 0 in
+  for k = 0 to m - 1 do
+    if cut.(k) <> out.(k) then begin
+      split.(!n_split) <- k;
+      incr n_split
+    end
   done;
-  let split = Array.of_list !split in
-  Array.iteri (fun k y -> out.(split.(k)) <- y) (Naive_bayes.predict t.bayes cols split);
-  Array.map (Features.label_value t.encoder) out
+  let split = Array.sub split 0 !n_split in
+  Array.iteri
+    (fun j y -> out.(split.(j)) <- y)
+    (Naive_bayes.predict t.bayes cols (Array.map (Array.get rows) split));
+  out
+
+let predict t frame rows = predict_cols t (Features.columns t.encoder frame) rows
+
+let labels t = Array.init (Features.n_labels t.encoder) (Features.label_value t.encoder)
 
 (* Predict the label value of one row of a frame with the same column
    names (the label column may be absent or stale; it is ignored). *)
-let predict_row t frame row = (predict t (Features.row_columns t.encoder frame row) 1).(0)
+let predict_row t frame row =
+  Features.label_value t.encoder
+    (predict_cols t (Features.row_columns t.encoder frame row) [| 0 |]).(0)
 
-let predict_frame t frame = predict t (Features.columns t.encoder frame) (Frame.nrows frame)
+let predict_frame t frame =
+  Array.map (Features.label_value t.encoder)
+    (predict t frame (Array.init (Frame.nrows frame) Fun.id))
 
 (* Accuracy against the frame's label column. *)
 let accuracy t frame ~label =

@@ -1,24 +1,34 @@
 (* Executor for ML-integrated SQL queries.
 
    Mirrors the paper's §7 prototype, which runs guarded queries
-   column-at-a-time over a data frame. A query is one path over a row
-   set [(frame, rows, predictions)]: [rows] are the surviving row
-   indices of [frame], and each PREDICT() target has one prediction
-   array indexed like the frame. Every expression compiles once per
-   query into an [int -> Value.t] closure over the frame's columns;
-   unknown names raise only when a row is evaluated, and AND/OR/CASE
+   column-at-a-time over a data frame. A query is one path over a
+   selection of the table: [rows], the ascending indices of the rows
+   still in play. No stage copies the rows out; each reads the table's
+   own columns through the selection. Every expression compiles once per
+   query into an [int -> Value.t] closure over a row index; unknown
+   names raise only when a row is evaluated, and AND/OR/CASE
    short-circuit per row.
 
-   The stages: the plan's pre-filter runs its offloadable conjuncts as
-   one VM bitmap pass and the residual conjuncts on the rows the bitmap
-   kept. When the query calls PREDICT(), the surviving rows are gathered
-   into a sub-frame, vetted by the guardrail (one of the four handling
-   strategies) and predicted per target; the row set becomes that
-   sub-frame. Then the post-filter, and either a projection per row or
-   GROUP BY on the shared [Dataframe.Group] kernel with aggregates
-   folded over each group's rows. ORDER BY is a stable sort of an index
-   permutation, LIMIT a truncation. Guardrail time and inference time
-   are metered separately (Table 6). *)
+   The stages:
+   - scan: the plan's pre-filter runs its offloadable conjuncts as one
+     VM bitmap pass over the table, and the residual conjuncts on the
+     rows the bitmap kept; the kept rows are the selection;
+   - guard (PREDICT queries): the guardrail vets the selected rows in
+     place (one of the four handling strategies), numbering violations
+     by position in the selection, and Rectify/Coerce repair the table
+     frame, sharing its untouched columns;
+   - inference: each PREDICT() target is predicted over the (repaired)
+     frame at the selection, as label codes plus the model's label
+     dictionary, scattered to an array indexed by row;
+   - the post-filter narrows the selection; then either a projection per
+     row or GROUP BY, whose keys are code arrays at the selection (a
+     bare column's or PREDICT target's own, any other expression's
+     interned values) grouped by the shared [Dataframe.Group] kernel,
+     with aggregates folded over each group's rows;
+   - ORDER BY is a stable sort of an index permutation, LIMIT a
+     truncation.
+
+   Guardrail time and inference time are metered separately (Table 6). *)
 
 open Sql_ast
 
@@ -142,7 +152,8 @@ let rec compile leaf e =
      | Col _ | Predict _ | Agg _ -> invalid_arg "Exec.compile: unclaimed leaf")
 
 (* Row evaluation over [frame]: row [i]'s cells through the column
-   dictionaries, its predictions from the per-target arrays. *)
+   dictionaries, its predictions through each target's label codes
+   (indexed by row, like the frame) and label dictionary. *)
 let compile_row frame predictions =
   compile (function
     | Col name ->
@@ -157,7 +168,7 @@ let compile_row frame predictions =
     | Predict target ->
       Some
         (match List.assoc_opt target predictions with
-         | Some p -> fun i -> p.(i)
+         | Some (codes, dict) -> fun i -> dict.(codes.(i))
          | None ->
            fun _ ->
              raise (Runtime_error (Printf.sprintf "no prediction for %S" target)))
@@ -226,34 +237,75 @@ let compare_keys ascending a b =
   in
   go 0
 
-(* GROUP BY: each key expression's values are dictionary-coded and the
-   code tuples grouped by the shared kernel, so group identity is
-   structural (Int 1 and Float 1.0 are separate groups). Returns the
-   group ids in [Value.compare] order of their keys (ties in first-
-   occurrence order) with the CSR [members]/[offsets] of frame rows,
-   ascending within each group. Without GROUP BY all rows form one
-   group, even when there are none. *)
-let group_rows row group_by rows =
+(* A GROUP BY key's codes at the selection [rows] and the dictionary
+   they index, when the key is a bare column or a PREDICT target: their
+   dictionaries are structural, so codes group exactly as values do.
+   [None] for any other expression. *)
+let own_codes frame predictions rows = function
+  | Col name -> (
+    match Dataframe.Schema.index_opt (Frame.schema frame) name with
+    | Some j ->
+      let col = Frame.column frame j in
+      Some (Column.gather (Column.codes col) rows, Column.dict col)
+    | None -> None)
+  | Predict target -> (
+    match List.assoc_opt target predictions with
+    | Some (codes, dict) -> Some (Column.gather codes rows, dict)
+    | None -> None)
+  | _ -> None
+
+(* GROUP BY: each key's values at the selection are dictionary-coded —
+   a bare column or PREDICT target brings its own codes, any other
+   expression is evaluated row by row (row-major, so the first error is
+   the row evaluation's) and interned — and the code tuples are grouped
+   by the shared kernel, so group identity is structural (Int 1 and
+   Float 1.0 are separate groups). Returns the group ids in
+   [Value.compare] order of their keys (ties in first-occurrence order)
+   with the CSR [members]/[offsets] of frame rows, ascending within each
+   group. Without GROUP BY all rows form one group, even when there are
+   none. *)
+let group_rows frame predictions row group_by rows =
   match group_by with
   | [] -> ([| 0 |], rows, [| 0; Array.length rows |])
   | exprs ->
-    let fs = Array.of_list (List.map row exprs) in
     let m = Array.length rows in
-    let cells = Array.map (fun _ -> Array.make m Value.Null) fs in
-    Array.iteri (fun r i -> Array.iteri (fun k f -> cells.(k).(r) <- f i) fs) rows;
-    let cols = Array.to_list (Array.map Column.of_values cells) in
+    let keys = Array.of_list exprs in
+    let coded = Array.map (own_codes frame predictions rows) keys in
+    let rest =
+      List.filter (fun k -> Option.is_none coded.(k)) (List.init (Array.length keys) Fun.id)
+    in
+    let fs = List.map (fun k -> row keys.(k)) rest in
+    let cells = List.map (fun _ -> Array.make m Value.Null) fs in
+    Array.iteri (fun r i -> List.iter2 (fun f c -> c.(r) <- f i) fs cells) rows;
+    List.iter2
+      (fun k c ->
+        let c = Column.of_values c in
+        coded.(k) <- Some (Column.codes c, Column.dict c))
+      rest cells;
+    let coded = Array.map Option.get coded in
     let g =
-      Group.make (List.map Column.codes cols) (List.map Column.cardinality cols) m
+      Group.make
+        (Array.to_list (Array.map fst coded))
+        (Array.to_list (Array.map (fun (_, dict) -> Array.length dict) coded))
+        m
     in
     let keys =
       Array.init (Group.n_groups g) (fun gid ->
           let r = Group.first_row g gid in
-          Array.of_list (List.map (fun c -> Column.get c r) cols))
+          Array.map (fun (codes, dict) -> dict.(codes.(r))) coded)
     in
-    let ascending = Array.make (Array.length fs) true in
+    let ascending = Array.make (Array.length coded) true in
     let order = Array.init (Group.n_groups g) Fun.id in
     Array.stable_sort (fun a b -> compare_keys ascending keys.(a) keys.(b)) order;
-    (order, Array.map (fun p -> rows.(p)) (Group.row_index g), Group.offsets g)
+    (order, Column.gather rows (Group.row_index g), Group.offsets g)
+
+(* The rows [at k] of the positions [k] set in [keep], in order. *)
+let selected keep at =
+  let out = Array.make (Vm.Bitmap.count keep) 0 and m = ref 0 in
+  Vm.Bitmap.iteri_set keep (fun k ->
+      out.(!m) <- at k;
+      incr m);
+  out
 
 let find_table ctx name =
   match Hashtbl.find_opt ctx.tables name with
@@ -374,31 +426,42 @@ let run ctx sql =
     | gs -> Some (Vm.Exec.run (Vm.Lower.filter frame gs) frame).Vm.Exec.any
   in
   let residual = List.map (compile_row frame []) residual in
-  let kept = ref [] in
-  for i = n - 1 downto 0 do
-    if (match prefilter with None -> true | Some bm -> Vm.Bitmap.get bm i)
-       && passes residual i
-    then kept := i :: !kept
-  done;
-  let rows = Array.of_list !kept in
-  (* prediction with guardrail interception: surviving rows are gathered
-     into a sub-frame (sharing the table's dictionaries, so the guard's
-     bytecode is reused), vetted in one batch over the VM's violation
-     bitmaps, repaired in one batch update, and predicted in one
-     predict_frame call per target; the sub-frame is the new row set *)
-  let frame, rows, predictions =
-    if not plan.Plan.uses_predict then (frame, rows, [])
+  (* the selection: the bitmap's rows that pass the residual, which is
+     evaluated in a descending scan so that it raises on the row the
+     row-at-a-time scan would *)
+  let keep =
+    match prefilter with
+    | Some bm -> bm
+    | None ->
+      let all = Vm.Bitmap.create n in
+      Vm.Bitmap.fill_all all;
+      all
+  in
+  (match residual with
+   | [] -> ()
+   | _ ->
+     for i = n - 1 downto 0 do
+       if Vm.Bitmap.get keep i && not (passes residual i) then Vm.Bitmap.clear keep i
+     done);
+  let rows = selected keep Fun.id in
+  (* prediction with guardrail interception over the selection: the
+     guard vets the selected rows of the table in one batch over the
+     VM's violation bitmaps and repairs them in one batch update of the
+     table frame (untouched columns shared); each target is predicted in
+     one call over the repaired frame at the selection, its label codes
+     scattered to a row-indexed array *)
+  let frame, predictions =
+    if not plan.Plan.uses_predict then (frame, [])
     else begin
-      let sub = Frame.take frame rows in
-      let sub =
+      let frame =
         match guard with
-        | None -> sub
+        | None -> frame
         | Some (compiled, strategy) ->
           let t0 = now () in
           let repaired, vs =
             Fun.protect
               ~finally:(fun () -> guardrail_s := now () -. t0)
-              (fun () -> Guardrail.Validator.handle ~strategy compiled sub)
+              (fun () -> Guardrail.Validator.handle ~rows ~strategy compiled frame)
           in
           violations := List.length vs;
           repaired
@@ -408,21 +471,34 @@ let run ctx sql =
         List.map
           (fun target ->
             let model = find_model ctx ~table:plan.Plan.table target in
-            (target, Mlmodel.Ensemble.predict_frame model sub))
+            let by_row = Array.make n 0 in
+            Array.iteri
+              (fun k c -> by_row.(rows.(k)) <- c)
+              (Mlmodel.Ensemble.predict model frame rows);
+            (target, (by_row, Mlmodel.Ensemble.labels model)))
           plan.Plan.predict_targets
       in
       inference_s := now () -. t1;
-      (sub, Array.init (Array.length rows) Fun.id, predictions)
+      (frame, predictions)
     end
   in
   let rows_predicted = if plan.Plan.uses_predict then Array.length rows else 0 in
   let row = compile_row frame predictions in
   let post_filter = List.map row plan.Plan.post_filter in
-  let rows = Array.of_list (List.filter (passes post_filter) (Array.to_list rows)) in
+  let rows =
+    match post_filter with
+    | [] -> rows
+    | _ ->
+      let keep = Vm.Bitmap.create (Array.length rows) in
+      Array.iteri (fun k i -> if passes post_filter i then Vm.Bitmap.set keep k) rows;
+      selected keep (Array.get rows)
+  in
   (* evaluation points: rows, or group ids in key order *)
   let points, eval =
     if plan.Plan.is_aggregate then begin
-      let order, members, offsets = group_rows row plan.Plan.group_by rows in
+      let order, members, offsets =
+        group_rows frame predictions row plan.Plan.group_by rows
+      in
       (order, eval_group row ~members ~offsets)
     end
     else (rows, row)

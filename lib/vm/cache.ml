@@ -2,8 +2,10 @@
 
    Lowering resolves every literal against a frame's dictionaries, so a
    program runs unchanged on any frame that still carries them: the
-   frame it was lowered on, its Frame.take/filter row subsets, and
-   appends or updates that introduced no new value. The cache is a
+   frame it was lowered on (at any selection of its rows, which is how a
+   query's kept rows are checked), Frame.take/filter copies such as an
+   append's delta rows, and appends or updates that introduced no new
+   value. The cache is a
    short most-recently-used list of programs probed with
    [Program.compatible]. It keeps no frame identity; a returned program
    carries its decision tables' key->rule memos, so every frame served

@@ -14,6 +14,11 @@
    has no memo: its rows are grouped ad hoc (Dataframe.Group, hashed
    keys) and each group probes once.
 
+   Every kernel reads the frame through a selection: output bit [k] is
+   the verdict on row [rows.(k)], so a query checks the rows it kept
+   without gathering them into a sub-frame. A run without a selection
+   is the identity selection through the same loops ([at]).
+
    Execution is wrapped in a [vm.exec] span and bumps the
    [vm.rows.validated] counter. *)
 
@@ -43,61 +48,69 @@ let entry ~rule ~check = (rule lsl 32) lor check
 let entry_rule e = e lsr 32
 let entry_check e = e land 0xFFFF_FFFF
 
-let eval_eq codes imm dst n =
+(* A selection: [all] for every row in order, else the ascending rows
+   [rows]. Position [k] of a run is row [at sel k]. *)
+type selection = { all : bool; rows : int array }
+
+let[@inline] at sel k = if sel.all then k else Array.unsafe_get sel.rows k
+
+let[@inline] eq_bit codes imm sel k bit =
+  if Array.unsafe_get codes (at sel k) = imm then bit else 0
+
+let eval_eq codes imm sel dst n =
   let bytes = Bitmap.data dst in
   let full = n lsr 3 in
   for b = 0 to full - 1 do
-    let i = b lsl 3 in
+    let k = b lsl 3 in
     let acc =
-      (if Array.unsafe_get codes i = imm then 1 else 0)
-      lor (if Array.unsafe_get codes (i + 1) = imm then 2 else 0)
-      lor (if Array.unsafe_get codes (i + 2) = imm then 4 else 0)
-      lor (if Array.unsafe_get codes (i + 3) = imm then 8 else 0)
-      lor (if Array.unsafe_get codes (i + 4) = imm then 16 else 0)
-      lor (if Array.unsafe_get codes (i + 5) = imm then 32 else 0)
-      lor (if Array.unsafe_get codes (i + 6) = imm then 64 else 0)
-      lor (if Array.unsafe_get codes (i + 7) = imm then 128 else 0)
+      eq_bit codes imm sel k 1
+      lor eq_bit codes imm sel (k + 1) 2
+      lor eq_bit codes imm sel (k + 2) 4
+      lor eq_bit codes imm sel (k + 3) 8
+      lor eq_bit codes imm sel (k + 4) 16
+      lor eq_bit codes imm sel (k + 5) 32
+      lor eq_bit codes imm sel (k + 6) 64
+      lor eq_bit codes imm sel (k + 7) 128
     in
     Bytes.unsafe_set bytes b (Char.unsafe_chr acc)
   done;
   if n land 7 <> 0 then begin
     let acc = ref 0 in
-    for i = full lsl 3 to n - 1 do
-      if Array.unsafe_get codes i = imm then acc := !acc lor (1 lsl (i land 7))
+    for k = full lsl 3 to n - 1 do
+      acc := !acc lor eq_bit codes imm sel k (1 lsl (k land 7))
     done;
     Bytes.unsafe_set bytes full (Char.unsafe_chr !acc)
   end
+
+let[@inline] range_bit codes fvals lo hi sel k bit =
+  let v = Array.unsafe_get fvals (Array.unsafe_get codes (at sel k)) in
+  if lo <= v && v <= hi then bit else 0
 
 (* Inclusive range over a column's float image; NaN entries (nulls,
    strings) fail both comparisons, so they are never in range. One-sided
    and strict comparisons lower to this kernel with infinite or
    Float.pred/succ-adjusted bounds. *)
-let eval_range codes fvals lo hi dst n =
+let eval_range codes fvals lo hi sel dst n =
   let bytes = Bitmap.data dst in
   let full = n lsr 3 in
   for b = 0 to full - 1 do
-    let i = b lsl 3 in
-    let tst k =
-      let v = Array.unsafe_get fvals (Array.unsafe_get codes (i + k)) in
-      lo <= v && v <= hi
-    in
+    let k = b lsl 3 in
     let acc =
-      (if tst 0 then 1 else 0)
-      lor (if tst 1 then 2 else 0)
-      lor (if tst 2 then 4 else 0)
-      lor (if tst 3 then 8 else 0)
-      lor (if tst 4 then 16 else 0)
-      lor (if tst 5 then 32 else 0)
-      lor (if tst 6 then 64 else 0)
-      lor (if tst 7 then 128 else 0)
+      range_bit codes fvals lo hi sel k 1
+      lor range_bit codes fvals lo hi sel (k + 1) 2
+      lor range_bit codes fvals lo hi sel (k + 2) 4
+      lor range_bit codes fvals lo hi sel (k + 3) 8
+      lor range_bit codes fvals lo hi sel (k + 4) 16
+      lor range_bit codes fvals lo hi sel (k + 5) 32
+      lor range_bit codes fvals lo hi sel (k + 6) 64
+      lor range_bit codes fvals lo hi sel (k + 7) 128
     in
     Bytes.unsafe_set bytes b (Char.unsafe_chr acc)
   done;
   if n land 7 <> 0 then begin
     let acc = ref 0 in
-    for i = full lsl 3 to n - 1 do
-      let v = Array.unsafe_get fvals (Array.unsafe_get codes i) in
-      if lo <= v && v <= hi then acc := !acc lor (1 lsl (i land 7))
+    for k = full lsl 3 to n - 1 do
+      acc := !acc lor range_bit codes fvals lo hi sel k (1 lsl (k land 7))
     done;
     Bytes.unsafe_set bytes full (Char.unsafe_chr !acc)
   end
@@ -146,30 +159,33 @@ let literal_fails (tbl : Program.table) on_dict e oc =
        (Ruleset.rule tbl.source (entry_rule e)).Ruleset.assignment
        (Array.unsafe_get on_dict oc))
 
-(* One fused pass over the rows, 8 per output byte: the mixed-radix key
-   of [kcodes] under [kcards], one [memo] read — resolving and storing
-   the entry on the key's first sighting — and the ON check. *)
-let check_rows (tbl : Program.table) frame dst n memo kcodes kcards =
+(* One fused pass over the selected rows, 8 per output byte: the
+   mixed-radix key of [kcodes] under [kcards], one [memo] read —
+   resolving and storing the entry on the key's first sighting — and the
+   ON check. [kcodes] are indexed by row, or by position when [kpos]. *)
+let check_rows (tbl : Program.table) frame sel dst n memo ~kpos kcodes kcards =
   let on_codes = Column.codes (Frame.column frame tbl.on) in
   let on_dict = Column.dict (Frame.column frame tbl.on) in
   let bounds = Ruleset.bounds tbl.source in
   let on_fvals = tbl.on_fvals in
-  let k = Array.length kcodes in
+  let nk = Array.length kcodes in
   let c0 = kcodes.(0) in
-  let c1 = if k > 1 then kcodes.(1) else c0 in
-  let card1 = if k > 1 then kcards.(1) else 0 in
+  let c1 = if nk > 1 then kcodes.(1) else c0 in
+  let card1 = if nk > 1 then kcards.(1) else 0 in
   let bytes = Bitmap.data dst in
   for b = 0 to ((n + 7) lsr 3) - 1 do
     let lo = b lsl 3 in
     let acc = ref 0 in
-    for i = lo to min (lo + 7) (n - 1) do
+    for k = lo to min (lo + 7) (n - 1) do
+      let i = at sel k in
+      let ki = if kpos then k else i in
       let key =
-        if k = 1 then Array.unsafe_get c0 i
-        else if k = 2 then (Array.unsafe_get c0 i * card1) + Array.unsafe_get c1 i
+        if nk = 1 then Array.unsafe_get c0 ki
+        else if nk = 2 then (Array.unsafe_get c0 ki * card1) + Array.unsafe_get c1 ki
         else begin
-          let key = ref (Array.unsafe_get c0 i) in
-          for j = 1 to k - 1 do
-            key := (!key * kcards.(j)) + Array.unsafe_get kcodes.(j) i
+          let key = ref (Array.unsafe_get c0 ki) in
+          for j = 1 to nk - 1 do
+            key := (!key * kcards.(j)) + Array.unsafe_get kcodes.(j) ki
           done;
           !key
         end
@@ -198,7 +214,7 @@ let check_rows (tbl : Program.table) frame dst n memo kcodes kcards =
               && v <= Array.unsafe_get bounds (r2 + 1))
           end
           else literal_fails tbl on_dict e oc
-        then acc := !acc lor (1 lsl (i land 7))
+        then acc := !acc lor (1 lsl (k land 7))
       end
     done;
     Bytes.unsafe_set bytes b (Char.unsafe_chr !acc)
@@ -207,45 +223,52 @@ let check_rows (tbl : Program.table) frame dst n memo kcodes kcards =
 let given_codes (tbl : Program.table) frame =
   Array.map (fun c -> Column.codes (Frame.column frame c)) tbl.given
 
-(* A table past the cap has no memo: its rows are grouped ad hoc
-   (hashed keys) and a run-local memo over the group ids resolves each
-   group once. *)
-let eval_table (tbl : Program.table) frame dst n =
+(* A table past the cap has no memo: the selected rows are grouped ad
+   hoc (hashed keys) and a run-local memo over the group ids, which are
+   indexed by position, resolves each group once. *)
+let eval_table (tbl : Program.table) frame sel dst n =
   if Array.length tbl.memo > 0 then
-    check_rows tbl frame dst n tbl.memo (given_codes tbl frame) tbl.cards
+    check_rows tbl frame sel dst n tbl.memo ~kpos:false (given_codes tbl frame)
+      tbl.cards
   else begin
-    let g =
-      Group.make
-        (Array.to_list (given_codes tbl frame))
-        (Array.to_list tbl.cards) n
+    let codes = given_codes tbl frame in
+    let codes =
+      if sel.all then codes
+      else Array.map (fun c -> Column.gather c sel.rows) codes
     in
+    let g = Group.make (Array.to_list codes) (Array.to_list tbl.cards) n in
     let ng = Group.n_groups g in
-    check_rows tbl frame dst n
+    check_rows tbl frame sel dst n
       (Array.make (max ng 1) unresolved)
-      [| Group.ids g |] [| ng |]
+      ~kpos:true [| Group.ids g |] [| ng |]
   end
 
-let exec_op (p : Program.t) frame n regs op =
+let exec_op (p : Program.t) frame sel n regs op =
   match op with
   | Op.Eq { col; code; dst } ->
-    eval_eq (Column.codes (Frame.column frame col)) code regs.(dst) n
+    eval_eq (Column.codes (Frame.column frame col)) code sel regs.(dst) n
   | Op.Range { fld; lo; hi; dst } ->
     let f = p.fields.(fld) in
-    eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals lo hi
+    eval_range (Column.codes (Frame.column frame f.fcol)) f.fvals lo hi sel
       regs.(dst) n
   | Op.And { src; dst } -> Bitmap.and_in regs.(dst) regs.(src)
-  | Op.Table { table; dst } -> eval_table p.tables.(table) frame regs.(dst) n
+  | Op.Table { table; dst } ->
+    eval_table p.tables.(table) frame sel regs.(dst) n
 
-let run (p : Program.t) frame =
+let run ?rows (p : Program.t) frame =
   if not (Program.compatible p frame) then
     invalid_arg "Vm.Exec.run: frame incompatible with program (stale dictionaries)";
-  let n = Frame.nrows frame in
+  let sel, n =
+    match rows with
+    | None -> ({ all = true; rows = [||] }, Frame.nrows frame)
+    | Some rows -> ({ all = false; rows }, Array.length rows)
+  in
   Obs.Span.with_ "vm.exec"
     ~attrs:(fun () ->
       [ ("rows", string_of_int n); ("ops", string_of_int (Program.n_ops p)) ])
   @@ fun () ->
   let regs = Array.init p.n_regs (fun _ -> Bitmap.create n) in
-  Array.iter (exec_op p frame n regs) p.ops;
+  Array.iter (exec_op p frame sel n regs) p.ops;
   let per_stmt = Array.map (fun r -> regs.(r)) p.stmt_reg in
   let any = Bitmap.create n in
   Array.iter (fun bm -> Bitmap.or_in any bm) per_stmt;

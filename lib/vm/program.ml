@@ -13,10 +13,11 @@
    [compatible] checks (by physical equality — dictionaries are never
    mutated, only replaced) that a frame still carries those
    dictionaries. So the memo is valid for exactly as long as
-   [compatible] holds. Frames derived by [Frame.take]/[Frame.filter]/
-   code-preserving [Frame.set] share dictionaries with their parent, so
-   one lowering, and one warm memo, serves a whole family of row
-   subsets.
+   [compatible] holds. A run at a selection of a frame's rows reads that
+   frame's own columns, and frames derived by [Frame.take]/
+   [Frame.filter]/code-preserving [Frame.set] share dictionaries with
+   their parent, so one lowering, and one warm memo, serves every row
+   subset of a table, selected or copied.
 
    The memo is filled without a lock. Every writer of a slot stores the
    same int (the entry is a pure function of the key), and an int store

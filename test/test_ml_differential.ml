@@ -5,11 +5,14 @@
 
    - trees: for every cap 0 .. max_depth, the tree grown to max_depth
      and cut at the cap has the depth, size and predictions of the
-     oracle tree grown to that cap;
+     oracle tree grown to that cap, and the one walk that reads the cut
+     label also reads the whole tree's, equal to the oracle tree grown
+     to max_depth;
    - naive Bayes: the same log-score floats (compared by bits) and the
      same predictions;
    - the ensemble: [predict_frame] equals the oracle's and [predict_row]
-     on every row.
+     on every row, and its label codes at a selection equal the oracle
+     on the gathered rows.
 
    Generated cases hold 3-5 labels with label noise (so the trees and
    naive Bayes disagree), features of up to 124 values, test-time
@@ -50,8 +53,15 @@ let check_models ~params ~label ~ys train test =
     f "train" (Features.columns enc train) rows_x;
     f "test" (Features.columns enc test) test_x
   in
-  (* trees *)
+  (* trees: one walk per row yields the labels of the tree cut at
+     [cap] and of the whole tree, each equal to the oracle tree grown
+     to that depth, at every row and at a sparse selection *)
   let tree = Tree.train ~params ~cards ~n_labels xs ys in
+  let o_full = O.Decision_tree.train ~params ~cards ~n_labels rows_x ys in
+  let selections rows =
+    let n = Array.length rows in
+    [ Array.init n Fun.id; Array.of_list (List.filter (fun i -> i mod 3 = 1) (List.init n Fun.id)) ]
+  in
   for cap = 0 to max_depth do
     let o = O.Decision_tree.train ~params:{ params with max_depth = cap } ~cards ~n_labels rows_x ys in
     if Tree.depth ~cap tree <> O.Decision_tree.depth o then
@@ -59,18 +69,23 @@ let check_models ~params ~label ~ys train test =
     if Tree.size ~cap tree <> O.Decision_tree.size o then
       failf "cap %d: size %d, oracle %d" cap (Tree.size ~cap tree) (O.Decision_tree.size o);
     on_frames (fun name cols rows ->
-        Array.iteri
-          (fun i x ->
-            if Tree.predict ~cap tree cols i <> O.Decision_tree.predict o x then
-              failf "cap %d: %s row %d predicted differently" cap name i)
-          rows)
+        List.iter
+          (fun sel ->
+            let cut, full = Tree.predict_both tree ~shallow:cap cols sel in
+            Array.iteri
+              (fun k i ->
+                if cut.(k) <> O.Decision_tree.predict o rows.(i) then
+                  failf "cap %d: %s row %d predicted differently" cap name i;
+                if full.(k) <> O.Decision_tree.predict o_full rows.(i) then
+                  failf "cap %d: %s row %d: full-depth label differs" cap name i)
+              sel)
+          (selections rows))
   done;
   on_frames (fun _ cols rows ->
-      Array.iteri
-        (fun i _ ->
-          if Tree.predict ~cap:(max_depth - 4) tree cols i <> Tree.predict tree cols i then
-            incr tree_splits)
-        rows);
+      let cut, full =
+        Tree.predict_both tree ~shallow:(max_depth - 4) cols (Array.init (Array.length rows) Fun.id)
+      in
+      Array.iteri (fun k y -> if y <> full.(k) then incr tree_splits) cut);
   (* naive Bayes *)
   let nb = Nb.train ~cards ~n_labels xs ys in
   let onb = O.Naive_bayes.train ~cards ~n_labels rows_x ys in
@@ -101,7 +116,23 @@ let check_ensemble ~params ~label train test =
           (Value.to_string expected.(i));
       if not (Value.equal v (Ensemble.predict_row e test i)) then
         failf "predict_row row %d differs from predict_frame" i)
-    preds
+    preds;
+  (* label codes at a selection equal the oracle on the gathered rows:
+     empty, one row, every row, and every third row *)
+  let n = Frame.nrows test in
+  List.iter
+    (fun sel ->
+      let gathered = O.Ensemble.predict_frame o (Frame.take test sel) in
+      Array.iteri
+        (fun k c ->
+          let v = (Ensemble.labels e).(c) in
+          if not (Value.equal v gathered.(k)) then
+            failf "selection of %d rows, position %d (row %d): %s, oracle %s"
+              (Array.length sel) k sel.(k) (Value.to_string v)
+              (Value.to_string gathered.(k)))
+        (Ensemble.predict e test sel))
+    [ [||]; [| n - 1 |]; Array.init n Fun.id;
+      Array.of_list (List.filter (fun i -> i mod 3 = 2) (List.init n Fun.id)) ]
 
 (* ---------------------------------------------------------------- *)
 (* Generated cases *)

@@ -102,7 +102,8 @@ let test_tree_learns_and_exactly () =
   let rows = Array.init (Array.length ys) Fun.id in
   let tree = Decision_tree.train ~cards ~n_labels:2 xs ys in
   let correct = ref 0 in
-  Array.iter (fun i -> if Decision_tree.predict tree cols i = ys.(i) then incr correct) rows;
+  let _, labels = Decision_tree.predict_both tree ~shallow:0 cols rows in
+  Array.iteri (fun k y -> if y = ys.(rows.(k)) then incr correct) labels;
   Alcotest.(check int) "perfect on noiseless AND" (Array.length rows) !correct;
   Alcotest.(check bool) "shallow" true (Decision_tree.depth tree <= 4)
 
@@ -159,7 +160,8 @@ let qcheck_tree_prediction_total =
     (fun (a, b) ->
       let cards, xs, ys, _ = encoded (and_frame ()) in
       let tree = Decision_tree.train ~cards ~n_labels:2 xs ys in
-      let y = Decision_tree.predict tree (row_cols [| a; b; 0 |]) 0 in
+      let _, full = Decision_tree.predict_both tree ~shallow:0 (row_cols [| a; b; 0 |]) [| 0 |] in
+      let y = full.(0) in
       y >= 0 && y < 2)
 
 let qcheck_nb_prediction_total =

@@ -315,6 +315,30 @@ let test_aggregate_expressions () =
       "SELECT g, COUNT(*) > 1 AND MIN(y) < 2, COUNT(*) = 1 OR NOT (SUM(y) > 3) FROM t GROUP BY g";
     ]
 
+(* A guard that raises behind a WHERE that drops the leading rows: the
+   violation is numbered by its position among the kept rows, as on the
+   gathered rows, not by its table row. *)
+let test_raise_numbering () =
+  let row g m = Value.[| s g; Int 1; Int 2; m; Null; s "yes" |] in
+  let frame =
+    Frame.of_rows schema
+      [ row "c" (s "p"); row "b" (Value.Int 1); row "c" (s "a"); row "a" (s "p");
+        row "a" (s "a"); row "b" (s "p") ]
+  in
+  let sql = "SELECT PREDICT(label), COUNT(*) FROM t WHERE g = 'a' GROUP BY PREDICT(label)" in
+  (match check_query ~strategy:Validator.Raise ~guarded:true frame sql with
+   | None -> ()
+   | Some why -> Alcotest.failf "%s: %s" sql why);
+  let ctx = Exec.create () in
+  Exec.register_table ctx "t" frame;
+  Exec.register_model ctx ~target:"label" (Lazy.force model);
+  Exec.set_guard ctx ~strategy:Validator.Raise (Lazy.force guard);
+  match Exec.run ctx sql with
+  | _ -> Alcotest.fail "the guard did not raise"
+  | exception Validator.Violation_error msg ->
+    Alcotest.(check bool) ("numbered by position: " ^ msg) true
+      (String.length msg > 6 && String.sub msg 0 6 = "row 1:")
+
 (* ---------------------------------------------------------------- *)
 (* The 48 workload queries, each over its dataset's corrupted test
    split behind a Rectify guard synthesized on the train split. *)
@@ -365,6 +389,7 @@ let () =
     [
       ("random", [ QCheck_alcotest.to_alcotest qcheck_random ]);
       ( "fixed",
-        [ Alcotest.test_case "aggregate expressions" `Quick test_aggregate_expressions ] );
+        [ Alcotest.test_case "aggregate expressions" `Quick test_aggregate_expressions;
+          Alcotest.test_case "raise numbers kept rows" `Quick test_raise_numbering ] );
       ("workloads", [ Alcotest.test_case "48 queries match the oracle" `Quick test_workloads ]);
     ]

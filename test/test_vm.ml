@@ -5,7 +5,10 @@
    duplicate decision keys, and high-cardinality determinant spaces that
    push a decision table past the memo cap onto ad hoc grouping. Plus
    unit tests for the bitmap kernel, set_cells, the bytecode cache, the
-   one-TABLE-per-statement lowering and the lock-free memo on a pool. *)
+   one-TABLE-per-statement lowering and the lock-free memo on a pool.
+   Runs over a selection of rows (empty, one row, every row, sparse)
+   must equal runs over the gathered frame, at caps that take both the
+   memo and the grouped path. *)
 
 module Value = Dataframe.Value
 module Schema = Dataframe.Schema
@@ -134,10 +137,73 @@ let check_lowering ~cap frame rules =
       done)
     rules
 
-let check_differential frame prog =
+(* A run at the selection [sel] equals a run on the gathered frame
+   [Frame.take frame sel], each through a fresh lowering at [cap] (cold
+   memos on both sides): the same per-statement bitmaps, and the same
+   matched rule at every selected row. *)
+let check_selection ~cap frame rules sel =
+  let p = Vm.Lower.lower ~cap frame rules and q = Vm.Lower.lower ~cap frame rules in
+  let sub = Frame.take frame sel in
+  let v = Vm.Exec.run ~rows:sel p frame and w = Vm.Exec.run q sub in
+  if v.Vm.Exec.n <> Array.length sel then
+    Alcotest.failf "cap %d: run over %d rows reports %d" cap (Array.length sel) v.Vm.Exec.n;
+  if not (Vm.Bitmap.equal v.Vm.Exec.any w.Vm.Exec.any) then
+    Alcotest.failf "cap %d: selection of %d rows: any bitmap diverges" cap (Array.length sel);
+  Array.iteri
+    (fun stmt _ ->
+      if not (Vm.Bitmap.equal v.Vm.Exec.per_stmt.(stmt) w.Vm.Exec.per_stmt.(stmt)) then
+        Alcotest.failf "cap %d: selection of %d rows: stmt %d bitmap diverges" cap
+          (Array.length sel) stmt;
+      Array.iteri
+        (fun k i ->
+          if Vm.Exec.rule p ~stmt frame i <> Vm.Exec.rule q ~stmt sub k then
+            Alcotest.failf "cap %d: stmt %d row %d (position %d): rule diverges" cap
+              stmt i k)
+        sel)
+    rules
+
+(* Empty, single-row, every-row and sparse selections of [frame]. *)
+let selections rng frame =
+  let n = Frame.nrows frame in
+  [ [||]; Array.init n Fun.id;
+    Array.of_list (List.filter (fun _ -> Rng.int rng 3 = 0) (List.init n Fun.id)) ]
+  @ if n > 0 then [ [| Rng.int rng n |] ] else []
+
+(* The validator over a selection equals the oracle over the gathered
+   rows — violations numbered by position, repairs landing on the
+   selected rows and nowhere else. *)
+let check_validator_selection c frame sel =
+  let sub = Frame.take frame sel in
+  let vs = Validator.violations ~rows:sel c frame in
+  if not (violations_eq vs (Oracle.Validator.violations c sub)) then
+    Alcotest.failf "selection of %d rows: violations diverge" (Array.length sel);
+  List.iter
+    (fun strategy ->
+      let repaired, _ = Validator.handle ~rows:sel ~strategy c frame in
+      let expected, _ = Oracle.Validator.handle ~strategy c sub in
+      if not (frames_eq (Frame.take repaired sel) expected) then
+        Alcotest.failf "selection of %d rows: %s repairs diverge" (Array.length sel)
+          (Validator.strategy_to_string strategy);
+      let selected = Array.make (Frame.nrows frame) false in
+      Array.iter (fun i -> selected.(i) <- true) sel;
+      for i = 0 to Frame.nrows frame - 1 do
+        if not selected.(i) then
+          for j = 0 to Frame.ncols frame - 1 do
+            if not (Value.equal (Frame.get repaired i j) (Frame.get frame i j)) then
+              Alcotest.failf "row %d, outside the selection, was repaired" i
+          done
+      done)
+    [ Validator.Rectify; Validator.Coerce ]
+
+let check_differential ?(rng = Rng.create 0) frame prog =
   let c = Validator.compile prog in
   let rules = Vm.Program.source (Validator.bytecode c frame) in
   List.iter (fun cap -> check_lowering ~cap frame rules) [ 2; 6 ];
+  List.iter
+    (fun sel ->
+      List.iter (fun cap -> check_selection ~cap frame rules sel) [ 2; 6 ];
+      check_validator_selection c frame sel)
+    (selections rng frame);
   let vm = Validator.violations c frame in
   let rows = Oracle.Validator.violations c frame in
   if not (violations_eq vm rows) then
@@ -179,7 +245,7 @@ let qcheck_differential =
     ~count:150 QCheck.(int_bound 100_000)
     (fun seed ->
       let frame, prog = rand_case seed in
-      check_differential frame prog;
+      check_differential ~rng:(Rng.create (seed + 1)) frame prog;
       true)
 
 (* ---------------------------------------------------------------- *)
@@ -456,8 +522,9 @@ let test_one_table_per_statement () =
       a_large a_small
 
 (* One fresh lowering, cold memos, run from 4 pool workers at once over
-   overlapping row subsets: every bitmap must equal the oracle's, and a
-   second, warm pass must reproduce the first. *)
+   overlapping row subsets, each both gathered and as a selection of
+   the frame: every bitmap must equal the oracle's, and a second, warm
+   pass must reproduce the first. *)
 let test_cold_memo_on_domains () =
   let frame, prog =
     let rng = Rng.create 3 in
@@ -495,29 +562,35 @@ let test_cold_memo_on_domains () =
   let rules = Vm.Program.source (Validator.bytecode c frame) in
   let p = Vm.Lower.lower frame rules in
   let n = Frame.nrows frame in
-  let subsets =
+  let selections =
     List.init 8 (fun j ->
-        Frame.take frame
-          (Array.of_list
-             (List.filter (fun i -> (i + j) mod 3 <> 0) (List.init n Fun.id))))
+        Array.of_list (List.filter (fun i -> (i + j) mod 3 <> 0) (List.init n Fun.id)))
   in
+  let bitmaps v =
+    (Vm.Bitmap.to_bool_array v.Vm.Exec.any,
+     Array.map Vm.Bitmap.to_bool_array v.Vm.Exec.per_stmt)
+  in
+  (* each task runs the gathered subset and the same rows as a
+     selection of the frame *)
   let pool = Runtime.Pool.create ~size:4 () in
   let pass () =
     Runtime.Pool.map_list pool
-      (fun sub ->
-        let v = Vm.Exec.run p sub in
-        (Vm.Bitmap.to_bool_array v.Vm.Exec.any,
-         Array.map Vm.Bitmap.to_bool_array v.Vm.Exec.per_stmt))
-      subsets
+      (fun sel ->
+        (bitmaps (Vm.Exec.run p (Frame.take frame sel)),
+         bitmaps (Vm.Exec.run ~rows:sel p frame)))
+      selections
   in
   let cold = pass () in
   let warm = pass () in
   Runtime.Pool.shutdown pool;
   List.iter2
-    (fun sub (any, _) ->
-      Alcotest.(check (array bool)) "cold pass equals oracle"
-        (Oracle.Validator.detect c sub) any)
-    subsets cold;
+    (fun sel ((any, _), ((sel_any, _) as at_sel)) ->
+      let expected = Oracle.Validator.detect c (Frame.take frame sel) in
+      Alcotest.(check (array bool)) "cold pass equals oracle" expected any;
+      Alcotest.(check (array bool)) "cold selection equals oracle" expected sel_any;
+      Alcotest.(check bool) "selection equals gathered subset" true
+        (at_sel = bitmaps (Vm.Exec.run p (Frame.take frame sel))))
+    selections cold;
   Alcotest.(check bool) "warm pass equals cold pass" true (warm = cold)
 
 (* ---------------------------------------------------------------- *)
