@@ -1239,8 +1239,9 @@ let numeric_bench () =
 (* Gated synthesis suite: a deterministic slice of table4 sized for
    CI. Gated: the algorithmic outputs (coverage, DAGs enumerated,
    statement-cache hits/misses), the CI-test work counts, the Meek
-   closures MEC enumeration ran, the grouping-cache hits/misses and
-   the groups the HAVING fill scored, and the cells and distinct raw
+   closures MEC enumeration ran, the grouping-cache hits/misses, the
+   groups the HAVING fill scored, the rows the group kernel grouped and
+   the CSR row indexes it built, and the cells and distinct raw
    fields of a CSV round trip of the dataset. Trend:
    wall and span-derived phase times. Every number of a dataset comes
    from one run — the fastest of 3 by its root span — so the phases
@@ -1257,7 +1258,8 @@ let synth_suite () =
         Gc.compact ();
         counted
           [ "ci.tests"; "ci.cache.hits"; "ci.cache.misses"; "pgm.enum.closures";
-            "group.cache.hits"; "group.cache.misses"; "fill.groups" ]
+            "group.cache.hits"; "group.cache.misses"; "fill.groups"; "group.rows";
+            "group.index.built" ]
           (fun () -> Synthesize.run frame)
       in
       let _, csv_counts =

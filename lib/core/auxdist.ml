@@ -10,14 +10,14 @@
    circular-shift trick: for shift s, pair row i with row (i + s) mod n,
    giving n near-independent pairs per shift.
 
-   The indicators are stored bit-packed ({!Stat.Bits}), so every CI test
-   over them is a run of word ANDs and popcounts
-   ({!Stat.Bits.conditional}). *)
+   The indicators are stored bit-packed ({!Stat.Bits}), each with its
+   popcount, so every CI test over them is a run of word ANDs and
+   popcounts ({!Stat.Bits.conditional}). *)
 
 module Frame = Dataframe.Frame
 
 (* per attribute: a bit-packed 0/1 column, or the dictionary codes *)
-type data = Indicators of int array array | Codes of int array array
+type data = Indicators of Stat.Bits.column array | Codes of int array array
 
 type samples = { data : data; cards : int list; n_samples : int }
 
@@ -71,8 +71,8 @@ let indicators ~n ~total (codes, ws) =
 
 (* Binary samples over the given columns of a frame, one attribute per
    task on [pool]. The words are allocated here, on the caller's domain,
-   and the tasks only fill them: words allocated on a worker measurably
-   raised the sweep's peak RSS. *)
+   and the tasks only fill them and count their ones: words allocated on
+   a worker measurably raised the sweep's peak RSS. *)
 let circular_shift ?pool ~max_shifts ~max_samples frame cols =
   let n = Frame.nrows frame in
   if n < 2 then invalid_arg "Auxdist.circular_shift: need at least 2 rows";
@@ -85,9 +85,15 @@ let circular_shift ?pool ~max_shifts ~max_samples frame cols =
       (fun c -> (Frame.attr_codes frame c, Array.make (Stat.Bits.words total) 0))
       cols
   in
-  ignore (Runtime.Pool.parmap ?pool ~chunk:1 (indicators ~n ~total) tasks);
+  let columns =
+    Runtime.Pool.parmap ?pool ~chunk:1
+      (fun ((_, ws) as task) ->
+        indicators ~n ~total task;
+        Stat.Bits.column ws)
+      tasks
+  in
   {
-    data = Indicators (Array.of_list (List.map snd tasks));
+    data = Indicators (Array.of_list columns);
     cards = List.map (fun _ -> 2) cols;
     n_samples = total;
   }
@@ -105,7 +111,8 @@ let identity frame cols =
 
 let columns samples =
   match samples.data with
-  | Indicators words -> Array.map (Stat.Bits.unpack samples.n_samples) words
+  | Indicators bits ->
+    Array.map (fun c -> Stat.Bits.unpack samples.n_samples c.Stat.Bits.words) bits
   | Codes columns -> columns
 
 (* CI oracle over sampled columns for the PC algorithm: is variable i
@@ -124,12 +131,12 @@ let ci_oracle ~alpha ~max_strata ~min_effect samples =
   let spec = Stat.Ci.make ~max_strata ~min_effect ~alpha ~kx:2 ~ky:2 () in
   let test =
     match samples.data with
-    | Indicators words ->
+    | Indicators bits ->
       fun i j cond ->
         Stat.Ci.evaluate spec
           (Stat.Bits.conditional ~max_strata
-             ~n:samples.n_samples words.(i) words.(j)
-             (List.map (fun k -> words.(k)) cond))
+             ~n:samples.n_samples bits.(i) bits.(j)
+             (List.map (fun k -> bits.(k)) cond))
     | Codes columns ->
       fun i j cond ->
         Stat.Ci.test

@@ -1,10 +1,10 @@
 (** Auxiliary binary distribution (paper Def. 4.5) and its circular-shift
     sampler (§4.6). *)
 
-(** The sampled columns: bit-packed 0/1 indicators ({!Stat.Bits}) from
-    {!circular_shift}, dictionary codes from {!identity}. Read them as
-    int arrays with {!columns}. *)
-type data
+(** The sampled columns: bit-packed 0/1 indicators ({!Stat.Bits}, each
+    with its popcount) from {!circular_shift}, dictionary codes from
+    {!identity}. Read them as int arrays with {!columns}. *)
+type data = Indicators of Stat.Bits.column array | Codes of int array array
 
 type samples = {
   data : data;

@@ -31,12 +31,16 @@ let gather (codes : int array) rows =
   done;
   out
 
-let copy_codes (codes : int array) =
-  let out = Array.make (Array.length codes) 0 in
-  for i = 0 to Array.length codes - 1 do
-    Array.unsafe_set out i (Array.unsafe_get codes i)
+let sub_codes (codes : int array) pos len =
+  if pos < 0 || len < 0 || pos + len > Array.length codes then
+    invalid_arg "Column.sub_codes";
+  let out = Array.make len 0 in
+  for i = 0 to len - 1 do
+    Array.unsafe_set out i (Array.unsafe_get codes (pos + i))
   done;
   out
+
+let copy_codes codes = sub_codes codes 0 (Array.length codes)
 
 (* Value -> code interning, codes in first-occurrence order. *)
 type interner = {
@@ -164,7 +168,7 @@ module Builder = struct
 
   let finish b : column =
     encoded b.values
-      (if b.len = Array.length b.codes then b.codes else Array.sub b.codes 0 b.len)
+      (if b.len = Array.length b.codes then b.codes else sub_codes b.codes 0 b.len)
 end
 
 let to_values t = Array.map (fun c -> t.dict.(c)) t.codes
@@ -174,7 +178,7 @@ let to_values t = Array.map (fun c -> t.dict.(c)) t.codes
 let set t i v =
   match Hashtbl.find_opt t.index v with
   | Some c ->
-    let codes = Array.copy t.codes in
+    let codes = copy_codes t.codes in
     codes.(i) <- c;
     { t with codes }
   | None ->
@@ -182,7 +186,7 @@ let set t i v =
     let dict = Array.append t.dict [| v |] in
     let index = Hashtbl.copy t.index in
     Hashtbl.add index v c;
-    let codes = Array.copy t.codes in
+    let codes = copy_codes t.codes in
     codes.(i) <- c;
     { codes; dict; index }
 
@@ -250,7 +254,7 @@ let select t keep =
       incr m
     end
   done;
-  { t with codes = Array.sub scratch 0 !m }
+  { t with codes = sub_codes scratch 0 !m }
 
 let take t indices = { t with codes = gather t.codes indices }
 

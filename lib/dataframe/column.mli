@@ -63,6 +63,10 @@ val code_of_value : t -> Value.t -> int option
     as plain ints: past the minor heap [Array.map] pays the write
     barrier per element. *)
 val gather : int array -> int array -> int array
+
+(** [sub_codes codes pos len] is [Array.sub codes pos len] by a typed
+    int loop, for the same reason as {!gather}. *)
+val sub_codes : int array -> int -> int -> int array
 val to_values : t -> Value.t array
 
 (** Functional single-cell update. *)

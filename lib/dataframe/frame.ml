@@ -184,7 +184,7 @@ let view_of_binning col b =
       (fun x -> if Float.is_finite x then Domain.assign b x else n)
       (float_dict col)
   in
-  { bcodes = Array.map (fun c -> code_bin.(c)) (Column.codes col); bcard = n + 1 }
+  { bcodes = Column.gather code_bin (Column.codes col); bcard = n + 1 }
 
 let views_of_domains columns doms =
   Array.mapi

@@ -6,23 +6,29 @@
    same primitive: group rows by a tuple of dictionary codes and count.
    This module is that primitive, computed once and shared.
 
-   Key encoding picks between two paths that produce *identical* dense
-   group ids (numbered in order of first occurrence):
+   One pass over the rows assigns dense group ids in order of first
+   occurrence, recording each group's size and first row as its id is
+   minted. Key encoding picks between two paths with *identical* ids:
 
    - mixed radix: when the product of the column cardinalities fits under
      a cap, each row's composite key is the radix combination of its
-     codes; densification is a flat remap array (no hashing at all);
+     codes, looked up in a flat remap array (no hashing at all);
    - hashed: otherwise, a hashtable over the per-row code tuples.
 
-   On top of the dense ids sits a CSR-style index (offsets + row indices
-   sorted by group), so callers can walk any group's rows without
-   allocating per-group lists. *)
+   The CSR row index (row indices sorted by group, under the offsets)
+   is built on demand, by the first caller that walks a group's rows:
+   the HAVING fill's flat [iter_modes] layout and every caller that only
+   reads ids and sizes never pay for it. It is published once through
+   an [Atomic]; domains that race build equal arrays and all of them
+   return the one that won. *)
 
 type t = {
   ids : int array;      (* row -> dense group id, first-occurrence order *)
   n_groups : int;
   offsets : int array;  (* length n_groups + 1 *)
-  rows : int array;     (* row indices, grouped; ascending within a group *)
+  firsts : int array;   (* group -> its first row *)
+  rows : int array option Atomic.t;
+      (* row indices, grouped; ascending within a group; built on demand *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -38,71 +44,46 @@ let strata_count ~cap cards =
   in
   if prod > cap then None else Some prod
 
-(* Raw mixed-radix ids (not densified): id(i) = fold (id * card + code). *)
-let raw_ids codes cards n =
-  let ids = Array.make n 0 in
-  List.iter2
-    (fun cs card ->
-      for i = 0 to n - 1 do
-        ids.(i) <- (ids.(i) * card) + cs.(i)
-      done)
-    codes cards;
-  ids
+(* The first [len] ints of [a]: [a] itself when that is all of it. *)
+let prefix (a : int array) len =
+  if len = Array.length a then a else Column.sub_codes a 0 len
 
-(* Densify raw ids bounded by [space] via a flat remap array; dense ids
-   are assigned in order of first occurrence. *)
-let densify ids space =
-  let n = Array.length ids in
-  let remap = Array.make space (-1) in
-  let out = Array.make n 0 in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    let d = remap.(ids.(i)) in
-    if d >= 0 then out.(i) <- d
-    else begin
-      remap.(ids.(i)) <- !next;
-      out.(i) <- !next;
-      incr next
-    end
-  done;
-  (out, !next)
-
-(* Hashed fallback: same dense first-occurrence ids, any key space. *)
-let hashed_ids codes n =
-  let arrs = Array.of_list codes in
-  let d = Array.length arrs in
-  let tbl : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-  let out = Array.make n 0 in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    let key = Array.init d (fun j -> arrs.(j).(i)) in
-    match Hashtbl.find_opt tbl key with
-    | Some g -> out.(i) <- g
-    | None ->
-      Hashtbl.add tbl key !next;
-      out.(i) <- !next;
-      incr next
-  done;
-  (out, !next)
-
-(* ------------------------------------------------------------------ *)
-(* CSR index *)
-
-let csr ids n_groups =
-  let n = Array.length ids in
-  let offsets = Array.make (n_groups + 1) 0 in
-  Array.iter (fun g -> offsets.(g + 1) <- offsets.(g + 1) + 1) ids;
+(* A grouping from the pass's outputs: [sizes.(g + 1)] holds group [g]'s
+   size and becomes the offsets, in place; both arrays may have spare
+   slots past the [n_groups] minted. *)
+let finish ids n_groups sizes firsts =
   for g = 0 to n_groups - 1 do
-    offsets.(g + 1) <- offsets.(g + 1) + offsets.(g)
+    sizes.(g + 1) <- sizes.(g + 1) + sizes.(g)
   done;
-  let cursor = Array.sub offsets 0 (max n_groups 1) in
-  let rows = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let g = ids.(i) in
-    rows.(cursor.(g)) <- i;
-    cursor.(g) <- cursor.(g) + 1
+  {
+    ids;
+    n_groups;
+    offsets = prefix sizes (n_groups + 1);
+    firsts = prefix firsts n_groups;
+    rows = Atomic.make None;
+  }
+
+(* Rows [lo, hi) through a hashtable over their code tuples, minting
+   ids from [next]; returns the next free id. *)
+let hashed_pass arrs tbl ids sizes firsts next lo hi =
+  let d = Array.length arrs in
+  let next = ref next in
+  for i = lo to hi - 1 do
+    let key = Array.init d (fun j -> arrs.(j).(i)) in
+    let g =
+      match Hashtbl.find_opt tbl key with
+      | Some g -> g
+      | None ->
+        let g = !next in
+        Hashtbl.add tbl key g;
+        firsts.(g) <- i;
+        incr next;
+        g
+    in
+    ids.(i) <- g;
+    sizes.(g + 1) <- sizes.(g + 1) + 1
   done;
-  (offsets, rows)
+  !next
 
 let default_cap = 65_536
 
@@ -113,16 +94,40 @@ let make ?(cap = default_cap) codes cards n =
     (fun cs ->
       if Array.length cs <> n then invalid_arg "Group.make: length mismatch")
     codes;
-  let ids, n_groups =
-    if n = 0 then ([||], 0)
-    else if codes = [] then (Array.make n 0, 1)
-    else
-      match strata_count ~cap cards with
-      | Some space -> densify (raw_ids codes cards n) space
-      | None -> hashed_ids codes n
-  in
-  let offsets, rows = csr ids n_groups in
-  { ids; n_groups; offsets; rows }
+  Obs.Metric.count ~by:n "group.rows";
+  let arrs = Array.of_list codes in
+  let ids = Array.make n 0 in
+  match strata_count ~cap cards with
+  | Some space ->
+    let cards = Array.of_list cards and d = Array.length arrs in
+    let bound = min space n in
+    let sizes = Array.make (bound + 1) 0 and firsts = Array.make bound 0 in
+    let remap = Array.make (if n = 0 then 0 else space) (-1) in
+    let next = ref 0 in
+    for i = 0 to n - 1 do
+      let key = ref 0 in
+      for j = 0 to d - 1 do
+        key := (!key * Array.unsafe_get cards j) + (Array.unsafe_get arrs j).(i)
+      done;
+      let g = remap.(!key) in
+      let g =
+        if g >= 0 then g
+        else begin
+          let g = !next in
+          remap.(!key) <- g;
+          firsts.(g) <- i;
+          incr next;
+          g
+        end
+      in
+      Array.unsafe_set ids i g;
+      sizes.(g + 1) <- sizes.(g + 1) + 1
+    done;
+    finish ids !next sizes firsts
+  | None ->
+    let sizes = Array.make (n + 1) 0 and firsts = Array.make n 0 in
+    let tbl : (int array, int) Hashtbl.t = Hashtbl.create 256 in
+    finish ids (hashed_pass arrs tbl ids sizes firsts 0 0 n) sizes firsts
 
 (* Incremental maintenance: extend a grouping computed over the first
    [n_rows g] rows to cover all [n] rows of append-extended code
@@ -140,32 +145,27 @@ let extend g codes n =
     (fun cs ->
       if Array.length cs <> n then invalid_arg "Group.extend: length mismatch")
     codes;
+  Obs.Metric.count ~by:(n - base) "group.rows";
   let arrs = Array.of_list codes in
   let d = Array.length arrs in
-  let key_at i = Array.init d (fun j -> arrs.(j).(i)) in
   let tbl : (int array, int) Hashtbl.t = Hashtbl.create (2 * (g.n_groups + 8)) in
-  for gid = 0 to g.n_groups - 1 do
-    Hashtbl.replace tbl (key_at g.rows.(g.offsets.(gid))) gid
-  done;
+  let bound = g.n_groups + (n - base) in
   let ids = Array.make n 0 in
-  Array.blit g.ids 0 ids 0 base;
-  let next = ref g.n_groups in
-  for i = base to n - 1 do
-    let key = key_at i in
-    match Hashtbl.find_opt tbl key with
-    | Some gid -> ids.(i) <- gid
-    | None ->
-      Hashtbl.add tbl key !next;
-      ids.(i) <- !next;
-      incr next
+  let sizes = Array.make (bound + 1) 0 and firsts = Array.make bound 0 in
+  for i = 0 to base - 1 do
+    ids.(i) <- g.ids.(i)
   done;
-  let n_groups = !next in
-  let offsets, rows = csr ids n_groups in
-  { ids; n_groups; offsets; rows }
+  for gid = 0 to g.n_groups - 1 do
+    let first = g.firsts.(gid) in
+    Hashtbl.replace tbl (Array.init d (fun j -> arrs.(j).(first))) gid;
+    firsts.(gid) <- first;
+    sizes.(gid + 1) <- g.offsets.(gid + 1) - g.offsets.(gid)
+  done;
+  finish ids (hashed_pass arrs tbl ids sizes firsts g.n_groups base n) sizes firsts
 
 let of_codes n codes =
   let codes =
-    if Array.length codes = n then codes else Array.sub codes 0 n
+    if Array.length codes = n then codes else prefix codes n
   in
   let card = ref 0 in
   Array.iter
@@ -183,15 +183,42 @@ let id t i = t.ids.(i)
 let n_groups t = t.n_groups
 let n_rows t = Array.length t.ids
 let offsets t = t.offsets
-let row_index t = t.rows
 let size t g = t.offsets.(g + 1) - t.offsets.(g)
 let counts t = Array.init t.n_groups (size t)
-let first_row t g = t.rows.(t.offsets.(g))
-let rows_of t g = Array.sub t.rows t.offsets.(g) (size t g)
+let first_row t g = t.firsts.(g)
+
+(* The CSR index: each row placed at its group's cursor, in row order,
+   so rows ascend within a group. *)
+let build_rows t =
+  let n = Array.length t.ids in
+  let cursor = Column.sub_codes t.offsets 0 t.n_groups in
+  let rows = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let g = Array.unsafe_get t.ids i in
+    rows.(cursor.(g)) <- i;
+    cursor.(g) <- cursor.(g) + 1
+  done;
+  rows
+
+(* Built by the first reader; [group.index.built] counts only the
+   publish that wins, so it does not depend on scheduling. *)
+let row_index t =
+  match Atomic.get t.rows with
+  | Some rows -> rows
+  | None ->
+    let rows = build_rows t in
+    if Atomic.compare_and_set t.rows None (Some rows) then begin
+      Obs.Metric.count "group.index.built";
+      rows
+    end
+    else Option.get (Atomic.get t.rows)
+
+let rows_of t g = Column.sub_codes (row_index t) t.offsets.(g) (size t g)
 
 let iter_rows t g f =
+  let rows = row_index t in
   for k = t.offsets.(g) to t.offsets.(g + 1) - 1 do
-    f t.rows.(k)
+    f rows.(k)
   done
 
 (* One flat count table per domain for [iter_modes], reused from call
@@ -246,12 +273,13 @@ let iter_modes t codes ~card f =
     cell := counts
   end
   else begin
+    let rows = row_index t in
     let hist = Array.make card 0 in
     for g = 0 to t.n_groups - 1 do
       let lo = t.offsets.(g) and hi = t.offsets.(g + 1) in
       let mode = ref (-1) and count = ref 0 in
       for k = lo to hi - 1 do
-        let c = codes.(t.rows.(k)) in
+        let c = codes.(rows.(k)) in
         let h = hist.(c) + 1 in
         hist.(c) <- h;
         if h > !count || (h = !count && c < !mode) then begin
@@ -261,7 +289,7 @@ let iter_modes t codes ~card f =
       done;
       f g hist ~base:0 ~mode:!mode ~count:!count;
       for k = lo to hi - 1 do
-        hist.(codes.(t.rows.(k))) <- 0
+        hist.(codes.(rows.(k))) <- 0
       done
     done
   end
@@ -314,8 +342,8 @@ module Cache = struct
   let frame_key c = c.frame_key
 
   (* Rebuild once the delta outgrows this fraction of the extended
-     table: extending hashes only the delta rows but still pays an
-     O(n) CSR rebuild per cached grouping, so past ~half the rows the
+     table: extending hashes only the delta rows but still copies the
+     O(n) ids per cached grouping, so past ~half the rows the
      incremental path has no edge over a clean rebuild. *)
   let default_rebuild_threshold = 0.5
 

@@ -1,7 +1,9 @@
 (** The one group-by kernel.
 
-    Groups rows by a tuple of dictionary-coded columns and exposes a
-    CSR-style index over the groups. Composite keys use a mixed-radix
+    Groups rows by a tuple of dictionary-coded columns in one pass,
+    recording each group's size and first row, and exposes a CSR-style
+    index over the groups, built on first read. Composite keys use a
+    mixed-radix
     fast path when the cardinality product fits under a cap, and a
     hashed fallback otherwise; both paths assign identical dense group
     ids, numbered in order of first occurrence. All of the pipeline's
@@ -23,7 +25,8 @@ val default_cap : int
     Codes must lie in [0, card). [cap] (default {!default_cap}) bounds
     the mixed-radix key space; larger products take the hashed path.
     Raises [Invalid_argument] on ragged input. With no columns, all
-    rows form one group. *)
+    rows form one group. Counts the rows in [group.rows]
+    ([Obs.Metric.default]). *)
 val make : ?cap:int -> int array list -> int list -> int -> t
 
 (** [extend g codes n] carries a grouping of the first [n_rows g] rows
@@ -31,8 +34,8 @@ val make : ?cap:int -> int array list -> int list -> int -> t
     Bit-identical to [make codes cards n] — dense first-occurrence ids
     are a pure function of the row partition, and appended rows can
     only join existing groups or mint new ids at the end — but only the
-    [n - n_rows g] delta rows are hashed. Raises [Invalid_argument] on
-    ragged input or [n < n_rows g]. *)
+    [n - n_rows g] delta rows are hashed (and counted in [group.rows]).
+    Raises [Invalid_argument] on ragged input or [n < n_rows g]. *)
 val extend : t -> int array list -> int -> t
 
 (** Single-column grouping of the first [n] codes (cardinality inferred;
@@ -51,7 +54,10 @@ val n_rows : t -> int
 val offsets : t -> int array
 
 (** Row indices sorted by group (ascending within each group), indexed
-    by {!offsets}. Do not mutate. *)
+    by {!offsets}. Built by the first call on a grouping (this,
+    {!rows_of}, {!iter_rows} or {!iter_modes}' CSR walk) and shared
+    after; domains that race get one array, and [group.index.built]
+    counts one build. Do not mutate. *)
 val row_index : t -> int array
 
 (** Rows in group [g]. *)

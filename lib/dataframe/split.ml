@@ -27,8 +27,8 @@ let train_test ~seed ~train_fraction df =
     let raw = int_of_float (Float.of_int n *. train_fraction) in
     if n <= 1 then raw else max 1 (min (n - 1) raw)
   in
-  let train_idx = Array.sub perm 0 k in
-  let test_idx = Array.sub perm k (n - k) in
+  let train_idx = Column.sub_codes perm 0 k in
+  let test_idx = Column.sub_codes perm k (n - k) in
   (Frame.take df train_idx, Frame.take df test_idx)
 
 (* Random sample of [k] distinct row indices. *)

@@ -74,7 +74,7 @@ let row_columns t frame row =
     t.feature_cols
 
 let encode_columns t frame =
-  Array.map (fun c -> Array.map (fun k -> c.remap.(k)) c.codes) (columns t frame)
+  Array.map (fun c -> Column.gather c.remap c.codes) (columns t frame)
 
 let labels t frame =
   let col = Frame.column_by_name frame t.label_col in
@@ -83,4 +83,4 @@ let labels t frame =
       (fun v -> Option.value ~default:(-1) (label_code t v))
       (Column.dict col)
   in
-  Array.map (fun c -> remap.(c)) (Column.codes col)
+  Column.gather remap (Column.codes col)

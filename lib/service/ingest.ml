@@ -5,8 +5,8 @@
    detectable:
 
    - a frame-keyed [Group.Cache] over the table's columns, advanced
-     with [Group.Cache.advance] on every append (CSR indexes merge the
-     delta instead of regrouping). It is the snapshot's only group
+     with [Group.Cache.advance] on every append (cached groupings
+     extend over the delta instead of regrouping). It is the snapshot's only group
      index: the validator's decision tables group on it too, here and
      on the daemon's DETECT/RECTIFY over the registered frame;
    - per-statement contingency tables of the GIVEN grouping against

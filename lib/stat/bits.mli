@@ -18,7 +18,14 @@ val popcount : int -> int
 (** Index of the lowest set bit of a non-zero, non-negative word. *)
 val lowest_bit : int -> int
 
-(** [conditional ~max_strata ~n xs ys zs] is
+(** A packed column and its number of set bits. The words must not be
+    changed once the column is made. *)
+type column = private { words : int array; ones : int }
+
+(** [column ws] counts the set bits of [ws] once. *)
+val column : int array -> column
+
+(** [conditional ~max_strata ~n x y zs] is
     [Contingency.conditional ~kx:2 ~ky:2 ~max_strata] of the unpacked
     [n]-sample columns, with cardinality 2 for every conditioning column
     [zs]: the same tables in the same order, and [None] in the same
@@ -26,7 +33,7 @@ val lowest_bit : int -> int
 val conditional :
   max_strata:int ->
   n:int ->
-  int array ->
-  int array ->
-  int array list ->
+  column ->
+  column ->
+  column list ->
   Contingency.table list option

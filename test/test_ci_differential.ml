@@ -70,7 +70,7 @@ let reached = Array.make 4 0
 let check_test spec ~n cols i j cond =
   let xs = cols.(i) and ys = cols.(j) in
   let zs = List.map (fun k -> cols.(k)) cond in
-  let packed = Array.map pack cols in
+  let packed = Array.map (fun c -> Bits.column (pack c)) cols in
   let pzs = List.map (fun k -> packed.(k)) cond in
   let max_strata = spec.Ci.max_strata in
   let tables =
@@ -138,6 +138,45 @@ let qcheck_kernel =
         check_test spec ~n cols i j cond
       done;
       true)
+
+(* Hand-built columns at the kernel's edges, each checked like a
+   generated case. *)
+let test_kernel_edges () =
+  let spec max_strata =
+    Ci.make ~max_strata ~min_effect:0.0 ~alpha:0.05 ~kx:2 ~ky:2 ()
+  in
+  let rng = Rng.create 29 in
+  let coin n = Array.init n (fun _ -> Rng.int rng 2) in
+  (* strata missing from word 0: z is 1 on sample 0 only, then 1 again
+     from sample 130 (word 2), so the z = 0 stratum comes second; w is 0
+     through word 1, so with k = 2 strata first appear in words 0 and 2,
+     and with [w; z] the stratum order differs from the id order *)
+  let n = 200 in
+  let z = Array.init n (fun i -> if i = 0 || i >= 130 then 1 else 0) in
+  let w = Array.init n (fun i -> if i >= 124 then i land 1 else 0) in
+  let cols = [| coin n; coin n; z; w |] in
+  List.iter
+    (fun cond -> check_test (spec 8) ~n cols 0 1 cond)
+    [ []; [ 2 ]; [ 3 ]; [ 2; 3 ]; [ 3; 2 ] ];
+  (* n a multiple of 62: the last word is full *)
+  List.iter
+    (fun n ->
+      let cols = Array.init 4 (fun _ -> coin n) in
+      List.iter
+        (fun cond -> check_test (spec 8) ~n cols 0 1 cond)
+        [ []; [ 2 ]; [ 2; 3 ]; [ 3; 2; 0 ] ])
+    [ 62; 124; 186; 620 ];
+  (* a repeated conditioning column: two of its four strata are empty *)
+  let n = 300 in
+  let cols = Array.init 3 (fun _ -> coin n) in
+  check_test (spec 8) ~n cols 0 1 [ 2; 2 ];
+  check_test (spec 8) ~n cols 0 1 [ 2; 2; 2 ];
+  (* k = 1 over a one-stratum cap: no tables *)
+  let packed = Array.map (fun c -> Bits.column (pack c)) cols in
+  Alcotest.(check bool) "k = 1 at max_strata 1 is None" true
+    (Bits.conditional ~max_strata:1 ~n packed.(0) packed.(1) [ packed.(2) ] = None);
+  check_test (spec 1) ~n cols 0 1 [ 2 ];
+  check_test (spec 1) ~n cols 0 1 []
 
 let test_generator_reaches_verdicts () =
   Array.iteri
@@ -275,14 +314,70 @@ let test_oracle_datasets () =
       check (Auxdist.identity frame cols))
     Datagen.Spec.all
 
+(* The shared-popcount path at synthesis' own settings: on each
+   dataset's sampled indicators, each column's popcount is its unpacked
+   sum, and 200 random tests (k = 0, 1, 2 in turn) count the same
+   tables as [Contingency.conditional] over the unpacked columns and
+   evaluate bit for bit like [Ci.test]. *)
+let test_kernel_datasets () =
+  List.iter
+    (fun (spec : Datagen.Spec.t) ->
+      let frame, cols = dataset spec in
+      let samples =
+        Auxdist.circular_shift ~max_shifts:Config.max_shifts
+          ~max_samples:Config.max_samples frame cols
+      in
+      let n = samples.Auxdist.n_samples in
+      let bits =
+        match samples.Auxdist.data with
+        | Auxdist.Indicators bits -> bits
+        | Auxdist.Codes _ -> Alcotest.fail "circular_shift gave codes"
+      in
+      let columns = Auxdist.columns samples in
+      Array.iteri
+        (fun k c ->
+          Alcotest.(check int) "popcount = unpacked sum"
+            (Array.fold_left ( + ) 0 columns.(k)) c.Bits.ones)
+        bits;
+      let ci =
+        Ci.make ~max_strata:Config.max_strata ~min_effect:Config.min_effect
+          ~alpha:Config.default.Config.alpha ~kx:2 ~ky:2 ()
+      in
+      let m = Array.length bits in
+      let rng = Rng.create (100 + spec.Datagen.Spec.id) in
+      for t = 0 to 199 do
+        let i = Rng.int rng m and j = Rng.int rng m in
+        let cond = List.init (t mod 3) (fun _ -> Rng.int rng m) in
+        let zs = List.map (fun k -> columns.(k)) cond in
+        let cards = List.map (fun _ -> 2) cond in
+        let tables =
+          Bits.conditional ~max_strata:Config.max_strata ~n bits.(i) bits.(j)
+            (List.map (fun k -> bits.(k)) cond)
+        in
+        if
+          tables
+          <> Contingency.conditional ~kx:2 ~ky:2 ~max_strata:Config.max_strata
+               columns.(i) columns.(j) zs cards
+        then Alcotest.failf "%s: tables differ" spec.Datagen.Spec.name;
+        let r = Ci.evaluate ci tables
+        and expected = Ci.test ci columns.(i) columns.(j) zs cards in
+        if not (same_result r expected) then
+          Alcotest.failf "%s: result %s, Ci.test %s" spec.Datagen.Spec.name
+            (pp_result r) (pp_result expected)
+      done)
+    Datagen.Spec.all
+
 let () =
   Alcotest.run "ci_differential"
     [ ( "kernel",
         [ Alcotest.test_case "bit layout" `Quick test_bits_layout ]
         @ List.map QCheck_alcotest.to_alcotest [ qcheck_kernel ]
         @ [ Alcotest.test_case "generator reaches every verdict" `Quick
-              test_generator_reaches_verdicts ] );
+              test_generator_reaches_verdicts;
+            Alcotest.test_case "directed edges" `Quick test_kernel_edges ] );
       ( "datasets",
         [ Alcotest.test_case "sampler = oracle sampler" `Quick test_sampler_datasets;
           Alcotest.test_case "sampler edges, pool sizes 0/2/4" `Quick test_sampler_edges;
-          Alcotest.test_case "ci_oracle = Ci.test" `Quick test_oracle_datasets ] ) ]
+          Alcotest.test_case "ci_oracle = Ci.test" `Quick test_oracle_datasets;
+          Alcotest.test_case "shared popcounts at synthesis settings" `Quick
+            test_kernel_datasets ] ) ]

@@ -464,6 +464,84 @@ let qcheck_group_modes =
            seen
       && List.mapi (fun i (gid, _, _, _) -> i = gid) seen |> List.for_all Fun.id)
 
+(* Random code columns against the eager oracle construction, on the
+   radix path (default cap) and the hashed one (cap 1), at n = 0 and
+   n = 1 as well as up to 300 rows; [card] 2 mostly takes [iter_modes]'
+   flat table, [card] 40 its CSR walk. *)
+let qcheck_group_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* n = oneof [ return 0; return 1; 0 -- 300 ] in
+      let* d = 0 -- 3 in
+      let* cards = list_repeat d (1 -- 7) in
+      let* codes = flatten_l (List.map (fun c -> array_repeat n (0 -- (c - 1))) cards) in
+      let* card = oneofl [ 2; 40 ] in
+      let* modes = array_repeat n (0 -- (card - 1)) in
+      let* hashed = bool in
+      return (n, codes, cards, card, modes, hashed))
+  in
+  QCheck.Test.make ~name:"Group.make = eager oracle" ~count:500 (QCheck.make gen)
+    (fun (n, codes, cards, card, modes, hashed) ->
+      let cap = if hashed then 1 else Group.default_cap in
+      let g = Group.make ~cap codes cards n in
+      let o = Oracle.Group.make ~cap codes cards n in
+      let ours =
+        let seen = ref [] in
+        Group.iter_modes g modes ~card (fun gid counts ~base ~mode ~count ->
+            seen := (gid, Array.sub counts base card, mode, count) :: !seen);
+        List.rev !seen
+      in
+      Group.ids g = o.Oracle.Group.ids
+      && Group.n_groups g = o.Oracle.Group.n_groups
+      && Group.offsets g = o.Oracle.Group.offsets
+      && List.init (Group.n_groups g) (Group.first_row g)
+         = List.init o.Oracle.Group.n_groups (Oracle.Group.first_row o)
+      && Group.row_index g = o.Oracle.Group.rows
+      && ours = Oracle.Group.modes o modes ~card)
+
+(* Four domains force the row index of one cached grouping at once:
+   they all get the one published array, equal to the oracle's, and
+   only the publish that won counts. *)
+let test_group_index_race () =
+  let n = 5_000 in
+  let codes = Array.init n (fun i -> (i * 7919) mod 97) in
+  let frame =
+    Frame.of_columns
+      (Schema.make [ Schema.categorical "k" ])
+      [ Column.of_values (Array.map (fun c -> Value.Int c) codes) ]
+  in
+  let cache = Group.Cache.of_frame frame in
+  let g = Group.Cache.get cache [ 0 ] in
+  let built () =
+    Option.value ~default:0
+      (List.assoc_opt "group.index.built"
+         (Obs.Metric.snapshot Obs.Metric.default).Obs.Metric.counters)
+  in
+  let before = built () in
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Group.row_index g))
+  in
+  Atomic.set go true;
+  let indexes = List.map Domain.join domains in
+  let expected =
+    (Oracle.Group.make [ Frame.attr_codes frame 0 ] [ Frame.attr_card frame 0 ] n)
+      .Oracle.Group.rows
+  in
+  List.iter
+    (fun rows -> Alcotest.(check (array int)) "row index = oracle" expected rows)
+    indexes;
+  Alcotest.(check bool) "one published array" true
+    (List.for_all (fun rows -> rows == List.hd indexes) indexes);
+  Alcotest.(check bool) "later reads share it" true
+    (Group.row_index (Group.Cache.get cache [ 0 ]) == List.hd indexes);
+  Alcotest.(check int) "group.index.built counts once" 1 (built () - before)
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -595,11 +673,12 @@ let () =
           Alcotest.test_case "modes" `Quick test_group_modes;
           Alcotest.test_case "strata semantics" `Quick test_group_strata;
           Alcotest.test_case "cache" `Quick test_group_cache;
+          Alcotest.test_case "row index race, 4 domains" `Quick test_group_index_race;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_value_roundtrip; qcheck_column_encoding;
             qcheck_column_cardinality; qcheck_csv_roundtrip; qcheck_csv_float_roundtrip;
             qcheck_group_paths_agree; qcheck_group_matches_reference;
-            qcheck_group_modes ] );
+            qcheck_group_modes; qcheck_group_oracle ] );
     ]
